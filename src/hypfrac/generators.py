@@ -80,10 +80,6 @@ def draw_interval(cfg: GenConfig, rng: np.random.Generator) -> Interval:
     return Interval(center - 0.5 * length, center + 0.5 * length)
 
 
-def draw_p(cfg: GenConfig, rng: np.random.Generator) -> float:
-    return float(rng.uniform(*cfg.p_range))
-
-
 def gen_p_convex(cfg: GenConfig, p: float, interval: Interval, *,
                  index: int = 0, rng: np.random.Generator | None = None) -> FuncExpr:
     """A hyperbolic p-convex function, convex by construction.
@@ -161,15 +157,6 @@ def gen_positive_weight(cfg: GenConfig, interval: Interval, *, index: int = 0,
     skew = compose_affine(build_exp(s), 1.0, -m)
     v = add(base.v, scaled(rng.uniform(0.1, 0.8), skew))
     return WeightSpec(v, symmetric=False)
-
-
-def gen_psi(cfg: GenConfig, interval: Interval,
-            rng: np.random.Generator) -> FuncExpr:
-    """A nonnegative forcing term for the ODE path."""
-    m = interval.mid
-    c0 = rng.uniform(0.0, 1.0)
-    coef = rng.uniform(0.0, 1.0)
-    return add(constant(c0), scaled(coef, compose_affine(power_of(X, 2), 1.0, -m)))
 
 
 # ---------------------------------------------------------------------------

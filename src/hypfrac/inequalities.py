@@ -87,12 +87,6 @@ _REQUIRES = {
 _ASYMMETRIC_OK = (TheoremId.D8, TheoremId.D9)
 
 
-def theorem_requirements(tid: TheoremId) -> dict:
-    p, alpha, weight, family, has_mid = _REQUIRES[tid]
-    return {"needs_p": p, "needs_alpha": alpha, "needs_weight": weight,
-            "family": family, "has_mid": has_mid}
-
-
 # ---------------------------------------------------------------------------
 # stable hyperbolic helpers
 
@@ -165,19 +159,12 @@ def unit_weight() -> WeightSpec:
 # ---------------------------------------------------------------------------
 # kernel moment constants
 
-def _kernel_weight(family, interval: Interval, alpha: float):
-    """Vectorized fractional kernel weight on the interval; None family -> 1."""
+def _kernel_weight(interval: Interval, alpha: float):
+    """Vectorized two-sided exponential kernel weight on the interval."""
     a, b = interval.a, interval.b
-    if family is None:
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    if family is Family.EXP:
-        FracParams(alpha, family)  # validate range
-        lam = (1.0 - alpha) / alpha
-        return lambda x: (np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))) / alpha
-    FracParams(alpha, family)
-    ga = math.gamma(alpha)
-    return lambda x: (np.power(b - x, alpha - 1.0)
-                      + np.power(x - a, alpha - 1.0)) / ga
+    FracParams(alpha, Family.EXP)  # validate range
+    lam = (1.0 - alpha) / alpha
+    return lambda x: (np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))) / alpha
 
 
 def _split_rl_moment(g, interval: Interval, alpha: float, cfg: QuadConfig) -> float:
@@ -199,7 +186,7 @@ def kernel_cosh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float
     if family is Family.RL:
         FracParams(alpha, family)
         return _split_rl_moment(g, interval, alpha, cfg)
-    w = _kernel_weight(Family.EXP, interval, alpha)
+    w = _kernel_weight(interval, alpha)
     return integrate(lambda x: g(x) * w(x), interval, cfg).value
 
 
@@ -214,11 +201,11 @@ def kernel_sinh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float
     if family is Family.RL:
         FracParams(alpha, family)
         return _split_rl_moment(g, interval, alpha, cfg)
-    w = _kernel_weight(Family.EXP, interval, alpha)
+    w = _kernel_weight(interval, alpha)
     return integrate(lambda x: g(x) * w(x), interval, cfg).value
 
 
-def _kernel_xm_moment(v: WeightSpec, interval: Interval, alpha, p_unused, family,
+def _kernel_xm_moment(v: WeightSpec, interval: Interval, alpha, family,
                       cfg: QuadConfig) -> float:
     """integral of (x - m) * kernel * v; the p -> 0 limit of the sinh moment
     divided by p.  Used for the p == 0 branch of the sinh-corrected bounds."""
@@ -228,7 +215,7 @@ def _kernel_xm_moment(v: WeightSpec, interval: Interval, alpha, p_unused, family
     if family is Family.RL:
         return _split_rl_moment(g, interval, alpha, cfg)
     if family is Family.EXP:
-        w = _kernel_weight(Family.EXP, interval, alpha)
+        w = _kernel_weight(interval, alpha)
         return integrate(lambda x: g(x) * w(x), interval, cfg).value
     return integrate(g, interval, cfg).value
 
@@ -366,7 +353,7 @@ class TheoremEvaluator:
     def _xm_moment(self, family, alpha) -> float:
         return self._memo(
             ("xmmoment", family, alpha),
-            lambda: _kernel_xm_moment(self.weight, self.interval, alpha, None,
+            lambda: _kernel_xm_moment(self.weight, self.interval, alpha,
                                       family, self.quad),
         )
 
@@ -405,11 +392,12 @@ class TheoremEvaluator:
         ua, um, ub = self._u_ends()
         avg = 0.5 * (ua + ub)
         half = 0.5 * (ua - ub)
-        params = {
-            "a": a, "b": b, "p": p, "alpha": alpha,
-            "fn": self._descr(self.u),
-            "weight": self._descr(self.weight.v) if self.weight else None,
-        }
+        fn, weight = self._memo("descr", lambda: (
+            self._descr(self.u),
+            self._descr(self.weight.v) if self.weight else None,
+        ))
+        params = {"a": a, "b": b, "p": p, "alpha": alpha,
+                  "fn": fn, "weight": weight}
 
         if tid is TheoremId.HH_1_1:
             mid = self._plain_integral("u") / L

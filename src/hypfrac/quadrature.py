@@ -1,23 +1,41 @@
-"""Adaptive quadrature on finite intervals with endpoint-singularity support.
+"""Quadrature on finite intervals with endpoint-singularity support.
 
-The panel rule is the embedded 7-point Gauss / 15-point Kronrod pair; the
-difference between the two estimates is the panel error.  Adaptivity is by
-bisection: every round evaluates all still-active panels in one vectorized
-batch, accepts those whose error fits their share of the budget (or is at
-the round-off floor of the panel), and bisects the rest.  Integrands are
-called with a flat numpy array and must return an array of the same shape;
-expression trees from :mod:`hypfrac.expressions` satisfy this directly.
+Every integral is first tried with a fixed Gauss rule, and only handed to
+the adaptive integrator when that rule cannot vouch for its own answer (the
+order QUADPACK's non-adaptive QNG and adaptive QAG are tried in).
 
-Integrable algebraic endpoint weights ``(x-a)**(alpha-1)`` and
-``(b-x)**(alpha-1)`` with ``alpha < 1`` are removed exactly by the power
-substitution ``x = a + u**(1/alpha)`` (mirrored on the right), which turns
-the weighted integral into a plain one with a bounded integrand; for
-``alpha >= 1`` the weight is continuous and is integrated directly.
+Fixed-rule front: the integrand is evaluated once on the concatenated nodes
+of an n-point and a 2n-point Gauss-Jacobi rule (n = 20) for the weight
+``(1+t)**beta`` on [-1, 1].  ``beta = alpha - 1`` carries the endpoint
+weight ``(x-a)**(alpha-1)`` (or its mirror ``(b-x)**(alpha-1)``) of
+:func:`integrate_singular` exactly; ``beta = 0`` is Gauss-Legendre for
+:func:`integrate`.  Nodes and weights come from the Golub-Welsch
+eigenvalue problem on the Jacobi matrix and are cached per (n, beta).  The
+2n-point value is accepted when both sums are finite and
+``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
+adaptive loop uses; the difference is reported as the error estimate and
+``subdivisions_used == 0`` marks an accepted fixed rule.
+
+Adaptive fallback: otherwise the integral is recomputed from scratch with
+the embedded 7-point Gauss / 15-point Kronrod pair, whose difference is the
+panel error.  Adaptivity is by bisection: every round evaluates all
+still-active panels in one vectorized batch, accepts those whose error fits
+their share of the budget (or is at the round-off floor of the panel), and
+bisects the rest.  There, weights ``(x-a)**(alpha-1)`` with ``alpha < 1``
+are removed exactly by the power substitution ``x = a + u**(1/alpha)``
+(mirrored on the right), which turns the weighted integral into a plain one
+with a bounded integrand; for ``alpha >= 1`` the weight is continuous and
+is integrated directly.
+
+Integrands are called with a flat numpy array and must return an array of
+the same shape; expression trees from :mod:`hypfrac.expressions` satisfy
+this directly.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +77,9 @@ _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])  # Gauss nodes sit at odd slots
 
 _EPS = float(np.finfo(float).eps)
+
+# node count of the smaller fixed rule; the check rule has twice as many
+_FIXED_N = 20
 
 
 @dataclass(frozen=True)
@@ -108,13 +129,96 @@ def _panels(f, lo, hi):
     return k, np.abs(k - g), l1
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes (ascending) and weights of the n-point Gauss rule for the weight
+    ``(1+t)**beta`` on [-1, 1], ``beta > -1``.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials P_k^(0, beta), polished by one Newton step on the
+    orthonormal P_n.  The weights are the Christoffel numbers
+    ``1 / sum_k q_k(t)**2`` of the orthonormal q_k: a sum of positive terms,
+    so the small weights next to the endpoints keep their relative accuracy,
+    which squared eigenvector components lose.  The returned arrays are
+    read-only because every caller shares them.
+    """
+    k = np.arange(n + 1, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(n + 1)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s[1:] * (s[1:] + 2.0))
+    off = np.zeros(n + 1)  # off[k] couples q_{k-1} and q_k
+    off[1:] = 2.0 * k[1:] * (k[1:] + beta) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    jacobi = np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1)
+    t = np.linalg.eigvalsh(jacobi)
+    mu0 = 2.0 ** (beta + 1.0) / (beta + 1.0)
+    q, dq, _ = _orthonormal(t, diag, off, mu0)
+    t = t - q / dq
+    _, _, sumsq = _orthonormal(t, diag, off, mu0)
+    weights = 1.0 / sumsq
+    t.setflags(write=False)
+    weights.setflags(write=False)
+    return t, weights
+
+
+def _orthonormal(t, diag, off, mu0):
+    """q_n(t), q_n'(t) and sum_{k<n} q_k(t)**2 for the orthonormal
+    polynomials of the Jacobi matrix with diagonal ``diag`` and off-diagonal
+    ``off``, from the three-term recurrence."""
+    q_prev, q = np.zeros_like(t), np.full_like(t, 1.0 / math.sqrt(mu0))
+    dq_prev, dq = np.zeros_like(t), np.zeros_like(t)
+    sumsq = np.zeros_like(t)
+    for j in range(t.size):
+        sumsq += q * q
+        q_next = ((t - diag[j]) * q - off[j] * q_prev) / off[j + 1]
+        dq_next = (q + (t - diag[j]) * dq - off[j] * dq_prev) / off[j + 1]
+        q_prev, q, dq_prev, dq = q, q_next, dq, dq_next
+    return q, dq, sumsq
+
+
+def _fixed_rule(g, interval: Interval, alpha: float, endpoint: Endpoint,
+                cfg: QuadConfig):
+    """The 2n-point Gauss-Jacobi value of g times the endpoint weight
+    ``(x-a)**(alpha-1)`` (LEFT) or ``(b-x)**(alpha-1)`` (RIGHT), or None when
+    it disagrees with the n-point value past the tolerance."""
+    t1, w1 = _gauss_jacobi(_FIXED_N, alpha - 1.0)
+    t2, w2 = _gauss_jacobi(2 * _FIXED_N, alpha - 1.0)
+    h = 0.5 * (interval.b - interval.a)
+    offsets = h * (1.0 + np.concatenate([t1, t2]))
+    if endpoint is Endpoint.LEFT:
+        xs = interval.a + offsets
+    else:
+        xs = interval.b - offsets
+    try:
+        scale = h ** alpha
+    except OverflowError:  # the adaptive path reports the overflow as inf
+        return None
+    ys = np.asarray(g(xs), dtype=float)
+    q1 = scale * float(w1 @ ys[:_FIXED_N])
+    q2 = scale * float(w2 @ ys[_FIXED_N:])
+    err = abs(q2 - q1)
+    if (math.isfinite(q1) and math.isfinite(q2)
+            and err <= max(cfg.abs_tol, cfg.rel_tol * abs(q2))):
+        return QuadResult(q2, err, 0, True)
+    return None
+
+
 def integrate(f, interval: Interval, cfg: QuadConfig = DEFAULT_QUAD) -> QuadResult:
     """Integrate a vectorized callable over [a, b].
 
-    The result is flagged ``converged=False`` when the subdivision budget
-    ran out before the error budget was met; the best value found is still
-    returned.
+    A fixed Gauss-Legendre pair is tried first; when it is not accepted the
+    adaptive integrator runs.  The result is flagged ``converged=False`` when
+    the subdivision budget ran out before the error budget was met; the best
+    value found is still returned.
     """
+    fixed = _fixed_rule(f, interval, 1.0, Endpoint.LEFT, cfg)
+    if fixed is not None:
+        return fixed
+    return _integrate_adaptive(f, interval, cfg)
+
+
+def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig) -> QuadResult:
+    """Bisection-adaptive Gauss-Kronrod 7/15 over [a, b]."""
     a, b = interval.a, interval.b
     span = b - a
     lo = np.array([a])
@@ -165,28 +269,33 @@ def integrate_singular(
 ) -> QuadResult:
     """Integrate g(x) * (x-a)**(alpha-1) (LEFT) or g(x) * (b-x)**(alpha-1) (RIGHT).
 
-    ``g`` must be smooth on [a, b]; ``alpha > 0``.  For ``alpha < 1`` the
-    weight is removed by the power substitution, for ``alpha >= 1`` the
-    weighted integrand is handed to :func:`integrate` unchanged.
+    ``g`` must be smooth on [a, b]; ``alpha > 0``.  A fixed Gauss-Jacobi
+    pair for the weight is tried first.  When it is not accepted, the
+    adaptive integrator runs: for ``alpha < 1`` the weight is removed by the
+    power substitution, for ``alpha >= 1`` the weighted integrand is
+    integrated unchanged.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    fixed = _fixed_rule(g, interval, alpha, endpoint, cfg)
+    if fixed is not None:
+        return fixed
     a, b = interval.a, interval.b
     if alpha == 1.0:
-        return integrate(g, interval, cfg)
+        return _integrate_adaptive(g, interval, cfg)
     if alpha > 1.0:
         if endpoint is Endpoint.LEFT:
             f = lambda x: np.asarray(g(x)) * np.power(x - a, alpha - 1.0)
         else:
             f = lambda x: np.asarray(g(x)) * np.power(b - x, alpha - 1.0)
-        return integrate(f, interval, cfg)
+        return _integrate_adaptive(f, interval, cfg)
     span = (b - a) ** alpha
     inv = 1.0 / alpha
     if endpoint is Endpoint.LEFT:
         f = lambda u: np.asarray(g(np.minimum(a + np.power(u, inv), b))) * inv
     else:
         f = lambda u: np.asarray(g(np.maximum(b - np.power(u, inv), a))) * inv
-    return integrate(f, Interval(0.0, span), cfg)
+    return _integrate_adaptive(f, Interval(0.0, span), cfg)
 
 
 def gauss_kronrod_nodes():

@@ -26,6 +26,8 @@ from hypfrac.fractional import (
     rl_monomial_left,
     rl_right,
 )
+from hypfrac.campaign import CampaignConfig
+from hypfrac.generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
 
 ONE = constant(1.0)
 
@@ -124,6 +126,33 @@ def test_alpha_to_one_limit():
     f = add(cosh_centered(1.5, 0.8), build_exp(0.5))
     plain = integrate(f, I).value
     assert abs(rl_left(f, I, 1.0 - 1e-6, I.b) - plain) <= 1e-4
+
+
+def _campaign_instance(cfg, index):
+    """(interval, u, weight) drawn the way a campaign draws instance ``index``."""
+    rng = rng_for(cfg.seed, index)
+    length = rng.uniform(*cfg.length_range)
+    center = rng.uniform(*cfg.center_range)
+    interval = Interval(center - 0.5 * length, center + 0.5 * length)
+    p = rng.uniform(*cfg.pl_range) / length
+    gencfg = GenConfig(seed=cfg.seed)
+    u = gen_p_convex(gencfg, p, interval, rng=rng)
+    w = gen_symmetric_weight(gencfg, interval, rng=rng)
+    return interval, u, w
+
+
+def test_rl_alpha_above_one_converges_on_campaign_instances():
+    # RL alpha=1.5 of u*v used to exhaust its subdivision budget on most
+    # generated instances: the weight (x-a)**0.5 is not smooth at the endpoint
+    cfg = CampaignConfig(seed=42)
+    params = FracParams(1.5, Family.RL)
+    for index in range(20):
+        interval, u, w = _campaign_instance(cfg, index)
+        uv = lambda x, u=u, v=w.v: u.eval(x) * v.eval(x)
+        for side, t in ((Side.LEFT, interval.b), (Side.RIGHT, interval.a)):
+            res = fractional_integral(uv, interval, params, side, t)
+            assert res.converged, (index, side)
+            assert math.isfinite(res.value) and res.value > 0
 
 
 def test_validation_errors():

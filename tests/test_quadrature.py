@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypfrac.quadrature import (
     Endpoint,
     QuadConfig,
     QuadResult,
+    _gauss_jacobi,
     gauss_kronrod_nodes,
     integrate,
     integrate_singular,
@@ -132,3 +134,115 @@ def test_config_validation():
         QuadConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadResult(1.0, -1.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# fixed Gauss-Jacobi front
+
+def _jacobi_moment(k, beta):
+    """Integral of t**k * (1+t)**beta over [-1, 1].  Expanding t = (1+t) - 1
+    gives a sum of Beta integrals 2**(j+beta+1) / (j+beta+1); it is summed in
+    exact rationals because its terms cancel far past double precision."""
+    b = Fraction(beta)
+    total = sum(Fraction(math.comb(k, j) * (-1) ** (k - j) * 2 ** j) / (j + b + 1)
+                for j in range(k + 1))
+    return float(total) * 2.0 ** (beta + 1.0)
+
+
+@pytest.mark.parametrize("beta", [-0.7, -0.5, -0.2, 0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 5, 20, 40])
+def test_gauss_jacobi_rule_exact_below_degree_2n(n, beta):
+    nodes, weights = _gauss_jacobi(n, beta)
+    assert nodes.shape == weights.shape == (n,)
+    assert np.all(np.diff(nodes) > 0) and np.all(np.abs(nodes) < 1.0)
+    assert np.all(weights > 0)
+    mu0 = 2.0 ** (beta + 1.0) / (beta + 1.0)
+    for k in range(2 * n):
+        assert abs(weights @ nodes**k - _jacobi_moment(k, beta)) <= 1e-14 * mu0
+
+
+def _rising_series(z, alpha):
+    """sum_m z**m / (alpha (alpha+1) ... (alpha+m)); times exp(-z) this is
+    the integral of exp(-z*s) * s**(alpha-1) over [0, 1]."""
+    terms, t = [], 1.0 / alpha
+    for m in range(300):
+        terms.append(t)
+        t *= z / (alpha + m + 1)
+    return math.fsum(terms)
+
+
+def _exp_left_series(z, alpha):
+    """sum_m z**m / (m! (m+alpha)), the integral of exp(z*s) * s**(alpha-1)
+    over [0, 1]."""
+    terms, t = [], 1.0
+    for m in range(300):
+        terms.append(t / (m + alpha))
+        t *= z / (m + 1)
+    return math.fsum(terms)
+
+
+_A, _B = 0.5, 2.0
+_L = _B - _A
+
+
+def _singular_cases(alpha):
+    """(g, endpoint, closed form of the weighted integral over [_A, _B])."""
+    cases = []
+    for k in range(4):
+        exact = _L ** (k + alpha) / (k + alpha)
+        cases.append((lambda x, k=k: (x - _A) ** k, Endpoint.LEFT, exact))
+        cases.append((lambda x, k=k: (_B - x) ** k, Endpoint.RIGHT, exact))
+    # e^x (x-a)^(alpha-1) and e^x (b-x)^(alpha-1): incomplete-gamma series
+    cases.append((np.exp, Endpoint.LEFT,
+                  math.exp(_A) * _L ** alpha * _exp_left_series(_L, alpha)))
+    cases.append((np.exp, Endpoint.RIGHT,
+                  math.exp(_A) * _L ** alpha * _rising_series(_L, alpha)))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 2.5])
+def test_singular_fixed_rule_matches_closed_forms(alpha):
+    for g, endpoint, exact in _singular_cases(alpha):
+        res = integrate_singular(g, Interval(_A, _B), alpha, endpoint, TIGHT)
+        assert res.converged
+        assert res.subdivisions_used == 0
+        assert res.value == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 2.5])
+def test_fixed_rule_error_estimate_bounds_true_error(alpha):
+    # steep enough that the 20-node rule is off by ~1e-10, so the estimate
+    # measures truncation and not round-off
+    res = integrate_singular(lambda x: np.exp(60.0 * x), Interval(0.0, 1.0),
+                             alpha, Endpoint.LEFT, DEFAULT_QUAD)
+    exact = _exp_left_series(60.0, alpha)
+    assert res.subdivisions_used == 0 and res.converged
+    assert res.error_estimate > 1e-12 * exact
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_fixed_rule_error_estimate_bounds_true_error_plain():
+    # poles at +-i/2: the 20-node Gauss-Legendre value is off by ~1e-8
+    res = integrate(lambda x: 1.0 / (x * x + 0.25), Interval(-1.0, 1.0))
+    exact = 4.0 * math.atan(2.0)
+    assert res.subdivisions_used == 0 and res.converged
+    assert res.error_estimate > 1e-10
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5])
+def test_fixed_rule_disagreement_falls_back_to_adaptive(alpha):
+    res = integrate_singular(lambda x: np.exp(80.0 * x), Interval(0.0, 1.0),
+                             alpha, Endpoint.LEFT, DEFAULT_QUAD)
+    assert res.subdivisions_used > 0 and res.converged
+    assert res.value == pytest.approx(_exp_left_series(80.0, alpha), rel=1e-8)
+
+
+def test_weight_scale_overflow_falls_back_instead_of_raising():
+    # ((b-a)/2)**alpha exceeds the double range, so the fixed rule steps
+    # aside and the adaptive path reports the overflow as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate_singular(lambda x: np.ones_like(x), Interval(0.0, 200.0),
+                                 160.0, Endpoint.LEFT)
+    assert res.value == math.inf
+    assert not res.converged
