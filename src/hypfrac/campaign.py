@@ -19,6 +19,7 @@ sech(p*(b-a)); they are reported but never counted as campaign violations.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -245,20 +246,36 @@ def _instance_worker(args):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _cell(v) -> str:
+def _cell(v, fields: dict) -> str:
+    if isinstance(v, float):  # the most common cell: test it first
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, str):
+        # descriptors repeat on every row of an instance: quote each once
+        field = fields.get(v)
+        if field is None:
+            field = fields[v] = _csv_field(v)
+        return field
     return str(v)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted by the csv module's minimal rule
+    (descriptors such as ``pow((x-0.9),4.0)`` hold commas)."""
+    if not text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
 def rows_to_csv(rows) -> str:
+    fields = {}
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_cell(r[c]) for c in CSV_COLUMNS))
+    lines += [",".join([_cell(r[c], fields) for c in CSV_COLUMNS]) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -36,6 +36,10 @@ _USAGE_ERROR = 2
 _VIOLATED = 3
 _IO_ERROR = 4
 
+# classify's grid bound: the chord test costs O(n**3) time and O(n**2) memory,
+# about 2 s and 65 MB of arrays at the upper bound
+_GRID_N_RANGE = (3, 1001)
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -134,6 +138,9 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    lo, hi = _GRID_N_RANGE
+    if not lo <= args.grid_n <= hi:
+        raise ValueError(f"--grid-n must be in [{lo}, {hi}], got {args.grid_n}")
     f = parse_function(args.fn)
     interval = Interval(args.a, args.b)
     reports = check_all(f, interval, args.p, grid_n=args.grid_n, tol=args.tol)
@@ -260,7 +267,7 @@ def main(argv=None) -> int:
             return _cmd_limits(args)
         parser.error(f"unknown command {args.command}")
     except (GrammarError, DomainError, InvalidWeightError, ValueError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except OSError as exc:

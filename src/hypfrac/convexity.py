@@ -33,7 +33,7 @@ from .expressions import (
     deriv2,
     line,
 )
-from .quadrature import QuadConfig, integrate
+from .quadrature import QuadConfig, integrate_cells
 
 DEFAULT_GRID_N = 101
 DEFAULT_TOL = 1e-9
@@ -122,47 +122,69 @@ def chord_majorant(f, interval: Interval, p: float) -> FuncExpr:
     return build_hyperbolic(float(A), float(B), p)
 
 
-def _chord_weights(dn, dd, p):
-    """sinh(p*dn) / sinh(p*dd) for 0 <= dn <= dd, stable for any p > 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.exp(p * (dn - dd)) * (np.expm1(-2.0 * p * dn)
-                                        / np.expm1(-2.0 * p * dd))
-
-
 def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
                 tol: float = DEFAULT_TOL) -> ConvexityReport:
-    """Grid chord test over every subinterval pair drawn from the grid."""
+    """Grid chord test over every subinterval pair drawn from the grid.
+
+    For grid triples i < k < j the chord through (x_i, f_i) and (x_j, f_j)
+    takes at x_k the value
+
+        H = (sinh(p*(x_j-x_k))*f_i + sinh(p*(x_k-x_i))*f_j) / sinh(p*(x_j-x_i)).
+
+    With D[r, c] = x_c - x_r, E = expm1(-2p*D) and X = exp(-p*D) every sinh
+    ratio factors into pairwise tables, e.g. sinh(p*(x_j-x_k))/sinh(p*(x_j-x_i))
+    = X[i, k]*E[k, j]/E[i, j], which stays finite for any p > 0; p == 0 has
+    the same form with E = D and X = 1.  The tables are built once and the
+    triples are streamed one chord start i at a time over the upper triangle
+    k < j, so memory is O(n**2) and each triple costs arithmetic only.  The
+    per-start maxima are reduced in order, so ties resolve to the first
+    triple in (i, k, j) order.
+    """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
     p = abs(float(p))
     xs = interval.grid(grid_n)
     fv = _value_callable(f)(xs)
     n = grid_n
-    idx = np.arange(n)
-    valid = (idx[:, None, None] < idx[None, :, None]) & \
-            (idx[None, :, None] < idx[None, None, :])
-    # pairwise-difference tensors over triples (i, k, j): chord endpoints
-    # x_i < x_j, probe point x_k between them
-    d_kj = (xs[None, None, :] - xs[None, :, None])  # x_j - x_k, shape (1, n, n)
-    d_ik = (xs[None, :, None] - xs[:, None, None])  # x_k - x_i, shape (n, n, 1)
-    d_ij = (xs[None, None, :] - xs[:, None, None])  # x_j - x_i, shape (n, 1, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    D = xs[None, :] - xs[:, None]
+    # (k, j) pairs with k < j in row-major order: those with k > i are the
+    # suffix starting at starts[i + 1]
+    kk, jj = np.triu_indices(n, 1)
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    top = np.empty(n - 2)
+    top_k = np.empty(n - 2, dtype=np.intp)
+    low = np.empty(n - 2)
+    low_k = np.empty(n - 2, dtype=np.intp)
+    # the unused lower triangles of E and X may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p == 0.0:
-            w_a = d_kj / d_ij
-            w_b = d_ik / d_ij
+            E, X = D, np.ones_like(D)
         else:
-            w_a = _chord_weights(d_kj, d_ij, p)
-            w_b = _chord_weights(d_ik, d_ij, p)
-        H = w_a * fv[:, None, None] + w_b * fv[None, None, :]
-    excess = fv[None, :, None] - H  # > 0 violates convexity
-    excess = np.where(valid, excess, -np.inf)
+            E, X = np.expm1(-2.0 * p * D), np.exp(-p * D)
+        fX = fv[:, None] * X  # f_i * X[i, k]
+        E_kj = E[kk, jj]
+        XF_kj = X[kk, jj] * fv[jj]  # X[k, j] * f_j
+        f_k = fv[kk]
+        for i in range(n - 2):
+            s = starts[i + 1]
+            k, j = kk[s:], jj[s:]
+            E_i = E[i]
+            H = fX[i].take(k)
+            H *= E_kj[s:]
+            term = E_i.take(k)
+            term *= XF_kj[s:]
+            H += term
+            H /= E_i.take(j)
+            excess = np.subtract(f_k[s:], H, out=H)  # > 0 violates convexity
+            at = int(excess.argmax())
+            top[i], top_k[i] = excess[at], k[at]
+            at = int(excess.argmin())
+            low[i], low_k[i] = excess[at], k[at]
     scale = 1.0 + float(np.max(np.abs(fv)))
-    conv_v = float(np.max(excess)) / scale
-    i1 = np.unravel_index(np.argmax(excess), excess.shape)
-    deficit = np.where(valid, -(fv[None, :, None] - H), -np.inf)
-    conc_v = float(np.max(deficit)) / scale
-    i2 = np.unravel_index(np.argmax(deficit), deficit.shape)
-    return _settle(conv_v, conc_v, tol, xs[i1[1]], xs[i2[1]], Method.CHORD)
+    i1 = int(np.argmax(top))
+    i2 = int(np.argmin(low))
+    return _settle(float(top[i1]) / scale, -float(low[i2]) / scale, tol,
+                   xs[top_k[i1]], xs[low_k[i2]], Method.CHORD)
 
 
 def check_second_order(f, interval: Interval, p: float,
@@ -221,9 +243,7 @@ def check_phi_monotone(f, interval: Interval, p: float,
         phi = dv
         scale = 1.0 + float(np.max(np.abs(dv)))
     else:
-        cells = [integrate(val, Interval(xs[k], xs[k + 1]), _PHI_QUAD).value
-                 for k in range(len(xs) - 1)]
-        cum = np.concatenate([[0.0], np.cumsum(cells)])
+        cum = np.concatenate([[0.0], np.cumsum(integrate_cells(val, xs, _PHI_QUAD))])
         phi = dv - p * p * cum
         scale = 1.0 + float(np.max(np.abs(dv))) + p * p * float(np.max(np.abs(cum)))
     run_max = np.maximum.accumulate(phi)

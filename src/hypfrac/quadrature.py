@@ -15,6 +15,8 @@ eigenvalue problem on the Jacobi matrix and are cached per (n, beta).  The
 ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
 adaptive loop uses; the difference is reported as the error estimate and
 ``subdivisions_used == 0`` marks an accepted fixed rule.
+:func:`integrate_cells` runs the same pair on all cells of a grid with one
+integrand call and the same per-cell test.
 
 Adaptive fallback: otherwise the integral is recomputed from scratch with
 the embedded 7-point Gauss / 15-point Kronrod pair, whose difference is the
@@ -176,31 +178,68 @@ def _orthonormal(t, diag, off, mu0):
     return q, dq, sumsq
 
 
+@functools.lru_cache(maxsize=64)
+def _fixed_pair(beta: float):
+    """The shifted nodes ``1 + t`` of the n- and 2n-point Gauss-Jacobi rules,
+    concatenated, and the two weight vectors."""
+    t1, w1 = _gauss_jacobi(_FIXED_N, beta)
+    t2, w2 = _gauss_jacobi(2 * _FIXED_N, beta)
+    nodes = 1.0 + np.concatenate([t1, t2])
+    nodes.setflags(write=False)
+    return nodes, w1, w2
+
+
+def _fixed_sums(g, a, b, alpha: float, endpoint: Endpoint):
+    """The n- and 2n-point Gauss-Jacobi sums, without the ``h**alpha``
+    factor, of g times the endpoint weight on the cell [a, b], or on every
+    cell when a and b are columns (shape (m, 1)) of cell edges.  g is called
+    once on all nodes."""
+    nodes, w1, w2 = _fixed_pair(alpha - 1.0)
+    offsets = 0.5 * (b - a) * nodes
+    xs = a + offsets if endpoint is Endpoint.LEFT else b - offsets
+    ys = np.asarray(g(xs.ravel()), dtype=float).reshape(xs.shape)
+    return ys[..., :_FIXED_N] @ w1, ys[..., _FIXED_N:] @ w2
+
+
+def _fixed_ok(q1: float, q2: float, cfg: QuadConfig) -> bool:
+    """Whether the 2n-point value q2 is vouched for by the n-point value q1."""
+    return (math.isfinite(q1) and math.isfinite(q2)
+            and abs(q2 - q1) <= max(cfg.abs_tol, cfg.rel_tol * abs(q2)))
+
+
 def _fixed_rule(g, interval: Interval, alpha: float, endpoint: Endpoint,
                 cfg: QuadConfig):
     """The 2n-point Gauss-Jacobi value of g times the endpoint weight
     ``(x-a)**(alpha-1)`` (LEFT) or ``(b-x)**(alpha-1)`` (RIGHT), or None when
     it disagrees with the n-point value past the tolerance."""
-    t1, w1 = _gauss_jacobi(_FIXED_N, alpha - 1.0)
-    t2, w2 = _gauss_jacobi(2 * _FIXED_N, alpha - 1.0)
-    h = 0.5 * (interval.b - interval.a)
-    offsets = h * (1.0 + np.concatenate([t1, t2]))
-    if endpoint is Endpoint.LEFT:
-        xs = interval.a + offsets
-    else:
-        xs = interval.b - offsets
     try:
-        scale = h ** alpha
+        scale = (0.5 * (interval.b - interval.a)) ** alpha
     except OverflowError:  # the adaptive path reports the overflow as inf
         return None
-    ys = np.asarray(g(xs), dtype=float)
-    q1 = scale * float(w1 @ ys[:_FIXED_N])
-    q2 = scale * float(w2 @ ys[_FIXED_N:])
-    err = abs(q2 - q1)
-    if (math.isfinite(q1) and math.isfinite(q2)
-            and err <= max(cfg.abs_tol, cfg.rel_tol * abs(q2))):
-        return QuadResult(q2, err, 0, True)
+    s1, s2 = _fixed_sums(g, interval.a, interval.b, alpha, endpoint)
+    q1 = scale * float(s1)
+    q2 = scale * float(s2)
+    if _fixed_ok(q1, q2, cfg):
+        return QuadResult(q2, abs(q2 - q1), 0, True)
     return None
+
+
+def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
+    """Integrals of f over the cells [edges[k], edges[k+1]], as an array.
+
+    The fixed Gauss-Legendre pair of :func:`integrate` runs on all cells in
+    one evaluation of f, with the same per-cell acceptance test; only the
+    cells it rejects are integrated one by one with the adaptive rule.
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    h = 0.5 * (b - a)
+    s1, s2 = _fixed_sums(f, a[:, None], b[:, None], 1.0, Endpoint.LEFT)
+    values = h * s2
+    for k, (q1, q2) in enumerate(zip((h * s1).tolist(), values.tolist())):
+        if not _fixed_ok(q1, q2, cfg):
+            values[k] = _integrate_adaptive(f, Interval(a[k], b[k]), cfg).value
+    return values
 
 
 def integrate(f, interval: Interval, cfg: QuadConfig = DEFAULT_QUAD) -> QuadResult:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -69,6 +71,33 @@ def test_csv_schema(small_run):
     assert cells[CSV_COLUMNS.index("alpha")] == ""
     assert cells[CSV_COLUMNS.index("mid")] == ""
     assert cells[CSV_COLUMNS.index("holds")] == "true"
+
+
+def test_csv_quotes_descriptors_with_commas():
+    # seed 42 draws weights such as pow((x-0.949),4.0)
+    _, rows = run_campaign(CampaignConfig(seed=42, n_instances=20, workers=1))
+    assert any("," in r["weight_descriptor"] for r in rows)
+    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+    assert len(parsed) == len(rows)
+    for got, row in zip(parsed, rows):
+        assert list(got) == CSV_COLUMNS and None not in got.values()
+        assert int(got["seed"]) == 42
+        assert int(got["instance_index"]) == row["instance_index"]
+        assert got["fn_descriptor"] == row["fn_descriptor"]
+        assert got["weight_descriptor"] == row["weight_descriptor"]
+
+
+def test_csv_cell_formatting():
+    row = {"theorem_id": "D3", "a": 0.0, "b": 1.5, "p": 2.0, "alpha": None,
+           "lhs": 0.1, "mid": None, "rhs": 0.3, "slack_left": 1e-17,
+           "slack_right": 0.2, "holds": True, "fn_descriptor": "cosh(2*x)",
+           "weight_descriptor": "pow((x-0.5),2.0)", "seed": 4,
+           "instance_index": 7}
+    plain = dict(row, weight_descriptor="1", holds=False)
+    assert rows_to_csv([row, plain]).splitlines()[1:] == [
+        'D3,0.0,1.5,2.0,,0.1,,0.3,1e-17,0.2,true,cosh(2*x),"pow((x-0.5),2.0)",4,7',
+        "D3,0.0,1.5,2.0,,0.1,,0.3,1e-17,0.2,false,cosh(2*x),1,4,7",
+    ]
 
 
 def test_probe_rows_and_report_section(small_run):

@@ -182,6 +182,39 @@ def test_limits_unknown_pairing_exits_2(capsys):
     assert "no documented limit" in err
 
 
+@pytest.mark.parametrize("grid_n", ["2", "1002"])
+def test_classify_grid_outside_bounds_exits_2(capsys, grid_n):
+    code, out, err = run_cli(capsys, "classify", "--fn", "cosh(2*x)", "--p", "1",
+                             "--a", "0", "--b", "1", "--grid-n", grid_n)
+    assert code == 2
+    assert out == ""
+    assert "error: --grid-n must be in [3, 1001]" in err
+
+
+def test_classify_largest_grid_runs(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--fn", "cosh(2*x)", "--p", "1",
+                           "--a", "0", "--b", "1", "--grid-n", "1001")
+    assert code == 0
+    assert "verdict: CONVEX, 4/4 methods agree" in out
+
+
+def test_integrate_huge_alpha_exits_2(capsys):
+    # Gamma(200) overflows a double
+    code, out, err = run_cli(capsys, "integrate", "--family", "rl", "--alpha",
+                             "200", "--fn", "x", "--a", "0", "--b", "1",
+                             "--side", "left", "--at", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_huge_alpha_exits_2(capsys):
+    code, _, err = run_cli(capsys, "verify", "--thm", "FHH", "--alpha", "200",
+                           "--fn", "cosh(2*x)", "--p", "1", "--a", "0", "--b", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["integrate", "--family", "bogus"]) == 2
 

@@ -102,26 +102,109 @@ def test_neither_agrees_across_methods():
     assert methods_agree(reports)
 
 
-def test_chord_tensor_matches_brute_force():
-    # independent triple-loop evaluation of the same chord excesses
-    f = build_power(2.0)
-    I = Interval(0.5, 2.5)
-    p, n = 1.0, 21
-    xs = np.linspace(I.a, I.b, n)
+def _brute_chord(f, I, p, n):
+    """Independent triple-loop chord excesses: (largest excess, its x_k,
+    largest deficit, its x_k), normalized like check_chord; ties go to the
+    first triple in (i, k, j) order."""
+    xs = I.grid(n)
     fv = f.eval(xs)
     over = under = -math.inf
+    x_over = x_under = None
     for i in range(n):
-        for j in range(i + 2, n):
-            denom = math.sinh(p * (xs[j] - xs[i]))
-            for k in range(i + 1, j):
-                H = (math.sinh(p * (xs[j] - xs[k])) * fv[i]
-                     + math.sinh(p * (xs[k] - xs[i])) * fv[j]) / denom
-                over = max(over, fv[k] - H)
-                under = max(under, H - fv[k])
+        for k in range(i + 1, n):
+            for j in range(k + 1, n):
+                if p == 0.0:
+                    H = ((xs[j] - xs[k]) * fv[i] + (xs[k] - xs[i]) * fv[j]) \
+                        / (xs[j] - xs[i])
+                else:
+                    H = (math.sinh(p * (xs[j] - xs[k])) * fv[i]
+                         + math.sinh(p * (xs[k] - xs[i])) * fv[j]) \
+                        / math.sinh(p * (xs[j] - xs[i]))
+                if fv[k] - H > over:
+                    over, x_over = fv[k] - H, xs[k]
+                if H - fv[k] > under:
+                    under, x_under = H - fv[k], xs[k]
     scale = 1.0 + float(np.max(np.abs(fv)))
-    r = check_chord(f, I, p, grid_n=n)
+    return over / scale, x_over, under / scale, x_under
+
+
+CHORD_CASES = [
+    (build_power(2.0), Interval(0.5, 2.5), 1.0),
+    (build_power(2.0), I01, 0.0),
+    (build_power(3.0), Interval(-1.0, 1.0), 0.0),
+    (build_power(0.5), Interval(0.1, 1.0), 1.0),
+    (build_exp(2.0), I01, 1.0),
+    # large-amplitude boundary member 3*cosh(5*(x+1)), amplitude ~ 1e4
+    (scaled(3.0, cosh_centered(5.0, -1.0)), I01, 5.0),
+]
+
+
+def test_chord_tensor_matches_brute_force():
+    tol = 1e-9
+    for f, I, p in CHORD_CASES:
+        for n in (3, 4, 21):
+            over, x_over, under, x_under = _brute_chord(f, I, p, n)
+            r = check_chord(f, I, p, grid_n=n, tol=tol)
+            if over <= tol and under <= tol:
+                expected, worst, witness = Verdict.BOUNDARY, max(0.0, over, under), None
+            elif over <= tol:
+                expected, worst, witness = Verdict.CONVEX, max(0.0, over), x_over
+            elif under <= tol:
+                expected, worst, witness = Verdict.CONCAVE, max(0.0, under), x_under
+            elif over <= under:
+                expected, worst, witness = Verdict.NEITHER, over, x_over
+            else:
+                expected, worst, witness = Verdict.NEITHER, under, x_under
+            case = (f, I, p, n)
+            assert r.verdict is expected, case
+            assert r.worst_violation == pytest.approx(worst, rel=1e-12, abs=1e-14), case
+            if worst > 1e-12:  # below that the witness is a round-off tie
+                assert r.witness_x == witness, case
+
+
+class _GridValues:
+    """A function known only through exact values at the grid nodes."""
+
+    def __init__(self, nodes, values):
+        self.nodes, self.values = nodes, values
+
+    def value(self, x):
+        return np.interp(x, self.nodes, self.values)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("values, worst, witness", [
+    # chords (0, 2) and (2, 4) miss by 1.25 at x = 1 and x = 3: ties across
+    # chord starts
+    ((1.0, 0.0, 1.5, 0.0, 1.0), 1.25 / 2.5, 1.0),
+    # chords (0, 4) and (1, 4) miss by 1 at x = 2 and x = 3: ties within
+    # one chord start
+    ((0.0, 0.0, 1.0, 1.0, 0.0, 2.0), 1.0 / 3.0, 2.0),
+])
+def test_chord_ties_resolve_to_first_triple(sign, values, worst, witness):
+    # exact values on the integer grid with p = 0; the other side's worst
+    # violation is larger, so the verdict reports the tied side
+    n = len(values)
+    I = Interval(0.0, n - 1.0)
+    f = _GridValues(I.grid(n), sign * np.array(values))
+    r = check_chord(f, I, 0.0, grid_n=n)
     assert r.verdict is Verdict.NEITHER
-    assert r.worst_violation == pytest.approx(min(over, under) / scale, rel=1e-12)
+    assert r.worst_violation == worst
+    assert r.witness_x == witness
+
+
+def test_chord_memory_is_quadratic_in_grid():
+    import tracemalloc
+
+    f = cosh_centered(2.0, 0.3)
+    tracemalloc.start()
+    try:
+        check_chord(f, I01, 1.0, grid_n=401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three (401, 401, 401) float tensors would take 1.5 GB
+    assert peak < 32 * 2**20
 
 
 def test_worst_violation_nonnegative_and_small_when_convex():

@@ -15,6 +15,7 @@ from hypfrac.quadrature import (
     _gauss_jacobi,
     gauss_kronrod_nodes,
     integrate,
+    integrate_cells,
     integrate_singular,
 )
 
@@ -246,3 +247,21 @@ def test_weight_scale_overflow_falls_back_instead_of_raising():
                                  160.0, Endpoint.LEFT)
     assert res.value == math.inf
     assert not res.converged
+
+
+def test_integrate_cells_matches_integrate_per_cell():
+    # a peak of width 0.01 at 0: the cells next to it reject the fixed rule
+    # and go to the adaptive path, the outer ones accept it
+    c = 1e-4
+    f = lambda x: 1.0 / (c + x * x)
+    edges = np.linspace(-1.0, 1.0, 9)
+    cells = [integrate(f, Interval(lo, hi), TIGHT)
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    assert any(r.subdivisions_used > 0 for r in cells)
+    assert any(r.subdivisions_used == 0 for r in cells)
+    values = integrate_cells(f, edges, TIGHT)
+    assert values.shape == (8,)
+    for got, ref in zip(values, cells):
+        assert got == pytest.approx(ref.value, rel=1e-14)
+    exact = np.diff(np.arctan(edges / math.sqrt(c))) / math.sqrt(c)
+    np.testing.assert_allclose(values, exact, rtol=1e-11)
