@@ -89,15 +89,7 @@ class CampaignReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "config": self.config,
-            "n_rows": self.n_rows,
-            "violations": self.violations,
-            "per_theorem": self.per_theorem,
-            "printed_constant_probe": self.printed_constant_probe,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def _row(tid_str, verdict, seed, index, u_descr, w_descr, alpha):

@@ -3,14 +3,15 @@
 Subcommands: integrate | classify | verify | campaign | limits.
 
 Exit codes (stable contract): 0 success / inequality holds, 2 usage or
-validation error, 3 inequality violated, 4 I/O error.  Floats are printed
-with 9 significant digits.  The env var HYPFRAC_THREADS caps the campaign
-worker count.
+validation error (including results that overflow to inf or nan), 3
+inequality violated, 4 I/O error.  Floats are printed with 9 significant
+digits.  The env var HYPFRAC_THREADS caps the campaign worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .campaign import (
@@ -52,6 +53,15 @@ def _floats_arg(text: str) -> tuple:
         return tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+
+
+def _require_finite(what: str, **values) -> None:
+    """Raise a usage error when any value (None aside) is inf or nan."""
+    bad = [f"{k}={v}" for k, v in values.items()
+           if v is not None and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite {what} ({', '.join(bad)}): values "
+                         "overflow a double on this input")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,6 +141,7 @@ def _cmd_integrate(args) -> int:
     params = FracParams(args.alpha, Family(args.family))
     side = Side(args.side)
     res = fractional_integral(f, Interval(args.a, args.b), params, side, args.at)
+    _require_finite("integral", value=res.value)
     print(f"{_fmt(res.value)}  (error estimate {res.error_estimate:.3g}, "
           f"subdivisions {res.subdivisions_used}"
           f"{'' if res.converged else ', NOT CONVERGED'})")
@@ -144,6 +155,8 @@ def _cmd_classify(args) -> int:
     f = parse_function(args.fn)
     interval = Interval(args.a, args.b)
     reports = check_all(f, interval, args.p, grid_n=args.grid_n, tol=args.tol)
+    _require_finite("worst violation", **{
+        m.value: r.worst_violation for m, r in reports.items()})
     for method in Method:
         r = reports[method]
         print(f"{method.value:13s} {r.verdict.value.upper():9s} "
@@ -167,6 +180,8 @@ def _cmd_verify(args) -> int:
         tol=args.tol, strict_printed=args.strict_printed,
         allow_asymmetric=args.asymmetric_weight,
     )
+    _require_finite(f"{verdict.theorem_id.value} side", lhs=verdict.lhs,
+                    mid=verdict.mid, rhs=verdict.rhs)
     print(f"theorem {verdict.theorem_id.value}")
     print(f"  lhs = {_fmt(verdict.lhs)}")
     print(f"  mid = {_fmt(verdict.mid)}")

@@ -56,8 +56,6 @@ class GenConfig:
     """Ranges for the random factories.  A fixed seed fixes the stream."""
 
     seed: int = 0
-    path_weights: tuple = (1.0, 0.0)  # (closed form, ODE)
-    p_range: tuple = (0.1, 5.0)
     length_range: tuple = (0.2, 4.0)
     center_range: tuple = (-1.5, 1.5)
     coef_range: tuple = (0.1, 2.0)
@@ -67,7 +65,7 @@ class GenConfig:
     boundary_prob: float = 0.2
 
     def __post_init__(self):
-        for lo, hi in (self.p_range, self.length_range, self.coef_range):
+        for lo, hi in (self.length_range, self.coef_range):
             if not lo <= hi:
                 raise ValueError("ranges must be nonempty")
         if self.max_terms < 1:

@@ -17,6 +17,24 @@ D2 / D3     hyperbolic weighted sandwich / sinh-corrected upper bound
 D4 .. D9    fractional hyperbolic analogues (RL and exponential kernels,
             plain and weighted, plus the two sinh-corrected upper bounds)
 
+One primitive
+-------------
+Every integral is a kernel moment ``integral of g * K over [a, b]``
+(:func:`kernel_moment`): K = 1 for the plain theorems, and for the
+fractional ones the two-sided kernel, so that the moment is the left
+operator at b plus the right operator at a.  ``g`` is u, v, u*v or
+cosh(p*(x-m)), or v times cosh(p*(x-m)), sinh(p*(x-m)) or x-m.  The
+fifteen theorems are five shapes over the family of K, read from
+``_REQUIRES`` (M is the moment, m the midpoint, L = b - a):
+
+* HH_1_1 / FHH / FHH2:        u(m) <= M(u) / M(1) <= (u(a)+u(b))/2
+* FEJER_1_2 / FHHF / FHHF2:   u(m) M(v) <= M(uv) <= (u(a)+u(b))/2 M(v)
+* D1 / D4 / D5:               u(m) C <= M(u) <= (u(a)+u(b))/2 sech(pL/2) C,
+                              C = M(cosh(p(x-m)))
+* D2 / D6 / D7:               the same with C = M(cosh(p(x-m)) v), mid M(uv)
+* D3 / D8 / D9:               M(uv) <= (u(a)+u(b))/2 sech(pL/2) C
+                              + (u(a)-u(b))/2 csch(pL/2) M(sinh(p(x-m)) v)
+
 Two printed-formula corrections are applied throughout (both forced by the
 equality case u = cosh(p*(x-m)) being tight): ``cosh^-1``/``sinh^-1``
 factors are the reciprocals sech/csch, and the D4/D5 right-hand constant is
@@ -33,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import FuncExpr, Interval, as_callable
-from .fractional import OPERATOR_QUAD, Family, FracParams, Side, fractional_integral
+from .fractional import OPERATOR_QUAD, Family, FracParams
 from .grammar import to_grammar
 from .quadrature import Endpoint, QuadConfig, integrate, integrate_singular
 
@@ -64,23 +82,23 @@ class TheoremId(str, enum.Enum):
     D9 = "D9"
 
 
-# (needs_p, needs_alpha, needs_weight, family, has_mid)
+# (needs_p, needs_weight, family, has_mid); alpha is needed iff family is set
 _REQUIRES = {
-    TheoremId.HH_1_1: (False, False, False, None, True),
-    TheoremId.FEJER_1_2: (False, False, True, None, True),
-    TheoremId.FHH: (False, True, False, Family.RL, True),
-    TheoremId.FHHF: (False, True, True, Family.RL, True),
-    TheoremId.FHH2: (False, True, False, Family.EXP, True),
-    TheoremId.FHHF2: (False, True, True, Family.EXP, True),
-    TheoremId.D1: (True, False, False, None, True),
-    TheoremId.D2: (True, False, True, None, True),
-    TheoremId.D3: (True, False, True, None, False),
-    TheoremId.D4: (True, True, False, Family.RL, True),
-    TheoremId.D5: (True, True, False, Family.EXP, True),
-    TheoremId.D6: (True, True, True, Family.RL, True),
-    TheoremId.D7: (True, True, True, Family.EXP, True),
-    TheoremId.D8: (True, True, True, Family.RL, False),
-    TheoremId.D9: (True, True, True, Family.EXP, False),
+    TheoremId.HH_1_1: (False, False, None, True),
+    TheoremId.FEJER_1_2: (False, True, None, True),
+    TheoremId.FHH: (False, False, Family.RL, True),
+    TheoremId.FHHF: (False, True, Family.RL, True),
+    TheoremId.FHH2: (False, False, Family.EXP, True),
+    TheoremId.FHHF2: (False, True, Family.EXP, True),
+    TheoremId.D1: (True, False, None, True),
+    TheoremId.D2: (True, True, None, True),
+    TheoremId.D3: (True, True, None, False),
+    TheoremId.D4: (True, False, Family.RL, True),
+    TheoremId.D5: (True, False, Family.EXP, True),
+    TheoremId.D6: (True, True, Family.RL, True),
+    TheoremId.D7: (True, True, Family.EXP, True),
+    TheoremId.D8: (True, True, Family.RL, False),
+    TheoremId.D9: (True, True, Family.EXP, False),
 }
 
 # upper-bound theorems where an asymmetric weight may be admitted on request
@@ -104,21 +122,6 @@ def csch(t: float) -> float:
     s = math.copysign(1.0, t)
     t = abs(t)
     return s * 2.0 * math.exp(-t) / -math.expm1(-2.0 * t)
-
-
-def sinhc(t: float) -> float:
-    """sinh(t)/t, continuous value 1 at t = 0."""
-    t = abs(t)
-    if t == 0.0:
-        return 1.0
-    if t > 709.0:
-        return math.inf  # the true value exceeds the double range
-    return math.sinh(t) / t
-
-
-def tanhc(t: float) -> float:
-    """tanh(t)/t, continuous value 1 at t = 0."""
-    return 1.0 if t == 0.0 else math.tanh(t) / t
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +160,47 @@ def unit_weight() -> WeightSpec:
 
 
 # ---------------------------------------------------------------------------
-# kernel moment constants
+# kernel moments
 
-def _kernel_weight(interval: Interval, alpha: float):
-    """Vectorized two-sided exponential kernel weight on the interval."""
+def kernel_moment(g, interval: Interval, family: Family | None, alpha,
+                  cfg: QuadConfig = OPERATOR_QUAD) -> float:
+    """integral of g(x) * K(x) over [a, b] for the symmetric two-sided kernel
+    K of the family: 1 for ``family=None``, ((b-x)**(alpha-1) +
+    (x-a)**(alpha-1)) / Gamma(alpha) for RL, (exp(-lam*(b-x)) +
+    exp(-lam*(x-a))) / alpha with lam = (1-alpha)/alpha for EXP.  This is
+    the left operator of g at b plus the right operator at a."""
+    if family is None:
+        return integrate(g, interval, cfg).value
+    FracParams(alpha, family)  # range check with the family's message
+    if family is Family.RL:
+        left = integrate_singular(g, interval, alpha, Endpoint.LEFT, cfg).value
+        right = integrate_singular(g, interval, alpha, Endpoint.RIGHT, cfg).value
+        return (left + right) / math.gamma(alpha)
     a, b = interval.a, interval.b
-    FracParams(alpha, Family.EXP)  # validate range
     lam = (1.0 - alpha) / alpha
-    return lambda x: (np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))) / alpha
+    gk = lambda x: g(x) * (np.exp(-lam * (b - x)) + np.exp(-lam * (x - a)))
+    return integrate(gk, interval, cfg).value / alpha
 
 
-def _split_rl_moment(g, interval: Interval, alpha: float, cfg: QuadConfig) -> float:
-    """integral of g(x) * ((b-x)**(alpha-1) + (x-a)**(alpha-1)) / Gamma(alpha);
-    the two singular terms are integrated separately, each desingularized."""
-    left = integrate_singular(g, interval, alpha, Endpoint.LEFT, cfg).value
-    right = integrate_singular(g, interval, alpha, Endpoint.RIGHT, cfg).value
-    return (left + right) / math.gamma(alpha)
+def rl_flat_limit_constant(interval: Interval, alpha: float) -> float:
+    """p -> 0 value of the unit-weight RL cosh moment: 2*(b-a)**alpha/Gamma(alpha+1)."""
+    return 2.0 * interval.length ** alpha / math.gamma(alpha + 1.0)
+
+
+def exp_flat_limit_constant(interval: Interval, alpha: float) -> float:
+    """p -> 0 value of the unit-weight exponential cosh moment:
+    2*(1 - exp(-rho))/(1 - alpha) with rho = (1-alpha)*(b-a)/alpha."""
+    rho = (1.0 - alpha) * interval.length / alpha
+    return 2.0 * -math.expm1(-rho) / (1.0 - alpha)
+
+
+def kernel_mass(interval: Interval, family: Family | None, alpha) -> float:
+    """Closed form of the kernel moment of g == 1."""
+    if family is None:
+        return interval.length
+    if family is Family.RL:
+        return rl_flat_limit_constant(interval, alpha)
+    return exp_flat_limit_constant(interval, alpha)
 
 
 def kernel_cosh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float,
@@ -180,14 +208,9 @@ def kernel_cosh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float
                        cfg: QuadConfig = OPERATOR_QUAD) -> float:
     """integral of cosh(p*(x - midpoint)) * kernel(x) * v(x) over [a, b],
     where kernel is the symmetric two-sided fractional kernel of the family."""
-    m = interval.mid
-    vf = as_callable(v.v)
-    g = lambda x: np.cosh(p * (np.asarray(x) - m)) * vf(x)
-    if family is Family.RL:
-        FracParams(alpha, family)
-        return _split_rl_moment(g, interval, alpha, cfg)
-    w = _kernel_weight(interval, alpha)
-    return integrate(lambda x: g(x) * w(x), interval, cfg).value
+    m, vf = interval.mid, as_callable(v.v)
+    return kernel_moment(lambda x: np.cosh(p * (x - m)) * vf(x), interval,
+                         family, alpha, cfg)
 
 
 def kernel_sinh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float,
@@ -195,29 +218,9 @@ def kernel_sinh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float
                        cfg: QuadConfig = OPERATOR_QUAD) -> float:
     """Same as kernel_cosh_moment with sinh in place of cosh; vanishes for
     symmetric v because the integrand is odd about the midpoint."""
-    m = interval.mid
-    vf = as_callable(v.v)
-    g = lambda x: np.sinh(p * (np.asarray(x) - m)) * vf(x)
-    if family is Family.RL:
-        FracParams(alpha, family)
-        return _split_rl_moment(g, interval, alpha, cfg)
-    w = _kernel_weight(interval, alpha)
-    return integrate(lambda x: g(x) * w(x), interval, cfg).value
-
-
-def _kernel_xm_moment(v: WeightSpec, interval: Interval, alpha, family,
-                      cfg: QuadConfig) -> float:
-    """integral of (x - m) * kernel * v; the p -> 0 limit of the sinh moment
-    divided by p.  Used for the p == 0 branch of the sinh-corrected bounds."""
-    m = interval.mid
-    vf = as_callable(v.v)
-    g = lambda x: (np.asarray(x) - m) * vf(x)
-    if family is Family.RL:
-        return _split_rl_moment(g, interval, alpha, cfg)
-    if family is Family.EXP:
-        w = _kernel_weight(interval, alpha)
-        return integrate(lambda x: g(x) * w(x), interval, cfg).value
-    return integrate(g, interval, cfg).value
+    m, vf = interval.mid, as_callable(v.v)
+    return kernel_moment(lambda x: np.sinh(p * (x - m)) * vf(x), interval,
+                         family, alpha, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -291,79 +294,32 @@ class TheoremEvaluator:
 
         return self._memo("u_ends", make)
 
-    def _fn(self, which):
-        if which == "u":
-            return self.uf
-        if which == "v":
-            return self.vf
-        uf, vf = self.uf, self.vf
-        return lambda x: uf(x) * vf(x)
-
-    def _plain_integral(self, which) -> float:
-        return self._memo(
-            ("plain", which),
-            lambda: integrate(self._fn(which), self.interval, self.quad).value,
-        )
-
-    def _cosh_v(self) -> float:
-        def make():
-            m, p, vf = self.interval.mid, self.p, self.vf
-            g = lambda x: np.cosh(p * (np.asarray(x) - m)) * vf(x)
-            return integrate(g, self.interval, self.quad).value
-
-        return self._memo(("cosh_v", self.p), make)
-
-    def _sinh_v(self) -> float:
-        def make():
-            m, p, vf = self.interval.mid, self.p, self.vf
-            g = lambda x: np.sinh(p * (np.asarray(x) - m)) * vf(x)
-            return integrate(g, self.interval, self.quad).value
-
-        return self._memo(("sinh_v", self.p), make)
-
-    def _frac_pair(self, which, family: Family, alpha: float) -> float:
-        """left operator of the integrand at b plus right operator at a."""
+    def _moment(self, which, family: Family | None = None, alpha=None) -> float:
+        """Kernel moment of one integrand: u, v, uv, cosh, or cosh_v, sinh_v
+        and xm_v (cosh(p*(x-m)), sinh(p*(x-m)) and x-m times v)."""
 
         def make():
-            f = self._fn(which)
-            params = FracParams(alpha, family)
-            left = fractional_integral(f, self.interval, params, Side.LEFT,
-                                       self.interval.b, self.quad).value
-            right = fractional_integral(f, self.interval, params, Side.RIGHT,
-                                        self.interval.a, self.quad).value
-            return left + right
+            uf, vf, m, p = self.uf, self.vf, self.interval.mid, self.p
+            g = {
+                "u": uf,
+                "v": vf,
+                "uv": lambda x: uf(x) * vf(x),
+                "cosh": lambda x: np.cosh(p * (x - m)),
+                "cosh_v": lambda x: np.cosh(p * (x - m)) * vf(x),
+                "sinh_v": lambda x: np.sinh(p * (x - m)) * vf(x),
+                "xm_v": lambda x: (x - m) * vf(x),
+            }[which]
+            return kernel_moment(g, self.interval, family, alpha, self.quad)
 
-        return self._memo(("pair", which, family, alpha), make)
-
-    def _cmoment(self, family: Family, alpha: float, unit: bool) -> float:
-        def make():
-            w = unit_weight() if unit else self.weight
-            return kernel_cosh_moment(w, self.interval, alpha, self.p, family,
-                                      self.quad)
-
-        return self._memo(("cmoment", family, alpha, unit, self.p), make)
-
-    def _smoment(self, family: Family, alpha: float) -> float:
-        return self._memo(
-            ("smoment", family, alpha, self.p),
-            lambda: kernel_sinh_moment(self.weight, self.interval, alpha, self.p,
-                                       family, self.quad),
-        )
-
-    def _xm_moment(self, family, alpha) -> float:
-        return self._memo(
-            ("xmmoment", family, alpha),
-            lambda: _kernel_xm_moment(self.weight, self.interval, alpha,
-                                      family, self.quad),
-        )
+        return self._memo((which, family, alpha), make)
 
     # -- validation ----------------------------------------------------------
 
     def _validate(self, tid: TheoremId, alpha):
-        needs_p, needs_alpha, needs_weight, family, _ = _REQUIRES[tid]
+        needs_p, needs_weight, family, _ = _REQUIRES[tid]
         if needs_p and self.p is None:
             raise ValueError(f"{tid.value} requires the hyperbolic parameter p")
-        if needs_alpha:
+        if family is not None:
             if alpha is None:
                 raise ValueError(f"{tid.value} requires a fractional order alpha")
             FracParams(alpha, family)  # range check with the family's message
@@ -387,99 +343,47 @@ class TheoremEvaluator:
                  strict_printed: bool = False) -> InequalityVerdict:
         tid = TheoremId(tid)
         self._validate(tid, alpha)
+        needs_p, weighted, family, has_mid = _REQUIRES[tid]
         interval, p = self.interval, self.p
-        a, b, m, L = interval.a, interval.b, interval.mid, interval.length
+        a, b, L = interval.a, interval.b, interval.length
         ua, um, ub = self._u_ends()
         avg = 0.5 * (ua + ub)
-        half = 0.5 * (ua - ub)
         fn, weight = self._memo("descr", lambda: (
             self._descr(self.u),
             self._descr(self.weight.v) if self.weight else None,
         ))
         params = {"a": a, "b": b, "p": p, "alpha": alpha,
                   "fn": fn, "weight": weight}
+        M = lambda which: self._moment(which, family, alpha)
 
-        if tid is TheoremId.HH_1_1:
-            mid = self._plain_integral("u") / L
+        if not needs_p and not weighted:  # HH_1_1, FHH, FHH2
+            mid = M("u") / kernel_mass(interval, family, alpha)
             return self._done(tid, um, mid, avg, params)
 
-        if tid is TheoremId.FEJER_1_2:
-            B = self._plain_integral("v")
-            mid = self._plain_integral("uv")
-            return self._done(tid, um * B, mid, avg * B, params)
+        if not needs_p:  # FEJER_1_2, FHHF, FHHF2
+            B = M("v")
+            return self._done(tid, um * B, M("uv"), avg * B, params)
 
-        if tid is TheoremId.FHH:
-            k = math.gamma(alpha + 1.0) / (2.0 * L ** alpha)
-            mid = k * self._frac_pair("u", Family.RL, alpha)
-            return self._done(tid, um, mid, avg, params)
+        rc = sech(0.5 * p * L)
+        if not has_mid:  # D3, D8, D9
+            if p == 0.0:  # the limit of csch(p*L/2) * sinh moment
+                tilt = (2.0 / L) * M("xm_v")
+            else:
+                tilt = csch(0.5 * p * L) * M("sinh_v")
+            rhs = avg * rc * M("cosh_v") + 0.5 * (ua - ub) * tilt
+            return self._done(tid, M("uv"), None, rhs, params)
 
-        if tid is TheoremId.FHH2:
-            rho = (1.0 - alpha) * L / alpha
-            c = (1.0 - alpha) / (2.0 * -math.expm1(-rho))
-            mid = c * self._frac_pair("u", Family.EXP, alpha)
-            return self._done(tid, um, mid, avg, params)
+        if weighted:  # D2, D6, D7
+            C = M("cosh_v")
+            return self._done(tid, um * C, M("uv"), avg * rc * C, params)
 
-        if tid is TheoremId.FHHF:
-            B = self._frac_pair("v", Family.RL, alpha)
-            mid = self._frac_pair("uv", Family.RL, alpha)
-            return self._done(tid, um * B, mid, avg * B, params)
-
-        if tid is TheoremId.FHHF2:
-            B = self._frac_pair("v", Family.EXP, alpha)
-            mid = self._frac_pair("uv", Family.EXP, alpha)
-            return self._done(tid, um * B, mid, avg * B, params)
-
-        if tid is TheoremId.D1:
-            t = 0.5 * p * L
-            lhs = um * L * sinhc(t)
-            mid = self._plain_integral("u")
-            rhs = (ua + ub) * 0.5 * L * tanhc(t)
-            return self._done(tid, lhs, mid, rhs, params)
-
-        if tid is TheoremId.D2:
-            C = self._cosh_v()
-            mid = self._plain_integral("uv")
-            return self._done(tid, um * C, mid, avg * sech(0.5 * p * L) * C, params)
-
-        if tid is TheoremId.D3:
-            lhs = self._plain_integral("uv")
-            rhs = avg * sech(0.5 * p * L) * self._cosh_v() + \
-                half * self._sinh_over_sinh(self._sinh_v, None, None)
-            return self._done(tid, lhs, None, rhs, params)
-
-        if tid in (TheoremId.D4, TheoremId.D5):
-            family = Family.RL if tid is TheoremId.D4 else Family.EXP
-            C = self._cmoment(family, alpha, unit=True)
-            mid = self._frac_pair("u", family, alpha)
-            rc = sech(p * L) if strict_printed else sech(0.5 * p * L)
+        C = M("cosh")  # D1, D4, D5
+        if family is not None:
+            if strict_printed:
+                rc = sech(p * L)
             params = dict(params)
             params["constant_mode"] = "printed" if strict_printed else "proof"
-            return self._done(tid, um * C, mid, avg * rc * C, params)
-
-        if tid in (TheoremId.D6, TheoremId.D7):
-            family = Family.RL if tid is TheoremId.D6 else Family.EXP
-            C = self._cmoment(family, alpha, unit=False)
-            mid = self._frac_pair("uv", family, alpha)
-            return self._done(tid, um * C, mid, avg * sech(0.5 * p * L) * C, params)
-
-        if tid in (TheoremId.D8, TheoremId.D9):
-            family = Family.RL if tid is TheoremId.D8 else Family.EXP
-            lhs = self._frac_pair("uv", family, alpha)
-            C = self._cmoment(family, alpha, unit=False)
-            rhs = avg * sech(0.5 * p * L) * C + \
-                half * self._sinh_over_sinh(self._smoment, family, alpha)
-            return self._done(tid, lhs, None, rhs, params)
-
-        raise ValueError(f"unknown theorem id {tid}")  # pragma: no cover
-
-    def _sinh_over_sinh(self, moment, family, alpha) -> float:
-        """csch(p*L/2) times the sinh moment; at p == 0 the limit
-        (2/L) * first kernel moment of (x - m)."""
-        p, L = self.p, self.interval.length
-        if p == 0.0:
-            return (2.0 / L) * self._xm_moment(family, alpha)
-        s = moment() if family is None else moment(family, alpha)
-        return csch(0.5 * p * L) * s
+        return self._done(tid, um * C, M("u"), avg * rc * C, params)
 
     def _done(self, tid, lhs, mid, rhs, params) -> InequalityVerdict:
         return _make_verdict(tid, lhs, mid, rhs, self.tol, params)
@@ -505,18 +409,6 @@ def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = No
 
 # ---------------------------------------------------------------------------
 # limit sweeps
-
-def rl_flat_limit_constant(interval: Interval, alpha: float) -> float:
-    """p -> 0 value of the unit-weight RL cosh moment: 2*(b-a)**alpha/Gamma(alpha+1)."""
-    return 2.0 * interval.length ** alpha / math.gamma(alpha + 1.0)
-
-
-def exp_flat_limit_constant(interval: Interval, alpha: float) -> float:
-    """p -> 0 value of the unit-weight exponential cosh moment:
-    2*(1 - exp(-rho))/(1 - alpha) with rho = (1-alpha)*(b-a)/alpha."""
-    rho = (1.0 - alpha) * interval.length / alpha
-    return 2.0 * -math.expm1(-rho) / (1.0 - alpha)
-
 
 def exp_flat_limit_alternative(interval: Interval, alpha: float) -> float:
     """The alternative closed form 2*exp(-rho)/(1-alpha) sometimes quoted for
@@ -579,7 +471,7 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     if not alphas or not ps:
         raise ValueError("alphas and ps must be nonempty")
     axis, scale_fn = _LIMIT_PAIRINGS[key]
-    needs_weight = _REQUIRES[tid][2]
+    needs_weight = _REQUIRES[tid][1]
     if needs_weight and weight is None:
         raise ValueError(f"{tid.value} requires a weight function")
 
@@ -614,8 +506,9 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
         base_ev = TheoremEvaluator(u, interval, p=p, weight=weight,
                                    tol=tol, quad=quad)
         baseline = base_ev.evaluate(bid)
-        scaled_base = tuple(2.0 * s for s in baseline.sides())
         for alpha in alphas:
+            scale = scale_fn(interval, alpha)
+            scaled_base = tuple(scale * s for s in baseline.sides())
             ev = TheoremEvaluator(u, interval, p=p, weight=weight,
                                   tol=tol, quad=quad)
             verdict = ev.evaluate(tid, alpha=alpha)

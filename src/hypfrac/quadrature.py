@@ -13,7 +13,8 @@ weight ``(x-a)**(alpha-1)`` (or its mirror ``(b-x)**(alpha-1)``) of
 eigenvalue problem on the Jacobi matrix and are cached per (n, beta).  The
 2n-point value is accepted when both sums are finite and
 ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
-adaptive loop uses; the difference is reported as the error estimate and
+adaptive loop uses; the difference, floored at the adaptive loop's round-off
+level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
 ``subdivisions_used == 0`` marks an accepted fixed rule.
 :func:`integrate_cells` runs the same pair on all cells of a grid with one
 integrand call and the same per-cell test.
@@ -192,13 +193,14 @@ def _fixed_pair(beta: float):
 def _fixed_sums(g, a, b, alpha: float, endpoint: Endpoint):
     """The n- and 2n-point Gauss-Jacobi sums, without the ``h**alpha``
     factor, of g times the endpoint weight on the cell [a, b], or on every
-    cell when a and b are columns (shape (m, 1)) of cell edges.  g is called
-    once on all nodes."""
+    cell when a and b are columns (shape (m, 1)) of cell edges, and the
+    2n-point sum of |g|.  g is called once on all nodes."""
     nodes, w1, w2 = _fixed_pair(alpha - 1.0)
     offsets = 0.5 * (b - a) * nodes
     xs = a + offsets if endpoint is Endpoint.LEFT else b - offsets
     ys = np.asarray(g(xs.ravel()), dtype=float).reshape(xs.shape)
-    return ys[..., :_FIXED_N] @ w1, ys[..., _FIXED_N:] @ w2
+    y2 = ys[..., _FIXED_N:]
+    return ys[..., :_FIXED_N] @ w1, y2 @ w2, np.abs(y2) @ w2
 
 
 def _fixed_ok(q1: float, q2: float, cfg: QuadConfig) -> bool:
@@ -211,16 +213,21 @@ def _fixed_rule(g, interval: Interval, alpha: float, endpoint: Endpoint,
                 cfg: QuadConfig):
     """The 2n-point Gauss-Jacobi value of g times the endpoint weight
     ``(x-a)**(alpha-1)`` (LEFT) or ``(b-x)**(alpha-1)`` (RIGHT), or None when
-    it disagrees with the n-point value past the tolerance."""
+    it disagrees with the n-point value past the tolerance.  The error
+    estimate is |Q_2n - Q_n|, but never below the round-off floor
+    ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
+    when both rules resolve g, their difference is round-off and can sit
+    below the true error."""
     try:
         scale = (0.5 * (interval.b - interval.a)) ** alpha
     except OverflowError:  # the adaptive path reports the overflow as inf
         return None
-    s1, s2 = _fixed_sums(g, interval.a, interval.b, alpha, endpoint)
+    s1, s2, l1 = _fixed_sums(g, interval.a, interval.b, alpha, endpoint)
     q1 = scale * float(s1)
     q2 = scale * float(s2)
     if _fixed_ok(q1, q2, cfg):
-        return QuadResult(q2, abs(q2 - q1), 0, True)
+        return QuadResult(q2, max(abs(q2 - q1), 100.0 * _EPS * scale * float(l1)),
+                          0, True)
     return None
 
 
@@ -234,7 +241,7 @@ def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     h = 0.5 * (b - a)
-    s1, s2 = _fixed_sums(f, a[:, None], b[:, None], 1.0, Endpoint.LEFT)
+    s1, s2, _ = _fixed_sums(f, a[:, None], b[:, None], 1.0, Endpoint.LEFT)
     values = h * s2
     for k, (q1, q2) in enumerate(zip((h * s1).tolist(), values.tolist())):
         if not _fixed_ok(q1, q2, cfg):

@@ -215,6 +215,28 @@ def test_verify_huge_alpha_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,bad", [
+    # cosh(2x) overflows on [0, 1000]: every method's worst violation is nan
+    (["classify", "--fn", "cosh(2*x)", "--p", "1", "--a", "0", "--b", "1000"],
+     "chord=nan"),
+    # cosh(p*(x-y)) overflows in the gradient test alone
+    (["classify", "--fn", "cosh(2*x)", "--p", "1000", "--a", "0", "--b", "1"],
+     "gradient=nan"),
+    # the cosh moment of D1 overflows at p*(b-a)/2 > 709
+    (["verify", "--thm", "D1", "--fn", "cosh(x)", "--p", "1500", "--a", "0",
+      "--b", "1"], "rhs=nan"),
+    (["integrate", "--family", "rl", "--alpha", "0.5", "--fn", "exp(x)",
+      "--a", "0", "--b", "1000", "--side", "left", "--at", "1000"],
+     "value=inf"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_exits_2(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: non-finite" in err and bad in err
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["integrate", "--family", "bogus"]) == 2
 

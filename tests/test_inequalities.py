@@ -12,8 +12,14 @@ from hypfrac.expressions import (
     cosh_centered,
     scaled,
 )
-from hypfrac.fractional import Family
-from hypfrac.generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
+from hypfrac.fractional import Family, FracParams, Side, fractional_integral
+from hypfrac.generators import (
+    GenConfig,
+    draw_interval,
+    gen_p_convex,
+    gen_symmetric_weight,
+    rng_for,
+)
 from hypfrac.grammar import parse_function
 from hypfrac.inequalities import (
     InvalidWeightError,
@@ -24,6 +30,8 @@ from hypfrac.inequalities import (
     exp_flat_limit_alternative,
     exp_flat_limit_constant,
     kernel_cosh_moment,
+    kernel_mass,
+    kernel_moment,
     kernel_sinh_moment,
     limit_sweep,
     rl_flat_limit_constant,
@@ -35,7 +43,7 @@ X2 = build_power(2.0)
 
 
 def test_hyperbolic_helpers_are_stable():
-    from hypfrac.inequalities import csch, sech, sinhc, tanhc
+    from hypfrac.inequalities import csch, sech
 
     for t in (1e-12, 0.5, 5.0, 50.0):
         assert sech(t) == pytest.approx(1.0 / math.cosh(t), rel=1e-14)
@@ -44,14 +52,42 @@ def test_hyperbolic_helpers_are_stable():
     # far beyond the cosh/sinh overflow point
     assert sech(5000.0) == 0.0 or sech(5000.0) < 1e-300
     assert csch(5000.0) == 0.0 or csch(5000.0) < 1e-300
-    assert sinhc(0.0) == 1.0 and tanhc(0.0) == 1.0
-    assert sinhc(1000.0) == math.inf
     with pytest.raises(ZeroDivisionError):
         csch(0.0)
 
 
 # ---------------------------------------------------------------------------
-# kernel moment constants
+# kernel moments
+
+@pytest.mark.parametrize("family,alpha", [
+    (None, None), (Family.RL, 0.3), (Family.RL, 0.8), (Family.RL, 1.5),
+    (Family.RL, 2.5), (Family.EXP, 0.3), (Family.EXP, 0.8),
+])
+def test_kernel_moment_of_one_is_kernel_mass(family, alpha):
+    for I in (I01, Interval(-0.4, 1.1), Interval(0.5, 3.7)):
+        got = kernel_moment(np.ones_like, I, family, alpha)
+        assert got == pytest.approx(kernel_mass(I, family, alpha), rel=1e-13)
+
+
+def test_kernel_moment_is_the_two_sided_operator_pair():
+    # the operators integrate each side on its own: an independent reference
+    cfg = GenConfig(seed=42)
+    for index in range(8):
+        rng = rng_for(cfg.seed, index)
+        I = draw_interval(cfg, rng)
+        p = rng.uniform(0.05, 5.0) / I.length
+        u = gen_p_convex(cfg, p, I, rng=rng)
+        v = gen_symmetric_weight(cfg, I, rng=rng).v
+        uv = lambda x: u.eval(x) * v.eval(x)
+        for family, alphas in ((Family.RL, (0.3, 0.5, 0.8, 1.0, 1.5)),
+                               (Family.EXP, (0.3, 0.5, 0.8))):
+            for alpha in alphas:
+                params = FracParams(alpha, family)
+                pair = (fractional_integral(uv, I, params, Side.LEFT, I.b).value
+                        + fractional_integral(uv, I, params, Side.RIGHT, I.a).value)
+                got = kernel_moment(uv, I, family, alpha)
+                assert got == pytest.approx(pair, rel=1e-13), (index, family, alpha)
+
 
 def test_cosh_moment_rl_alpha_one():
     # kernel is the constant 2: value is 2 * integral of cosh(x - 1/2)

@@ -220,6 +220,14 @@ def test_fixed_rule_error_estimate_bounds_true_error(alpha):
     assert res.subdivisions_used == 0 and res.converged
     assert res.error_estimate > 1e-12 * exact
     assert abs(res.value - exact) <= res.error_estimate
+    # mild enough that both rules resolve it: |Q_2n - Q_n| is round-off
+    # (2e-16 relative at alpha=0.3 against a true 1e-15), so the estimate
+    # rests on the round-off floor
+    res = integrate_singular(lambda x: np.exp(10.0 * x), Interval(0.0, 1.0),
+                             alpha, Endpoint.LEFT, DEFAULT_QUAD)
+    exact = _exp_left_series(10.0, alpha)
+    assert res.subdivisions_used == 0 and res.converged
+    assert abs(res.value - exact) <= res.error_estimate
 
 
 def test_fixed_rule_error_estimate_bounds_true_error_plain():
