@@ -271,11 +271,54 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(v, strings: dict) -> str:
+    """``v`` as ``json.dumps`` writes it."""
+    if isinstance(v, float):
+        text = float.__repr__(v)  # not repr: numpy scalars print their type
+        return _JSON_NON_FINITE.get(text, text)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, str):
+        text = strings.get(v)
+        if text is None:
+            text = strings[v] = json.encoder.encode_basestring_ascii(v)
+        return text
+    raise TypeError(f"row value of type {type(v).__name__} is not JSON "
+                    "serializable")
+
+
+def rows_to_json(rows) -> str:
+    """``json.dumps(rows, indent=2) + "\\n"`` for flat row dicts, written
+    directly: ``indent`` makes ``json`` fall back to its pure-Python
+    encoder.  Each distinct key sequence becomes one %-template."""
+    strings = {}
+    layouts = {}
+    objects = []
+    for r in rows:
+        keys = tuple(r)
+        layout = layouts.get(keys)
+        if layout is None:
+            items = [_json_value(k, strings).replace("%", "%%") + ": %s"
+                     for k in keys]
+            layout = layouts[keys] = (
+                "  {\n    " + ",\n    ".join(items) + "\n  }" if items
+                else "  {}")
+        objects.append(layout % tuple([_json_value(v, strings)
+                                       for v in r.values()]))
+    if not objects:
+        return "[]\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
+
+
 def write_rows(rows, path: str, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 

@@ -5,7 +5,8 @@ Subcommands: integrate | classify | verify | campaign | limits.
 Exit codes (stable contract): 0 success / inequality holds, 2 usage or
 validation error (including results that overflow to inf or nan), 3
 inequality violated, 4 I/O error.  Floats are printed with 9 significant
-digits.  The env var HYPFRAC_THREADS caps the campaign worker count.
+digits; any token that parses as a negative float (``-4.98e-05``) is read
+as a value.  The env var HYPFRAC_THREADS caps the campaign worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+
+import numpy as np
 
 from .campaign import (
     CampaignConfig,
@@ -64,8 +67,29 @@ def _require_finite(what: str, **values) -> None:
                          "overflow a double on this input")
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that parses as a negative float as a value: the
+    negative-number pattern of argparse before Python 3.12 misses exponent
+    notation such as ``--b -4.98e-05`` and takes it for an option."""
+
+    def _parse_optional(self, arg_string):
+        # "--name" is never a number: skip the float parse for options
+        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and _is_float(arg_string)):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypfrac",
         description="Fractional integrals, hyperbolic p-convexity, and "
                     "inequality verification.",
@@ -269,18 +293,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {"integrate": _cmd_integrate, "classify": _cmd_classify,
+                "verify": _cmd_verify, "campaign": _cmd_campaign,
+                "limits": _cmd_limits}
     try:
-        if args.command == "integrate":
-            return _cmd_integrate(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "campaign":
-            return _cmd_campaign(args)
-        if args.command == "limits":
-            return _cmd_limits(args)
-        parser.error(f"unknown command {args.command}")
+        # overflow shows as an inf or nan result and exits 2 with one
+        # error line, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return commands[args.command](args)
     except (GrammarError, DomainError, InvalidWeightError, ValueError,
             ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -288,7 +308,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _IO_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,17 @@ fifteen theorems are five shapes over the family of K, read from
 * D3 / D8 / D9:               M(uv) <= (u(a)+u(b))/2 sech(pL/2) C
                               + (u(a)-u(b))/2 csch(pL/2) M(sinh(p(x-m)) v)
 
+Each moment is one or two fixed-weight integrals (:func:`_kernel_parts`):
+the plain and EXP moments one Gauss-Legendre integral (EXP with its kernel
+as a factor of g), the RL moments one Gauss-Jacobi integral at each end.
+A :class:`TheoremEvaluator` shares one interval among all its moments, so
+it keeps a moment bank: on the first request for a node set it evaluates
+only the columns that moment needs (u, v, cosh(p(x-m)), sinh(p(x-m)),
+x-m, the EXP kernel) and caches them; every moment is then a product of
+columns and the n/2n-point dot products of the fixed rule.  A moment whose
+fixed rule is rejected is recomputed alone by :func:`kernel_moment`, so its
+value never depends on which other moments were asked for.
+
 Two printed-formula corrections are applied throughout (both forced by the
 equality case u = cosh(p*(x-m)) being tight): ``cosh^-1``/``sinh^-1``
 factors are the reciprocals sech/csch, and the D4/D5 right-hand constant is
@@ -53,7 +64,13 @@ import numpy as np
 from .expressions import FuncExpr, Interval, as_callable
 from .fractional import OPERATOR_QUAD, Family, FracParams
 from .grammar import to_grammar
-from .quadrature import Endpoint, QuadConfig, integrate, integrate_singular
+from .quadrature import (
+    Endpoint,
+    QuadConfig,
+    fixed_rule_nodes,
+    fixed_rule_result,
+    integrate_singular,
+)
 
 DEFAULT_SLACK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -100,6 +117,10 @@ _REQUIRES = {
     TheoremId.D8: (True, True, Family.RL, False),
     TheoremId.D9: (True, True, Family.EXP, False),
 }
+
+# moment integrands that are products of two others, factor by factor
+_PRODUCTS = {"uv": ("u", "v"), "cosh_v": ("cosh", "v"),
+             "sinh_v": ("sinh", "v"), "xm_v": ("xm", "v")}
 
 # upper-bound theorems where an asymmetric weight may be admitted on request
 _ASYMMETRIC_OK = (TheoremId.D8, TheoremId.D9)
@@ -162,6 +183,26 @@ def unit_weight() -> WeightSpec:
 # ---------------------------------------------------------------------------
 # kernel moments
 
+def _kernel_parts(interval: Interval, family: Family | None, alpha):
+    """The kernel moment as fixed-weight integrals: a tuple of (alpha of the
+    endpoint weight, endpoint, kernel factor or None) whose integrals of g
+    times the factor add up to the moment times ``norm``, and ``norm``."""
+    if family is None:
+        return ((1.0, Endpoint.LEFT, None),), 1.0
+    FracParams(alpha, family)  # range check with the family's message
+    if family is Family.RL:
+        return ((alpha, Endpoint.LEFT, None),
+                (alpha, Endpoint.RIGHT, None)), math.gamma(alpha)
+    a, b = interval.a, interval.b
+    lam = (1.0 - alpha) / alpha
+    kernel = lambda x: np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))
+    return ((1.0, Endpoint.LEFT, kernel),), alpha
+
+
+def _normalised(values, norm: float) -> float:
+    return sum(values[1:], values[0]) / norm
+
+
 def kernel_moment(g, interval: Interval, family: Family | None, alpha,
                   cfg: QuadConfig = OPERATOR_QUAD) -> float:
     """integral of g(x) * K(x) over [a, b] for the symmetric two-sided kernel
@@ -169,17 +210,13 @@ def kernel_moment(g, interval: Interval, family: Family | None, alpha,
     (x-a)**(alpha-1)) / Gamma(alpha) for RL, (exp(-lam*(b-x)) +
     exp(-lam*(x-a))) / alpha with lam = (1-alpha)/alpha for EXP.  This is
     the left operator of g at b plus the right operator at a."""
-    if family is None:
-        return integrate(g, interval, cfg).value
-    FracParams(alpha, family)  # range check with the family's message
-    if family is Family.RL:
-        left = integrate_singular(g, interval, alpha, Endpoint.LEFT, cfg).value
-        right = integrate_singular(g, interval, alpha, Endpoint.RIGHT, cfg).value
-        return (left + right) / math.gamma(alpha)
-    a, b = interval.a, interval.b
-    lam = (1.0 - alpha) / alpha
-    gk = lambda x: g(x) * (np.exp(-lam * (b - x)) + np.exp(-lam * (x - a)))
-    return integrate(gk, interval, cfg).value / alpha
+    parts, norm = _kernel_parts(interval, family, alpha)
+    values = []
+    for weight_alpha, endpoint, kernel in parts:
+        gk = g if kernel is None else (lambda x, k=kernel: g(x) * k(x))
+        values.append(integrate_singular(gk, interval, weight_alpha, endpoint,
+                                         cfg).value)
+    return _normalised(values, norm)
 
 
 def rl_flat_limit_constant(interval: Interval, alpha: float) -> float:
@@ -278,6 +315,7 @@ class TheoremEvaluator:
         self.allow_asymmetric = allow_asymmetric
         self._weight_checked = not check_weight
         self._cache: dict = {}
+        self._bank: dict = {}
 
     # -- cached primitives ---------------------------------------------------
 
@@ -297,21 +335,71 @@ class TheoremEvaluator:
     def _moment(self, which, family: Family | None = None, alpha=None) -> float:
         """Kernel moment of one integrand: u, v, uv, cosh, or cosh_v, sinh_v
         and xm_v (cosh(p*(x-m)), sinh(p*(x-m)) and x-m times v)."""
+        key = (which, family, alpha)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = self._bank_moment(which, family, alpha)
+        return value
 
-        def make():
-            uf, vf, m, p = self.uf, self.vf, self.interval.mid, self.p
-            g = {
-                "u": uf,
-                "v": vf,
-                "uv": lambda x: uf(x) * vf(x),
-                "cosh": lambda x: np.cosh(p * (x - m)),
-                "cosh_v": lambda x: np.cosh(p * (x - m)) * vf(x),
-                "sinh_v": lambda x: np.sinh(p * (x - m)) * vf(x),
-                "xm_v": lambda x: (x - m) * vf(x),
-            }[which]
-            return kernel_moment(g, self.interval, family, alpha, self.quad)
+    def _bank_moment(self, which, family, alpha) -> float:
+        """The moment from the moment bank: each fixed-rule integral of
+        :func:`kernel_moment` is a dot product of the integrand's values on
+        the node set of its endpoint weight, and those values are computed
+        once per evaluator.  A moment whose fixed rule is rejected is
+        recomputed alone by :func:`kernel_moment`, so no value depends on
+        which other moments were requested."""
+        parts, norm = _kernel_parts(self.interval, family, alpha)
+        values = []
+        for weight_alpha, endpoint, kernel in parts:
+            bank = self._node_set(weight_alpha, endpoint)
+            ys = self._column(bank, which)
+            if kernel is not None:
+                ys = ys * self._column(bank, (family, alpha), kernel)
+            fixed = fixed_rule_result(ys, self.interval, weight_alpha, self.quad)
+            if fixed is None:
+                return kernel_moment(self._integrand(which), self.interval,
+                                     family, alpha, self.quad)
+            values.append(fixed.value)
+        return _normalised(values, norm)
 
-        return self._memo((which, family, alpha), make)
+    def _node_set(self, weight_alpha, endpoint) -> dict:
+        """The bank's columns on the fixed-rule nodes of one endpoint weight,
+        by integrand name; the nodes themselves are the column "x"."""
+        key = (weight_alpha, endpoint)
+        bank = self._bank.get(key)
+        if bank is None:
+            bank = self._bank[key] = {"x": fixed_rule_nodes(
+                self.interval.a, self.interval.b, weight_alpha, endpoint)}
+        return bank
+
+    def _column(self, bank, name, f=None):
+        """The values on a node set of the integrand ``name`` (or of the
+        callable f, filed under ``name``), computed once; a product is the
+        product of its factors' columns."""
+        col = bank.get(name)
+        if col is None:
+            if name in _PRODUCTS:
+                first, second = _PRODUCTS[name]
+                col = self._column(bank, first) * self._column(bank, second)
+            else:
+                col = np.asarray((f or self._integrand(name))(bank["x"]),
+                                 dtype=float)
+            bank[name] = col
+        return col
+
+    def _integrand(self, name):
+        """The integrand of a moment (see ``_moment``) as a callable."""
+        if name in _PRODUCTS:
+            f, h = (self._integrand(n) for n in _PRODUCTS[name])
+            return lambda x: f(x) * h(x)
+        m, p = self.interval.mid, self.p
+        return {
+            "u": self.uf,
+            "v": self.vf,
+            "cosh": lambda x: np.cosh(p * (x - m)),
+            "sinh": lambda x: np.sinh(p * (x - m)),
+            "xm": lambda x: x - m,
+        }[name]
 
     # -- validation ----------------------------------------------------------
 

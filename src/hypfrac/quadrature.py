@@ -15,7 +15,10 @@ eigenvalue problem on the Jacobi matrix and are cached per (n, beta).  The
 ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
 adaptive loop uses; the difference, floored at the adaptive loop's round-off
 level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
-``subdivisions_used == 0`` marks an accepted fixed rule.
+``subdivisions_used == 0`` marks an accepted fixed rule.  The rule comes
+in two halves, :func:`fixed_rule_nodes` and :func:`fixed_rule_result`
+(values at those nodes to the accepted result or None), for callers that
+evaluate many integrands on the same nodes.
 :func:`integrate_cells` runs the same pair on all cells of a grid with one
 integrand call and the same per-cell test.
 
@@ -28,7 +31,9 @@ bisects the rest.  There, weights ``(x-a)**(alpha-1)`` with ``alpha < 1``
 are removed exactly by the power substitution ``x = a + u**(1/alpha)``
 (mirrored on the right), which turns the weighted integral into a plain one
 with a bounded integrand; for ``alpha >= 1`` the weight is continuous and
-is integrated directly.
+is integrated directly.  A round whose panel sum is inf or nan ends the
+loop at once with ``converged=False`` and an infinite error estimate:
+bisection cannot cure an overflow.
 
 Integrands are called with a flat numpy array and must return an array of
 the same shape; expression trees from :mod:`hypfrac.expressions` satisfy
@@ -108,8 +113,8 @@ class QuadResult:
     converged: bool = True
 
     def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be nonnegative")
+        if not self.error_estimate >= 0:
+            raise ValueError("error_estimate must be nonnegative, not nan")
 
 
 class Endpoint(enum.Enum):
@@ -190,17 +195,23 @@ def _fixed_pair(beta: float):
     return nodes, w1, w2
 
 
-def _fixed_sums(g, a, b, alpha: float, endpoint: Endpoint):
-    """The n- and 2n-point Gauss-Jacobi sums, without the ``h**alpha``
-    factor, of g times the endpoint weight on the cell [a, b], or on every
-    cell when a and b are columns (shape (m, 1)) of cell edges, and the
-    2n-point sum of |g|.  g is called once on all nodes."""
-    nodes, w1, w2 = _fixed_pair(alpha - 1.0)
+def fixed_rule_nodes(a, b, alpha: float, endpoint: Endpoint):
+    """The concatenated nodes of the n- and 2n-point Gauss-Jacobi rules for
+    the endpoint weight of ``alpha`` on the cell [a, b], or on every cell
+    when a and b are columns (shape (m, 1)) of cell edges."""
+    nodes, _, _ = _fixed_pair(alpha - 1.0)
     offsets = 0.5 * (b - a) * nodes
-    xs = a + offsets if endpoint is Endpoint.LEFT else b - offsets
-    ys = np.asarray(g(xs.ravel()), dtype=float).reshape(xs.shape)
+    return a + offsets if endpoint is Endpoint.LEFT else b - offsets
+
+
+def _fixed_sums(ys, alpha: float):
+    """The n- and 2n-point sums, without the ``h**alpha`` factor, of the
+    values ``ys`` at :func:`fixed_rule_nodes` (along the last axis), and the
+    2n-point sum of |ys|."""
+    _, w1, w2 = _fixed_pair(alpha - 1.0)
     y2 = ys[..., _FIXED_N:]
-    return ys[..., :_FIXED_N] @ w1, y2 @ w2, np.abs(y2) @ w2
+    # ndarray.dot: the same BLAS sums as @, with less call overhead
+    return ys[..., :_FIXED_N].dot(w1), y2.dot(w2), np.abs(y2).dot(w2)
 
 
 def _fixed_ok(q1: float, q2: float, cfg: QuadConfig) -> bool:
@@ -209,26 +220,35 @@ def _fixed_ok(q1: float, q2: float, cfg: QuadConfig) -> bool:
             and abs(q2 - q1) <= max(cfg.abs_tol, cfg.rel_tol * abs(q2)))
 
 
-def _fixed_rule(g, interval: Interval, alpha: float, endpoint: Endpoint,
-                cfg: QuadConfig):
-    """The 2n-point Gauss-Jacobi value of g times the endpoint weight
-    ``(x-a)**(alpha-1)`` (LEFT) or ``(b-x)**(alpha-1)`` (RIGHT), or None when
-    it disagrees with the n-point value past the tolerance.  The error
+def fixed_rule_result(ys, interval: Interval, alpha: float, cfg: QuadConfig):
+    """The 2n-point Gauss-Jacobi value from the integrand values ``ys`` at
+    ``fixed_rule_nodes(a, b, alpha, endpoint)``, or None when it disagrees
+    with the n-point value past the tolerance or ``h**alpha`` overflows
+    (the adaptive path then reports the overflow as inf).  The error
     estimate is |Q_2n - Q_n|, but never below the round-off floor
     ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
     when both rules resolve g, their difference is round-off and can sit
     below the true error."""
     try:
         scale = (0.5 * (interval.b - interval.a)) ** alpha
-    except OverflowError:  # the adaptive path reports the overflow as inf
+    except OverflowError:
         return None
-    s1, s2, l1 = _fixed_sums(g, interval.a, interval.b, alpha, endpoint)
+    s1, s2, l1 = _fixed_sums(ys, alpha)
     q1 = scale * float(s1)
     q2 = scale * float(s2)
     if _fixed_ok(q1, q2, cfg):
         return QuadResult(q2, max(abs(q2 - q1), 100.0 * _EPS * scale * float(l1)),
                           0, True)
     return None
+
+
+def _fixed_rule(g, interval: Interval, alpha: float, endpoint: Endpoint,
+                cfg: QuadConfig):
+    """The fixed-rule value of g times the endpoint weight
+    ``(x-a)**(alpha-1)`` (LEFT) or ``(b-x)**(alpha-1)`` (RIGHT), or None."""
+    xs = fixed_rule_nodes(interval.a, interval.b, alpha, endpoint)
+    return fixed_rule_result(np.asarray(g(xs), dtype=float), interval, alpha,
+                             cfg)
 
 
 def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
@@ -241,7 +261,9 @@ def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     h = 0.5 * (b - a)
-    s1, s2, _ = _fixed_sums(f, a[:, None], b[:, None], 1.0, Endpoint.LEFT)
+    xs = fixed_rule_nodes(a[:, None], b[:, None], 1.0, Endpoint.LEFT)
+    ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    s1, s2, _ = _fixed_sums(ys, 1.0)
     values = h * s2
     for k, (q1, q2) in enumerate(zip((h * s1).tolist(), values.tolist())):
         if not _fixed_ok(q1, q2, cfg):
@@ -276,6 +298,8 @@ def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig) -> QuadResult:
     while True:
         k, err, l1 = _panels(f, lo, hi)
         total = done_val + float(k.sum())
+        if not math.isfinite(total):  # an overflow that bisection cannot cure
+            return QuadResult(total, math.inf, splits, False)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         share = (hi - lo) / span
         accept = (err <= tol * share) | (err <= 100.0 * _EPS * l1)

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from hypfrac.campaign import (
@@ -12,6 +14,7 @@ from hypfrac.campaign import (
     parse_config_text,
     report_to_json,
     rows_to_csv,
+    rows_to_json,
     run_campaign,
     write_report,
     write_rows,
@@ -155,6 +158,29 @@ def test_rows_json_format(small_run, tmp_path):
     parsed = json.loads(path.read_text())
     assert len(parsed) == len(rows)
     assert parsed[0]["theorem_id"] == rows[0]["theorem_id"]
+
+
+def test_rows_json_is_json_dumps_byte_for_byte(small_run, tmp_path):
+    _, rows = small_run
+    expected = json.dumps(rows, indent=2) + "\n"
+    assert rows_to_json(rows) == expected
+    path = tmp_path / "rows.json"
+    write_rows(rows, str(path), "json")
+    assert path.read_bytes() == expected.encode()
+
+
+def test_rows_json_special_values_match_json_dumps():
+    rows = [
+        {"lhs": math.nan, "mid": math.inf, "rhs": -math.inf, "slack": None,
+         "holds": True, "probe": False, "seed": 42, "index": -3,
+         "zero": -0.0, "tiny": 5e-324, "np": np.float64(0.1),
+         "fn_descriptor": 'pow((x-0.949),4.0), "quoted" \\ tab\t é',
+         "key with %s and \"quotes\"": "100%"},
+        {},
+        {"only": 1.5},
+    ]
+    assert rows_to_json(rows) == json.dumps(rows, indent=2) + "\n"
+    assert rows_to_json([]) == json.dumps([], indent=2) + "\n"
 
 
 def test_single_instance_config():

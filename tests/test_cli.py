@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -235,6 +236,43 @@ def test_non_finite_result_exits_2(capsys, argv, bad):
     assert code == 2
     assert out == ""
     assert "error: non-finite" in err and bad in err
+
+
+def test_overflow_prints_one_error_line_and_no_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--thm", "D1", "--fn",
+                                 "cosh(x)", "--p", "1500", "--a", "0",
+                                 "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite")
+
+
+@pytest.mark.parametrize("a,b", [("-1", "-4.98e-05"), ("-2E-1", "1"),
+                                 ("-1.5e+00", "-.5e-3")])
+def test_negative_exponent_endpoints_are_values(capsys, a, b):
+    code, out, err = run_cli(capsys, "verify", "--thm", "HH_1_1", "--fn",
+                             "exp(x)", "--a", a, "--b", b)
+    assert code == 0, err
+    assert "holds: True" in out
+
+
+def test_negative_exponent_evaluation_point_is_a_value(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--family", "rl",
+                             "--alpha", "1", "--fn", "1", "--a", "-1",
+                             "--b", "0", "--side", "left", "--at", "-1e-05")
+    assert code == 0, err
+    assert first_float(out) == pytest.approx(1.0 - 1e-05, rel=1e-12)
+
+
+def test_unknown_negative_looking_option_still_rejected(capsys):
+    code, _, err = run_cli(capsys, "verify", "--thm", "HH_1_1", "--fn",
+                           "exp(x)", "--a", "-1", "--b", "1", "-e5")
+    assert code == 2
+    assert "unrecognized arguments: -e5" in err
 
 
 def test_usage_error_exits_2(capsys):

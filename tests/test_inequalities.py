@@ -12,7 +12,13 @@ from hypfrac.expressions import (
     cosh_centered,
     scaled,
 )
-from hypfrac.fractional import Family, FracParams, Side, fractional_integral
+from hypfrac.fractional import (
+    OPERATOR_QUAD,
+    Family,
+    FracParams,
+    Side,
+    fractional_integral,
+)
 from hypfrac.generators import (
     GenConfig,
     draw_interval,
@@ -21,6 +27,7 @@ from hypfrac.generators import (
     rng_for,
 )
 from hypfrac.grammar import parse_function
+from hypfrac.quadrature import Endpoint, integrate_singular
 from hypfrac.inequalities import (
     InvalidWeightError,
     TheoremEvaluator,
@@ -87,6 +94,76 @@ def test_kernel_moment_is_the_two_sided_operator_pair():
                         + fractional_integral(uv, I, params, Side.RIGHT, I.a).value)
                 got = kernel_moment(uv, I, family, alpha)
                 assert got == pytest.approx(pair, rel=1e-13), (index, family, alpha)
+
+
+# ---------------------------------------------------------------------------
+# the moment bank
+
+_CAMPAIGN_KERNELS = [(None, None)] + \
+    [(Family.RL, a) for a in (0.3, 0.5, 0.8, 1.0, 1.5)] + \
+    [(Family.EXP, a) for a in (0.3, 0.5, 0.8)]
+
+
+def test_banked_moments_equal_kernel_moment():
+    # the reference integrands are written out here, independent of the bank
+    cfg = GenConfig(seed=42)
+    for index in range(20):
+        rng = rng_for(cfg.seed, index)
+        I = draw_interval(cfg, rng)
+        p = rng.uniform(0.05, 5.0) / I.length
+        u = gen_p_convex(cfg, p, I, rng=rng)
+        w = gen_symmetric_weight(cfg, I, rng=rng)
+        m, uf, vf = I.mid, u.eval, w.v.eval
+        integrands = {
+            "u": uf,
+            "v": vf,
+            "uv": lambda x: uf(x) * vf(x),
+            "cosh": lambda x: np.cosh(p * (x - m)),
+            "cosh_v": lambda x: np.cosh(p * (x - m)) * vf(x),
+            "sinh_v": lambda x: np.sinh(p * (x - m)) * vf(x),
+            "xm_v": lambda x: (x - m) * vf(x),
+        }
+        ev = TheoremEvaluator(u, I, p=p, weight=w)
+        for family, alpha in _CAMPAIGN_KERNELS:
+            for which, g in integrands.items():
+                got = ev._moment(which, family, alpha)
+                ref = kernel_moment(g, I, family, alpha)
+                assert abs(got - ref) <= 4e-16 * abs(ref), \
+                    (index, which, family, alpha, got, ref)
+
+
+def test_rejected_bank_moment_falls_back_alone():
+    # exp(60x) is too steep for the 20/40 pair: the fixed rule rejects it
+    I = Interval(0.0, 3.5)
+    u = build_exp(60.0)
+    uf = u.eval
+    assert integrate_singular(uf, I, 0.3, Endpoint.LEFT,
+                              OPERATOR_QUAD).subdivisions_used > 0
+    ev = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())
+    got = ev._moment("u", Family.RL, 0.3)
+    assert got == kernel_moment(uf, I, Family.RL, 0.3)
+    # a moment the pair accepts on the same evaluator is unaffected
+    assert ev._moment("v", Family.RL, 0.3) == kernel_moment(
+        lambda x: np.ones_like(x), I, Family.RL, 0.3)
+
+
+def test_cold_hh_evaluates_u_on_one_node_array(monkeypatch):
+    sizes = []
+
+    def u(x):
+        x = np.asarray(x, dtype=float)
+        sizes.append(x.size)
+        return x * x + 1.0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("cosh or sinh evaluated")
+
+    monkeypatch.setattr(np, "cosh", boom)
+    monkeypatch.setattr(np, "sinh", boom)
+    verdict = TheoremEvaluator(u, Interval(-0.3, 1.2)).evaluate("HH_1_1")
+    assert verdict.holds
+    # the three endpoint values, then u on the 20 + 40 Gauss-Legendre nodes
+    assert sorted(sizes) == [1, 1, 1, 60]
 
 
 def test_cosh_moment_rl_alpha_one():

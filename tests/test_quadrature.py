@@ -257,6 +257,25 @@ def test_weight_scale_overflow_falls_back_instead_of_raising():
     assert not res.converged
 
 
+def test_non_finite_panel_sum_stops_the_adaptive_loop():
+    # exp overflows on [0, 1000]: no bisection makes the sum finite, so the
+    # loop stops at once instead of spending the subdivision budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate(np.exp, Interval(0.0, 1000.0))
+    assert res.value == math.inf
+    assert not res.converged
+    assert not math.isnan(res.error_estimate)
+    assert res.subdivisions_used <= 2
+
+
+def test_quad_result_rejects_nan_error_estimate():
+    with pytest.raises(ValueError):
+        QuadResult(1.0, math.nan, 0)
+    with pytest.raises(ValueError):
+        QuadResult(1.0, -1.0, 0)
+    assert QuadResult(math.inf, math.inf, 0, False).error_estimate == math.inf
+
+
 def test_integrate_cells_matches_integrate_per_cell():
     # a peak of width 0.01 at 0: the cells next to it reject the fixed rule
     # and go to the adaptive path, the outer ones accept it
