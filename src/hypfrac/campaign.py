@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -72,6 +73,8 @@ class CampaignConfig:
             raise ValueError("n_instances must be >= 1")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
+        if not 0 <= self.tol < math.inf:  # also false for nan
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be csv or json")
 

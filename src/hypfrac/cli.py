@@ -5,13 +5,21 @@ Subcommands: integrate | classify | verify | campaign | limits.
 Exit codes (stable contract): 0 success / inequality holds, 2 usage or
 validation error (including results that overflow to inf or nan), 3
 inequality violated, 4 I/O error.  Floats are printed with 9 significant
-digits; any token that parses as a negative float (``-4.98e-05``) is read
-as a value.  The env var HYPFRAC_THREADS caps the campaign worker count.
+digits; any token that parses as a negative float (``-4.98e-05``) or a
+list of floats (``-1.5,1.5``) is read as a value.  Numeric options must be
+finite (``nan`` or ``inf`` exits 2 naming the option) and ``--tol`` must
+also be >= 0.  The env var HYPFRAC_THREADS caps the campaign worker count.
+
+The argparse tree is built once per process, on the first ``main`` call,
+and reused by later ones, so ``main`` may be called repeatedly in-process
+(tests, notebooks, benchmarks).  Only the parser is kept: every call parses
+its functions and evaluates its integrals afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -51,11 +59,29 @@ def _fmt(x) -> str:
     return f"{x:.9g}"
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _floats_arg(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+        return tuple(_finite_float(v) for v in text.split(",") if v.strip())
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}") from None
 
 
 def _require_finite(what: str, **values) -> None:
@@ -76,18 +102,25 @@ def _is_float(text: str) -> bool:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every token that parses as a negative float as a value: the
-    negative-number pattern of argparse before Python 3.12 misses exponent
-    notation such as ``--b -4.98e-05`` and takes it for an option."""
+    """Reads every token that parses as a negative float, or as a
+    comma-separated list of floats, as a value: the negative-number pattern
+    of argparse before Python 3.12 misses exponent notation such as
+    ``--b -4.98e-05``, and lists such as ``--center-range -1.5,1.5``, and
+    takes them for options.  ``-inf`` and ``-nan`` are read as values too,
+    so that the option's type check rejects them."""
 
     def _parse_optional(self, arg_string):
         # "--name" is never a number: skip the float parse for options
         if (arg_string[:1] == "-" and arg_string[1:2] != "-"
-                and _is_float(arg_string)):
+                and all(map(_is_float, arg_string.split(",")))):
             return None
         return super()._parse_optional(arg_string)
 
 
+# argparse spends 1.5-2 ms building this tree (a HelpFormatter and gettext
+# lookups per argument), several times a verify call's own work; parse_args
+# leaves the parser unchanged, so one tree serves every call in the process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hypfrac",
@@ -97,39 +130,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("integrate", help="evaluate a fractional integral")
+    pi.set_defaults(run=_cmd_integrate)
     pi.add_argument("--family", choices=["rl", "exp"], required=True)
-    pi.add_argument("--alpha", type=float, required=True)
+    pi.add_argument("--alpha", type=_finite_float, required=True)
     pi.add_argument("--fn", required=True, help="function string, e.g. 'cosh(2*x)'")
-    pi.add_argument("--a", type=float, required=True)
-    pi.add_argument("--b", type=float, required=True)
+    pi.add_argument("--a", type=_finite_float, required=True)
+    pi.add_argument("--b", type=_finite_float, required=True)
     pi.add_argument("--side", choices=["left", "right"], required=True)
-    pi.add_argument("--at", type=float, required=True,
+    pi.add_argument("--at", type=_finite_float, required=True,
                     help="evaluation point t")
 
     pc = sub.add_parser("classify", help="hyperbolic p-convexity verdicts")
+    pc.set_defaults(run=_cmd_classify)
     pc.add_argument("--fn", required=True)
-    pc.add_argument("--p", type=float, required=True)
-    pc.add_argument("--a", type=float, required=True)
-    pc.add_argument("--b", type=float, required=True)
+    pc.add_argument("--p", type=_finite_float, required=True)
+    pc.add_argument("--a", type=_finite_float, required=True)
+    pc.add_argument("--b", type=_finite_float, required=True)
     pc.add_argument("--grid-n", type=int, default=101)
-    pc.add_argument("--tol", type=float, default=1e-9)
+    pc.add_argument("--tol", type=_tolerance, default=1e-9)
 
     pv = sub.add_parser("verify", help="evaluate one inequality")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument("--thm", required=True,
                     help="theorem id: " + ", ".join(t.value for t in TheoremId))
     pv.add_argument("--fn", required=True)
-    pv.add_argument("--a", type=float, required=True)
-    pv.add_argument("--b", type=float, required=True)
-    pv.add_argument("--p", type=float, default=None)
-    pv.add_argument("--alpha", type=float, default=None)
+    pv.add_argument("--a", type=_finite_float, required=True)
+    pv.add_argument("--b", type=_finite_float, required=True)
+    pv.add_argument("--p", type=_finite_float, default=None)
+    pv.add_argument("--alpha", type=_finite_float, default=None)
     pv.add_argument("--weight", default=None, help="weight function string")
     pv.add_argument("--asymmetric-weight", action="store_true",
                     help="declare the weight asymmetric (D8/D9 exploration)")
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument("--tol", type=_tolerance, default=1e-8)
     pv.add_argument("--strict-printed", action="store_true",
                     help="use the as-printed D4/D5 right-hand constant")
 
     pg = sub.add_parser("campaign", help="run a randomized campaign")
+    pg.set_defaults(run=_cmd_campaign)
     pg.add_argument("--config", default=None, help="key=value config file")
     pg.add_argument("--seed", type=int, default=None)
     pg.add_argument("--n", type=int, default=None, dest="n_instances")
@@ -139,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="range for p*(b-a), e.g. 0.05,5")
     pg.add_argument("--length-range", type=_floats_arg, default=None)
     pg.add_argument("--center-range", type=_floats_arg, default=None)
-    pg.add_argument("--tol", type=float, default=None)
+    pg.add_argument("--tol", type=_tolerance, default=None)
     pg.add_argument("--format", choices=["csv", "json"], default=None,
                     dest="output_format")
     pg.add_argument("--rows", default=None, dest="rows_path")
@@ -149,11 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="skip the printed-constant probe rows")
 
     pl = sub.add_parser("limits", help="limit-recovery sweep toward a baseline")
+    pl.set_defaults(run=_cmd_limits)
     pl.add_argument("--thm", required=True)
     pl.add_argument("--to", required=True, dest="baseline")
     pl.add_argument("--fn", required=True)
-    pl.add_argument("--a", type=float, required=True)
-    pl.add_argument("--b", type=float, required=True)
+    pl.add_argument("--a", type=_finite_float, required=True)
+    pl.add_argument("--b", type=_finite_float, required=True)
     pl.add_argument("--weight", default=None)
     pl.add_argument("--p", type=_floats_arg, default=(1e-2, 1e-4, 1e-6))
     pl.add_argument("--alpha", type=_floats_arg, default=(0.5,))
@@ -288,19 +326,15 @@ def _cmd_limits(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    commands = {"integrate": _cmd_integrate, "classify": _cmd_classify,
-                "verify": _cmd_verify, "campaign": _cmd_campaign,
-                "limits": _cmd_limits}
     try:
         # overflow shows as an inf or nan result and exits 2 with one
         # error line, not as numpy warnings
         with np.errstate(all="ignore"):
-            return commands[args.command](args)
+            return args.run(args)
     except (GrammarError, DomainError, InvalidWeightError, ValueError,
             ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -251,5 +251,8 @@ def test_config_validation():
         CampaignConfig(alphas=())
     with pytest.raises(ValueError):
         CampaignConfig(output_format="xml")
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            CampaignConfig(tol=tol)
     with pytest.raises(ValueError):
         parse_config_text("this is not a key value line")

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import hypfrac
+from hypfrac import cli, inequalities
 from hypfrac.cli import main
 
 
@@ -268,6 +273,13 @@ def test_negative_exponent_evaluation_point_is_a_value(capsys):
     assert first_float(out) == pytest.approx(1.0 - 1e-05, rel=1e-12)
 
 
+def test_negative_list_is_a_value():
+    args = cli._build_parser().parse_args(
+        ["campaign", "--center-range", "-1.5,-0.5", "--alphas", "-1e-1,2"])
+    assert args.center_range == (-1.5, -0.5)
+    assert args.alphas == (-0.1, 2.0)
+
+
 def test_unknown_negative_looking_option_still_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--thm", "HH_1_1", "--fn",
                            "exp(x)", "--a", "-1", "--b", "1", "-e5")
@@ -285,3 +297,148 @@ def test_float_output_precision(capsys):
                            "--side", "left", "--at", "1")
     # 9 significant digits
     assert out.split()[0] == "1.12837917"
+
+
+_FHH = ["verify", "--thm", "FHH", "--fn", "cosh(x)", "--a", "0", "--b", "1",
+        "--alpha", "0.5"]
+_D4 = ["verify", "--thm", "D4", "--fn", "cosh(x)", "--a", "0", "--b", "1",
+       "--alpha", "0.5"]
+_CLASSIFY = ["classify", "--fn", "cosh(x)", "--a", "0", "--b", "1"]
+_LIMITS = ["limits", "--thm", "D4", "--to", "FHH", "--fn", "cosh(x)",
+           "--a", "0", "--b", "1"]
+_INTEGRATE = ["integrate", "--family", "rl", "--alpha", "0.5", "--fn", "1",
+              "--side", "left"]
+
+
+@pytest.mark.parametrize("argv,option", [
+    # before the check, a nan or negative tolerance made verify exit 3
+    # with both slacks positive, classify call everything NEITHER and a
+    # campaign count every row as a violation
+    (_FHH + ["--tol", "nan"], "--tol"),
+    (_FHH + ["--tol", "-1"], "--tol"),
+    (_CLASSIFY + ["--p", "1", "--tol", "nan"], "--tol"),
+    (_CLASSIFY + ["--p", "1", "--tol", "-1"], "--tol"),
+    (["campaign", "--n", "1", "--tol", "nan"], "--tol"),
+    (["campaign", "--n", "1", "--tol", "-1"], "--tol"),
+    (_D4 + ["--p", "nan"], "--p"),
+    (_D4 + ["--p", "-inf"], "--p"),
+    (_CLASSIFY + ["--p", "nan"], "--p"),
+    (_CLASSIFY + ["--p", "-inf"], "--p"),
+    (_LIMITS + ["--p", "nan"], "--p"),
+    (_LIMITS + ["--p", "1e-2,-inf"], "--p"),
+    (_LIMITS + ["--alpha", "0.5,nan"], "--alpha"),
+    (_FHH[:-1] + ["inf"], "--alpha"),
+    (_FHH[:5] + ["--b", "1", "--a", "-inf"], "--a"),
+    (_INTEGRATE + ["--a", "0", "--at", "1", "--b", "nan"], "--b"),
+    (_INTEGRATE + ["--a", "0", "--b", "1", "--at", "inf"], "--at"),
+    (["campaign", "--n", "1", "--alphas", "0.5,nan"], "--alphas"),
+    (["campaign", "--n", "1", "--p-list", "inf"], "--p-list"),
+    (["campaign", "--n", "1", "--pl-range", "0.1,inf"], "--pl-range"),
+    (["campaign", "--n", "1", "--length-range", "nan,1"], "--length-range"),
+    (["campaign", "--n", "1", "--center-range", "-inf,1"], "--center-range"),
+])
+def test_non_finite_or_negative_option_exits_2(tmp_path, monkeypatch, capsys,
+                                               argv, option):
+    monkeypatch.chdir(tmp_path)  # a campaign that did run writes here
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {option}: expected" in err
+    assert err.rstrip().endswith(f"got {argv[-1]!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_campaign_config_file_bad_tol_exits_2(tmp_path, capsys, tol):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"n_instances = 1\ntol = {tol}\n"
+                       f"rows_path = {tmp_path / 'r.csv'}\n"
+                       f"report_path = {tmp_path / 'rep.json'}\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfgfile))
+    assert code == 2
+    assert out == ""
+    assert "error: tol must be finite and >= 0" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_repeated_main_calls_build_the_parser_once(capsys, monkeypatch):
+    main(_FHH)
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(_FHH) == 0
+    assert main(_CLASSIFY + ["--p", "1"]) == 0
+    assert main(["verify", "--thm"]) == 2
+    assert built == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--thm", "D8", "--fn", "cosh(2*x)", "--weight", "1+x",
+      "--p", "1", "--alpha", "0.5", "--a", "0", "--b", "1"],
+     "--asymmetric-weight"),
+    (["verify", "--thm", "D4", "--fn", "cosh(1*(x-0.5))", "--p", "1",
+      "--alpha", "0.5", "--a", "0", "--b", "1"], "--strict-printed"),
+])
+def test_flags_do_not_leak_into_the_next_call(capsys, argv, flag):
+    before = run_cli(capsys, *argv)
+    with_flag = run_cli(capsys, *argv, flag)
+    after = run_cli(capsys, *argv)
+    assert with_flag[:2] != before[:2]
+    assert after == before
+
+
+def test_call_after_usage_error_matches_a_fresh_process(capsys):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hypfrac.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "hypfrac.cli", *_FHH],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    assert run_cli(capsys, *_FHH, "--tol", "nan")[0] == 2
+    assert run_cli(capsys, "verify", "--bogus")[0] == 2
+    code, out, err = run_cli(capsys, *_FHH)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert "holds: True" in out
+
+
+def test_help_twice_goes_to_captured_stdout(capsys):
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: hypfrac")
+        assert "limits" in out
+
+
+def test_limits_default_p_sweep_after_an_explicit_one(capsys):
+    run_cli(capsys, *_LIMITS, "--p", "0.1")
+    code, out, _ = run_cli(capsys, *_LIMITS)
+    assert code == 0
+    assert [float(line.split()[0]) for line in out.splitlines()[2:5]] == \
+        [1e-2, 1e-4, 1e-6]
+
+
+def test_in_process_calls_stay_cold(capsys, monkeypatch):
+    # the parser is shared between calls; functions and evaluators are not
+    evaluators, parsed = [], []
+
+    class CountingEvaluator(inequalities.TheoremEvaluator):
+        def __init__(self, *args, **kwargs):
+            evaluators.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    real_parse = cli.parse_function
+    monkeypatch.setattr(inequalities, "TheoremEvaluator", CountingEvaluator)
+    monkeypatch.setattr(cli, "parse_function", counting_parse)
+    first = run_cli(capsys, *_FHH)
+    second = run_cli(capsys, *_FHH)
+    assert first == second and first[0] == 0
+    assert len(evaluators) == 2 and evaluators[0] is not evaluators[1]
+    assert parsed == ["cosh(x)", "cosh(x)"]
