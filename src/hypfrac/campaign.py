@@ -29,9 +29,10 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .expressions import Interval
+from .fractional import Family
 from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
 from .grammar import to_grammar
-from .inequalities import TheoremEvaluator, TheoremId
+from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId
 
 CSV_COLUMNS = [
     "theorem_id", "a", "b", "p", "alpha", "lhs", "mid", "rhs",
@@ -39,16 +40,12 @@ CSV_COLUMNS = [
     "weight_descriptor", "seed", "instance_index",
 ]
 
-_PLAIN_THEOREMS = (TheoremId.HH_1_1, TheoremId.FEJER_1_2, TheoremId.D1,
-                   TheoremId.D2, TheoremId.D3)
-_RL_THEOREMS = (TheoremId.FHH, TheoremId.FHHF, TheoremId.D4, TheoremId.D6,
-                TheoremId.D8)
-_EXP_THEOREMS = (TheoremId.FHH2, TheoremId.FHHF2, TheoremId.D5, TheoremId.D7,
-                 TheoremId.D9)
+_THEOREMS = {family: tuple(t for t in TheoremId if _REQUIRES[t].family is family)
+             for family in (None, Family.RL, Family.EXP)}
+_PRINTED_THEOREMS = tuple(t for t in TheoremId if _REQUIRES[t].printed_constant)
 
-_ROW_ORDER = [t.value for t in _PLAIN_THEOREMS] + \
-    [t.value for t in _RL_THEOREMS] + [t.value for t in _EXP_THEOREMS] + \
-    ["D4_printed", "D5_printed"]
+_ROW_ORDER = [t.value for theorems in _THEOREMS.values() for t in theorems] \
+    + [t.value + "_printed" for t in _PRINTED_THEOREMS]
 _ROW_RANK = {tid: i for i, tid in enumerate(_ROW_ORDER)}
 
 
@@ -132,35 +129,32 @@ def instance_rows(cfg: CampaignConfig, index: int) -> list:
     w_descr = to_grammar(w.v)
     ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
 
-    rows = []
-    for tid in _PLAIN_THEOREMS:
-        v = ev.evaluate(tid)
-        rows.append(_row(tid.value, v, cfg.seed, index, u_descr, w_descr, None))
-    exp_alphas = [a for a in cfg.alphas if a < 1.0]
-    for alpha in cfg.alphas:
-        for tid in _RL_THEOREMS:
-            v = ev.evaluate(tid, alpha=alpha)
-            rows.append(_row(tid.value, v, cfg.seed, index, u_descr, w_descr,
-                             alpha))
-    for alpha in exp_alphas:
-        for tid in _EXP_THEOREMS:
-            v = ev.evaluate(tid, alpha=alpha)
-            rows.append(_row(tid.value, v, cfg.seed, index, u_descr, w_descr,
-                             alpha))
+    return [_row(name, ev.evaluate(tid, alpha=alpha, strict_printed=printed),
+                 cfg.seed, index, u_descr, w_descr, alpha)
+            for tid, name, alpha, printed in _plan(cfg)]
+
+
+def _plan(cfg: CampaignConfig) -> list:
+    """(theorem, row name, alpha, strict_printed) of every row of an
+    instance: each theorem at each alpha of its kernel's family."""
+    alphas = {None: (None,), Family.RL: cfg.alphas,
+              Family.EXP: tuple(a for a in cfg.alphas if a < 1.0)}
+    plan = [(tid, tid.value, alpha, False)
+            for family, theorems in _THEOREMS.items()
+            for alpha in alphas[family] for tid in theorems]
     if cfg.printed_probe:
-        for alpha in cfg.alphas:
-            v = ev.evaluate(TheoremId.D4, alpha=alpha, strict_printed=True)
-            rows.append(_row("D4_printed", v, cfg.seed, index, u_descr,
-                             w_descr, alpha))
-        for alpha in exp_alphas:
-            v = ev.evaluate(TheoremId.D5, alpha=alpha, strict_printed=True)
-            rows.append(_row("D5_printed", v, cfg.seed, index, u_descr,
-                             w_descr, alpha))
-    return rows
+        plan += [(tid, tid.value + "_printed", alpha, True)
+                 for tid in _PRINTED_THEOREMS
+                 for alpha in alphas[_REQUIRES[tid].family]]
+    return plan
 
 
 def _resolve_workers(cfg: CampaignConfig) -> int:
-    base = cfg.workers if cfg.workers else (os.cpu_count() or 1)
+    """The pool size: the requested workers (default: one per CPU), never
+    more than the CPUs, the instances or ``HYPFRAC_THREADS``.  The pool
+    starts every worker up front, and rows do not depend on the count."""
+    cpus = os.cpu_count() or 1
+    base = min(cfg.workers or cpus, cpus, cfg.n_instances)
     cap_env = os.environ.get("HYPFRAC_THREADS", "").strip()
     if cap_env:
         base = min(base, max(1, int(cap_env)))
@@ -173,7 +167,7 @@ def run_campaign(cfg: CampaignConfig):
     start = time.perf_counter()
     workers = _resolve_workers(cfg)
     indices = range(cfg.n_instances)
-    if workers > 1 and cfg.n_instances > 1:
+    if workers > 1:
         chunk = max(1, cfg.n_instances // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_instance_worker,

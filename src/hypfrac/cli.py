@@ -313,9 +313,11 @@ def _cmd_limits(args) -> int:
         cells = " ".join(f"{d:14.6g}" for d in row.deltas)
         alpha_cell = "-" if row.alpha is None else f"{row.alpha:8.4g}"
         print(f"{row.p:12.4g} {alpha_cell:>8s} {cells}")
-        if prev is not None and row.max_delta > prev:
+        # a p sweep starts again at each alpha
+        if prev is not None and row.max_delta > prev.max_delta and (
+                sweep.axis == "alpha" or row.alpha == prev.alpha):
             monotone = False
-        prev = row.max_delta
+        prev = row
     if sweep.decay_rate is not None:
         print(f"fitted decay: |delta| ~ {axis_name}^{sweep.decay_rate:.2f}"
               + ("" if sweep.axis == 'p' else " (in 1-alpha)"))

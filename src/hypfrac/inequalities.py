@@ -17,23 +17,27 @@ D2 / D3     hyperbolic weighted sandwich / sinh-corrected upper bound
 D4 .. D9    fractional hyperbolic analogues (RL and exponential kernels,
             plain and weighted, plus the two sinh-corrected upper bounds)
 
-One primitive
--------------
+One inequality
+--------------
 Every integral is a kernel moment ``integral of g * K over [a, b]``
 (:func:`kernel_moment`): K = 1 for the plain theorems, and for the
 fractional ones the two-sided kernel, so that the moment is the left
-operator at b plus the right operator at a.  ``g`` is u, v, u*v or
-cosh(p*(x-m)), or v times cosh(p*(x-m)), sinh(p*(x-m)) or x-m.  The
-fifteen theorems are five shapes over the family of K, read from
-``_REQUIRES`` (M is the moment, m the midpoint, L = b - a):
+operator at b plus the right operator at a.  As the paper says, every
+theorem is the Hermite-Hadamard-Fejer inequality for a p-hyperbolic convex
+u, read off one row of ``_REQUIRES`` (hyperbolic, weighted, family of K,
+has_mid).  With M the moment, m the midpoint and L = b - a, the sandwich
 
-* HH_1_1 / FHH / FHH2:        u(m) <= M(u) / M(1) <= (u(a)+u(b))/2
-* FEJER_1_2 / FHHF / FHHF2:   u(m) M(v) <= M(uv) <= (u(a)+u(b))/2 M(v)
-* D1 / D4 / D5:               u(m) C <= M(u) <= (u(a)+u(b))/2 sech(pL/2) C,
-                              C = M(cosh(p(x-m)))
-* D2 / D6 / D7:               the same with C = M(cosh(p(x-m)) v), mid M(uv)
-* D3 / D8 / D9:               M(uv) <= (u(a)+u(b))/2 sech(pL/2) C
-                              + (u(a)-u(b))/2 csch(pL/2) M(sinh(p(x-m)) v)
+    u(m) C <= M(u v) <= (u(a)+u(b))/2 sech(pL/2) C,   C = M(cosh(p(x-m)) v)
+
+is every theorem with a MID.  A row without p takes p = 0, so that the
+sech factor is 1 and C = M(v); a row without a weight takes v = 1; a row
+with neither (HH_1_1, FHH, FHH2) divides all three sides by the kernel
+mass M(1).  The three rows without a MID (D3, D8, D9) are the tilt bound
+
+    M(u v) <= (u(a)+u(b))/2 sech(pL/2) C
+              + (u(a)-u(b))/2 csch(pL/2) M(sinh(p(x-m)) v),
+
+where D8 and D9 admit an asymmetric v on request.
 
 Each moment is one or two fixed-weight integrals (:func:`_kernel_parts`):
 the plain and EXP moments one Gauss-Legendre integral (EXP with its kernel
@@ -58,6 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,23 +104,36 @@ class TheoremId(str, enum.Enum):
     D9 = "D9"
 
 
-# (needs_p, needs_weight, family, has_mid); alpha is needed iff family is set
+class _Row(NamedTuple):
+    """One theorem; alpha is needed iff family is set (None: K = 1)."""
+
+    hyperbolic: bool
+    weighted: bool
+    family: Family | None
+    has_mid: bool
+
+    @property
+    def printed_constant(self) -> bool:
+        """The paper prints sech(p*L) as the rhs constant (D4, D5)."""
+        return self.hyperbolic and not self.weighted and self.family is not None
+
+
 _REQUIRES = {
-    TheoremId.HH_1_1: (False, False, None, True),
-    TheoremId.FEJER_1_2: (False, True, None, True),
-    TheoremId.FHH: (False, False, Family.RL, True),
-    TheoremId.FHHF: (False, True, Family.RL, True),
-    TheoremId.FHH2: (False, False, Family.EXP, True),
-    TheoremId.FHHF2: (False, True, Family.EXP, True),
-    TheoremId.D1: (True, False, None, True),
-    TheoremId.D2: (True, True, None, True),
-    TheoremId.D3: (True, True, None, False),
-    TheoremId.D4: (True, False, Family.RL, True),
-    TheoremId.D5: (True, False, Family.EXP, True),
-    TheoremId.D6: (True, True, Family.RL, True),
-    TheoremId.D7: (True, True, Family.EXP, True),
-    TheoremId.D8: (True, True, Family.RL, False),
-    TheoremId.D9: (True, True, Family.EXP, False),
+    TheoremId.HH_1_1: _Row(False, False, None, True),
+    TheoremId.FEJER_1_2: _Row(False, True, None, True),
+    TheoremId.FHH: _Row(False, False, Family.RL, True),
+    TheoremId.FHHF: _Row(False, True, Family.RL, True),
+    TheoremId.FHH2: _Row(False, False, Family.EXP, True),
+    TheoremId.FHHF2: _Row(False, True, Family.EXP, True),
+    TheoremId.D1: _Row(True, False, None, True),
+    TheoremId.D2: _Row(True, True, None, True),
+    TheoremId.D3: _Row(True, True, None, False),
+    TheoremId.D4: _Row(True, False, Family.RL, True),
+    TheoremId.D5: _Row(True, False, Family.EXP, True),
+    TheoremId.D6: _Row(True, True, Family.RL, True),
+    TheoremId.D7: _Row(True, True, Family.EXP, True),
+    TheoremId.D8: _Row(True, True, Family.RL, False),
+    TheoremId.D9: _Row(True, True, Family.EXP, False),
 }
 
 # moment integrands that are products of two others, factor by factor
@@ -431,8 +449,8 @@ class TheoremEvaluator:
                  strict_printed: bool = False) -> InequalityVerdict:
         tid = TheoremId(tid)
         self._validate(tid, alpha)
-        needs_p, weighted, family, has_mid = _REQUIRES[tid]
-        interval, p = self.interval, self.p
+        row = _REQUIRES[tid]
+        interval = self.interval
         a, b, L = interval.a, interval.b, interval.length
         ua, um, ub = self._u_ends()
         avg = 0.5 * (ua + ub)
@@ -440,41 +458,32 @@ class TheoremEvaluator:
             self._descr(self.u),
             self._descr(self.weight.v) if self.weight else None,
         ))
-        params = {"a": a, "b": b, "p": p, "alpha": alpha,
+        params = {"a": a, "b": b, "p": self.p, "alpha": alpha,
                   "fn": fn, "weight": weight}
-        M = lambda which: self._moment(which, family, alpha)
+        M = lambda which: self._moment(which, row.family, alpha)
 
-        if not needs_p and not weighted:  # HH_1_1, FHH, FHH2
-            mid = M("u") / kernel_mass(interval, family, alpha)
-            return self._done(tid, um, mid, avg, params)
-
-        if not needs_p:  # FEJER_1_2, FHHF, FHHF2
-            B = M("v")
-            return self._done(tid, um * B, M("uv"), avg * B, params)
-
+        # M(u v) and C = M(cosh(p(x-m)) v) of the sandwich
+        p = self.p if row.hyperbolic else 0.0
+        mid = M("uv" if row.weighted else "u")
+        if row.hyperbolic:
+            C = M("cosh_v" if row.weighted else "cosh")
+        elif row.weighted:
+            C = M("v")
+        else:  # C = M(1) is the kernel mass: divide it out of every side
+            mid, C = mid / kernel_mass(interval, row.family, alpha), 1.0
         rc = sech(0.5 * p * L)
-        if not has_mid:  # D3, D8, D9
+        if not row.has_mid:  # the tilt bound
             if p == 0.0:  # the limit of csch(p*L/2) * sinh moment
                 tilt = (2.0 / L) * M("xm_v")
             else:
                 tilt = csch(0.5 * p * L) * M("sinh_v")
-            rhs = avg * rc * M("cosh_v") + 0.5 * (ua - ub) * tilt
-            return self._done(tid, M("uv"), None, rhs, params)
-
-        if weighted:  # D2, D6, D7
-            C = M("cosh_v")
-            return self._done(tid, um * C, M("uv"), avg * rc * C, params)
-
-        C = M("cosh")  # D1, D4, D5
-        if family is not None:
+            rhs = avg * rc * C + 0.5 * (ua - ub) * tilt
+            return _make_verdict(tid, mid, None, rhs, self.tol, params)
+        if row.printed_constant:
             if strict_printed:
                 rc = sech(p * L)
-            params = dict(params)
             params["constant_mode"] = "printed" if strict_printed else "proof"
-        return self._done(tid, um * C, M("u"), avg * rc * C, params)
-
-    def _done(self, tid, lhs, mid, rhs, params) -> InequalityVerdict:
-        return _make_verdict(tid, lhs, mid, rhs, self.tol, params)
+        return _make_verdict(tid, um * C, mid, avg * rc * C, self.tol, params)
 
     @staticmethod
     def _descr(f) -> str:
@@ -506,15 +515,15 @@ def exp_flat_limit_alternative(interval: Interval, alpha: float) -> float:
     return 2.0 * math.exp(-rho) / (1.0 - alpha)
 
 
-# pairing -> (swept axis, baseline scale factor as fn(interval, alpha))
-_LIMIT_PAIRINGS = {
-    (TheoremId.D4, TheoremId.FHH): ("p", rl_flat_limit_constant),
-    (TheoremId.D5, TheoremId.FHH2): ("p", exp_flat_limit_constant),
-    (TheoremId.D6, TheoremId.FHHF): ("p", lambda I, a: 1.0),
-    (TheoremId.D7, TheoremId.FHHF2): ("p", lambda I, a: 1.0),
-    (TheoremId.D8, TheoremId.D3): ("alpha", lambda I, a: 2.0),
-    (TheoremId.D9, TheoremId.D3): ("alpha", lambda I, a: 2.0),
-}
+# the documented limits; the two rows give the swept axis and the scale
+_LIMIT_PAIRINGS = (
+    (TheoremId.D4, TheoremId.FHH),
+    (TheoremId.D5, TheoremId.FHH2),
+    (TheoremId.D6, TheoremId.FHHF),
+    (TheoremId.D7, TheoremId.FHHF2),
+    (TheoremId.D8, TheoremId.D3),
+    (TheoremId.D9, TheoremId.D3),
+)
 
 
 @dataclass(frozen=True)
@@ -551,56 +560,46 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     the scale is the theorem's limiting kernel constant.
     """
     tid, bid = TheoremId(theorem_id), TheoremId(to_id)
-    key = (tid, bid)
-    if key not in _LIMIT_PAIRINGS:
+    if (tid, bid) not in _LIMIT_PAIRINGS:
         known = ", ".join(f"{t.value}->{b.value}" for t, b in _LIMIT_PAIRINGS)
         raise ValueError(f"no documented limit {tid.value}->{bid.value}; "
                          f"supported: {known}")
     if not alphas or not ps:
         raise ValueError("alphas and ps must be nonempty")
-    axis, scale_fn = _LIMIT_PAIRINGS[key]
-    needs_weight = _REQUIRES[tid][1]
-    if needs_weight and weight is None:
+    row, base_row = _REQUIRES[tid], _REQUIRES[bid]
+    if row.weighted and weight is None:
         raise ValueError(f"{tid.value} requires a weight function")
+    # p -> 0 toward the same kernel's theorem without p, whose sides are
+    # over the kernel mass when it is unweighted; alpha -> 1 toward the
+    # plain theorem, where both kernels are the constant 2
+    axis = "p" if base_row.family is row.family else "alpha"
 
     rows = []
     notes = []
-    if axis == "p":
-        for alpha in alphas:
-            base_ev = TheoremEvaluator(u, interval, p=None, weight=weight,
-                                       tol=tol, quad=quad)
+    base_ev = TheoremEvaluator(u, interval, p=ps[0], weight=weight, tol=tol,
+                               quad=quad)
+    for alpha in alphas:
+        if axis == "alpha":
+            scale, sweep_ps = 2.0, ps[:1]
+            baseline = base_ev.evaluate(bid)
+        else:
+            scale, sweep_ps = 1.0, ps
             baseline = base_ev.evaluate(bid, alpha=alpha)
-            scale = scale_fn(interval, alpha)
-            scaled_base = tuple(scale * s for s in baseline.sides())
-            for p in ps:
-                ev = TheoremEvaluator(u, interval, p=p, weight=weight,
-                                      tol=tol, quad=quad)
-                verdict = ev.evaluate(tid, alpha=alpha)
-                sides = verdict.sides()
-                deltas = tuple(abs(s - t) for s, t in zip(sides, scaled_base))
-                rows.append(LimitRow(p, alpha, sides, scaled_base, deltas,
-                                     max(deltas)))
-            if tid is TheoremId.D5:
-                got = exp_flat_limit_constant(interval, alpha)
-                alt = exp_flat_limit_alternative(interval, alpha)
-                notes.append(
-                    f"alpha={alpha:g}: p->0 kernel constant computes to "
-                    f"2*(1-exp(-rho))/(1-alpha) = {got:.9g}; the alternative "
-                    f"closed form 2*exp(-rho)/(1-alpha) = {alt:.9g} does not "
-                    f"match the integral and is not used"
-                )
-    else:
-        p = ps[0]
-        base_ev = TheoremEvaluator(u, interval, p=p, weight=weight,
-                                   tol=tol, quad=quad)
-        baseline = base_ev.evaluate(bid)
-        for alpha in alphas:
-            scale = scale_fn(interval, alpha)
-            scaled_base = tuple(scale * s for s in baseline.sides())
+            if not base_row.weighted:
+                scale = kernel_mass(interval, base_row.family, alpha)
+                if base_row.family is Family.EXP:
+                    alt = exp_flat_limit_alternative(interval, alpha)
+                    notes.append(
+                        f"alpha={alpha:g}: p->0 kernel constant computes to "
+                        f"2*(1-exp(-rho))/(1-alpha) = {scale:.9g}; the "
+                        f"alternative closed form 2*exp(-rho)/(1-alpha) = "
+                        f"{alt:.9g} does not match the integral and is not "
+                        "used")
+        scaled_base = tuple(scale * s for s in baseline.sides())
+        for p in sweep_ps:
             ev = TheoremEvaluator(u, interval, p=p, weight=weight,
                                   tol=tol, quad=quad)
-            verdict = ev.evaluate(tid, alpha=alpha)
-            sides = verdict.sides()
+            sides = ev.evaluate(tid, alpha=alpha).sides()
             deltas = tuple(abs(s - t) for s, t in zip(sides, scaled_base))
             rows.append(LimitRow(p, alpha, sides, scaled_base, deltas,
                                  max(deltas)))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -229,12 +230,27 @@ def test_hypfrac_threads_env_caps_workers(monkeypatch):
     from hypfrac.campaign import _resolve_workers
 
     cfg = CampaignConfig(workers=8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.setenv("HYPFRAC_THREADS", "2")
     assert _resolve_workers(cfg) == 2
     monkeypatch.setenv("HYPFRAC_THREADS", "")
     assert _resolve_workers(cfg) == 8
     monkeypatch.delenv("HYPFRAC_THREADS")
     assert _resolve_workers(CampaignConfig(workers=1)) == 1
+
+
+def test_workers_capped_by_instances_and_cpus(monkeypatch):
+    # only the pool size is computed: no pool is started
+    from hypfrac.campaign import _resolve_workers
+
+    monkeypatch.delenv("HYPFRAC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _resolve_workers(CampaignConfig(n_instances=2, workers=3)) == 2
+    assert _resolve_workers(CampaignConfig(n_instances=100, workers=5000)) == 4
+    assert _resolve_workers(CampaignConfig(n_instances=1)) == 1
+    assert _resolve_workers(CampaignConfig(n_instances=100)) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_workers(CampaignConfig(n_instances=100, workers=8)) == 1
 
 
 def test_env_capped_run_is_still_identical(monkeypatch, small_run):

@@ -181,6 +181,22 @@ def test_limits_d5_prints_discrepancy_note(capsys):
     assert "does not match" in out
 
 
+def test_limits_judges_monotone_within_each_alpha(capsys):
+    # each alpha's p sweep shrinks; the second alpha starts above the first's end
+    code, out, _ = run_cli(capsys, "limits", "--thm", "D4", "--to", "FHH",
+                           "--fn", "cosh(2*x)", "--a", "0", "--b", "1",
+                           "--alpha", "0.3,0.5", "--p", "1e-2,1e-4")
+    assert code == 0
+    assert "approach monotone: True" in out
+    # an alpha sweep is one sweep: moving away from alpha = 1 is not monotone
+    code, out, _ = run_cli(capsys, "limits", "--thm", "D8", "--to", "D3",
+                           "--fn", "cosh(2*x)", "--a", "0", "--b", "1",
+                           "--weight", "1+pow(x-0.5,2)", "--p", "1",
+                           "--alpha", "0.99,0.9")
+    assert code == 0
+    assert "approach monotone: False" in out
+
+
 def test_limits_unknown_pairing_exits_2(capsys):
     code, _, err = run_cli(capsys, "limits", "--thm", "D4", "--to", "D3",
                            "--fn", "cosh(2*x)", "--a", "0", "--b", "1")

@@ -295,6 +295,65 @@ def test_d8_d9_coincide_with_d6_d7_bounds_for_symmetric_weight():
         assert vu.rhs == pytest.approx(vt.rhs, rel=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# one Hermite-Hadamard-Fejer sandwich: the paper's claim as identities
+
+# per kernel family: the weighted sandwich without and with p, the
+# unweighted one without and with p, and the tilt bound
+_FAMILY_THEOREMS = {
+    None: ("FEJER_1_2", "D2", "HH_1_1", "D1", "D3"),
+    Family.RL: ("FHHF", "D6", "FHH", "D4", "D8"),
+    Family.EXP: ("FHHF2", "D7", "FHH2", "D5", "D9"),
+}
+
+
+def _sandwich_cases(n=40):
+    """(index, family, alpha, evaluator at the instance's p, evaluator at
+    p = 0) over the campaign's kernels on n seed-42 instances."""
+    cfg = GenConfig(seed=42)
+    for index in range(n):
+        rng = rng_for(cfg.seed, index)
+        I = draw_interval(cfg, rng)
+        p = rng.uniform(0.05, 5.0) / I.length
+        u = gen_p_convex(cfg, p, I, rng=rng)
+        w = gen_symmetric_weight(cfg, I, rng=rng)
+        ev = TheoremEvaluator(u, I, p=p, weight=w)
+        ev0 = TheoremEvaluator(u, I, p=0.0, weight=w)
+        for family, alpha in _CAMPAIGN_KERNELS:
+            yield index, family, alpha, ev, ev0
+
+
+def _rel_gap(got, ref):
+    return max(abs(g - r) / abs(r) for g, r in zip(got, ref))
+
+
+def test_weighted_theorems_without_p_are_the_p_zero_members():
+    for index, family, alpha, ev, ev0 in _sandwich_cases():
+        without_p, with_p = _FAMILY_THEOREMS[family][:2]
+        got = ev.evaluate(TheoremId(without_p), alpha=alpha).sides()
+        ref = ev0.evaluate(TheoremId(with_p), alpha=alpha).sides()
+        assert got == ref, (index, without_p, alpha)
+
+
+def test_unweighted_theorems_without_p_are_p_zero_members_over_the_mass():
+    for index, family, alpha, ev, ev0 in _sandwich_cases():
+        without_p, with_p = _FAMILY_THEOREMS[family][2:4]
+        got = ev.evaluate(TheoremId(without_p), alpha=alpha).sides()
+        mass = kernel_mass(ev.interval, family, alpha)
+        ref = [s / mass for s in
+               ev0.evaluate(TheoremId(with_p), alpha=alpha).sides()]
+        assert _rel_gap(got, ref) <= 1e-14, (index, without_p, alpha)
+
+
+def test_tilt_bound_of_a_symmetric_weight_is_the_sandwich_upper_half():
+    for index, family, alpha, ev, _ in _sandwich_cases():
+        sandwich, tilt = _FAMILY_THEOREMS[family][1], _FAMILY_THEOREMS[family][4]
+        vt = ev.evaluate(TheoremId(tilt), alpha=alpha)
+        vs = ev.evaluate(TheoremId(sandwich), alpha=alpha)
+        assert vt.lhs == vs.mid, (index, tilt, alpha)
+        assert _rel_gap([vt.rhs], [vs.rhs]) <= 1e-14, (index, tilt, alpha)
+
+
 def test_chain_validity_on_generated_instances():
     cfg = GenConfig(seed=11)
     for i in range(5):
@@ -390,6 +449,33 @@ def test_limit_sweep_d5_note_surfaces_discrepancy():
     u = cosh_centered(1.0, 0.5)
     sweep = limit_sweep("D5", "FHH2", u, I01, alphas=(0.5,), ps=(1e-4,))
     assert sweep.notes and "does not match" in sweep.notes[0]
+
+
+@pytest.mark.parametrize("tid,bid", [
+    ("D4", "FHH"), ("D5", "FHH2"), ("D6", "FHHF"), ("D7", "FHHF2"),
+    ("D8", "D3"), ("D9", "D3"),
+])
+def test_limit_sweep_closes_the_gap_to_each_baseline(tid, bid):
+    # a wrong baseline scale leaves a gap that does not close
+    I = Interval(-0.4, 1.1)
+    u = gen_p_convex(GenConfig(seed=5), 1.2, I, index=2)
+    w = gen_symmetric_weight(GenConfig(seed=5), I, index=3)
+    if bid == "D3":
+        sweep = limit_sweep(tid, bid, u, I, weight=w,
+                            alphas=(0.9, 0.99, 0.999), ps=(1.2,))
+        deltas = [r.max_delta for r in sweep.rows]
+        assert sweep.axis == "alpha"
+        assert deltas[0] > deltas[1] > deltas[2]
+        assert sweep.decay_rate == pytest.approx(1.0, abs=0.1)
+        return
+    alphas = (0.3, 0.8) if tid in ("D5", "D7") else (0.5, 1.5)
+    sweep = limit_sweep(tid, bid, u, I, weight=w, alphas=alphas,
+                        ps=(1e-1, 1e-2))
+    assert sweep.axis == "p"
+    for coarse, fine in zip(sweep.rows[::2], sweep.rows[1::2]):
+        assert coarse.alpha == fine.alpha
+        # |delta| ~ p**2
+        assert fine.max_delta / coarse.max_delta == pytest.approx(1e-2, rel=0.05)
 
 
 def test_limit_sweep_unknown_pairing():
