@@ -72,6 +72,9 @@ class CampaignConfig:
             raise ValueError("alphas must be nonempty")
         if not 0 <= self.tol < math.inf:  # also false for nan
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        for name in _LIST_KEYS:
+            if not all(map(math.isfinite, getattr(self, name) or ())):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be csv or json")
 
@@ -332,10 +335,11 @@ def write_report(report: CampaignReport, path: str) -> None:
 # ---------------------------------------------------------------------------
 # config files: flat key=value, comma-separated lists, '#' comments
 
-_LIST_KEYS = {"alphas", "p_list", "pl_range", "length_range", "center_range"}
+_LIST_KEYS = ("alphas", "p_list", "pl_range", "length_range", "center_range")
 _INT_KEYS = {"seed", "n_instances", "workers"}
 _FLOAT_KEYS = {"tol"}
 _BOOL_KEYS = {"printed_probe"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def parse_config_text(text: str) -> dict:
@@ -354,9 +358,14 @@ def parse_config_text(text: str) -> dict:
         elif key in _FLOAT_KEYS:
             out[key] = float(value)
         elif key in _BOOL_KEYS:
-            out[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
+            if value.lower() not in _TRUE + _FALSE:
+                raise ValueError(f"config line {lineno}: {key} must be "
+                                 f"true or false, got {value!r}")
+            out[key] = value.lower() in _TRUE
+        elif key in CampaignConfig.__dataclass_fields__:
             out[key] = value
+        else:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return out
 
 

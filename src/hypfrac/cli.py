@@ -255,20 +255,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "n_instances": args.n_instances,
-        "alphas": args.alphas,
-        "p_list": args.p_list,
-        "pl_range": args.pl_range,
-        "length_range": args.length_range,
-        "center_range": args.center_range,
-        "tol": args.tol,
-        "output_format": args.output_format,
-        "rows_path": args.rows_path,
-        "report_path": args.report_path,
-        "workers": args.workers,
-    }
+    # the campaign options are named after the config fields they override
+    overrides = {k: getattr(args, k, None)
+                 for k in CampaignConfig.__dataclass_fields__}
     if args.no_probe:
         overrides["printed_probe"] = False
     if args.config:
@@ -299,27 +288,22 @@ def _cmd_limits(args) -> int:
     weight = WeightSpec(parse_function(args.weight)) if args.weight else None
     sweep = limit_sweep(args.thm.upper(), args.baseline.upper(), f, interval,
                         weight=weight, alphas=args.alpha, ps=args.p)
-    axis_name = "p" if sweep.axis == "p" else "alpha"
     print(f"{sweep.theorem_id.value} -> {sweep.baseline_id.value} "
-          f"(sweeping {axis_name})")
+          f"(sweeping {sweep.axis})")
     side_names = ("lhs", "mid", "rhs") if len(sweep.rows[0].deltas) == 3 \
         else ("lhs", "rhs")
     header = f"{'p':>12s} {'alpha':>8s} " + " ".join(
         f"{'|delta_' + s + '|':>14s}" for s in side_names)
     print(header)
-    prev = None
-    monotone = True
     for row in sweep.rows:
         cells = " ".join(f"{d:14.6g}" for d in row.deltas)
         alpha_cell = "-" if row.alpha is None else f"{row.alpha:8.4g}"
         print(f"{row.p:12.4g} {alpha_cell:>8s} {cells}")
-        # a p sweep starts again at each alpha
-        if prev is not None and row.max_delta > prev.max_delta and (
-                sweep.axis == "alpha" or row.alpha == prev.alpha):
-            monotone = False
-        prev = row
+    monotone = not any(later.max_delta > earlier.max_delta
+                       for run in sweep.groups()
+                       for earlier, later in zip(run, run[1:]))
     if sweep.decay_rate is not None:
-        print(f"fitted decay: |delta| ~ {axis_name}^{sweep.decay_rate:.2f}"
+        print(f"fitted decay: |delta| ~ {sweep.axis}^{sweep.decay_rate:.2f}"
               + ("" if sweep.axis == 'p' else " (in 1-alpha)"))
     print(f"approach monotone: {monotone}")
     for note in sweep.notes:

@@ -60,6 +60,7 @@ behind ``strict_printed=True`` for comparison runs.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -542,8 +543,26 @@ class LimitSweepResult:
     baseline_id: TheoremId
     axis: str
     rows: list
-    decay_rate: float | None
     notes: list
+
+    def groups(self) -> list:
+        """The rows in runs that share a baseline: one run per alpha of a p
+        sweep, one per p of an alpha sweep."""
+        key = (lambda r: r.alpha) if self.axis == "p" else (lambda r: r.p)
+        return [list(run) for _, run in itertools.groupby(self.rows, key)]
+
+    @property
+    def decay_rate(self) -> float | None:
+        """The smallest log-log slope of max |delta| against p (p axis) or
+        1 - alpha (alpha axis) over the groups; None if none has two points."""
+        rates = []
+        for run in self.groups():
+            pts = [(r.p if self.axis == "p" else 1.0 - r.alpha, r.max_delta)
+                   for r in run]
+            pts = [(x, d) for x, d in pts if d > 0.0 and x > 0.0]
+            if len(pts) >= 2:
+                rates.append(float(np.polyfit(*np.log(pts).T, 1)[0]))
+        return min(rates, default=None)
 
 
 def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
@@ -555,9 +574,10 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     report componentwise gaps.
 
     Supported pairings: D4->FHH, D5->FHH2, D6->FHHF, D7->FHHF2 (p -> 0 for
-    each alpha in ``alphas``), and D8->D3, D9->D3 (alpha -> 1 at fixed
-    ``ps[0]``).  Baseline sides are rescaled to the theorem's normalization;
-    the scale is the theorem's limiting kernel constant.
+    each alpha in ``alphas``), and D8->D3, D9->D3 (alpha -> 1 for each p in
+    ``ps``, each against its own D3 baseline).  Baseline sides are rescaled
+    to the theorem's normalization; the scale is the theorem's limiting
+    kernel constant.
     """
     tid, bid = TheoremId(theorem_id), TheoremId(to_id)
     if (tid, bid) not in _LIMIT_PAIRINGS:
@@ -574,17 +594,16 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     # plain theorem, where both kernels are the constant 2
     axis = "p" if base_row.family is row.family else "alpha"
 
-    rows = []
-    notes = []
-    base_ev = TheoremEvaluator(u, interval, p=ps[0], weight=weight, tol=tol,
-                               quad=quad)
-    for alpha in alphas:
-        if axis == "alpha":
-            scale, sweep_ps = 2.0, ps[:1]
-            baseline = base_ev.evaluate(bid)
-        else:
-            scale, sweep_ps = 1.0, ps
-            baseline = base_ev.evaluate(bid, alpha=alpha)
+    evs = {p: TheoremEvaluator(u, interval, p=p, weight=weight, tol=tol,
+                               quad=quad) for p in ps}
+    # (baseline, scale, the (p, alpha) points that approach it)
+    groups, notes = [], []
+    if axis == "alpha":
+        groups = [(evs[p].evaluate(bid), 2.0, [(p, alpha) for alpha in alphas])
+                  for p in ps]
+    else:
+        for alpha in alphas:
+            scale = 1.0
             if not base_row.weighted:
                 scale = kernel_mass(interval, base_row.family, alpha)
                 if base_row.family is Family.EXP:
@@ -595,28 +614,14 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
                         f"alternative closed form 2*exp(-rho)/(1-alpha) = "
                         f"{alt:.9g} does not match the integral and is not "
                         "used")
+            groups.append((evs[ps[0]].evaluate(bid, alpha=alpha), scale,
+                           [(p, alpha) for p in ps]))
+    rows = []
+    for baseline, scale, points in groups:
         scaled_base = tuple(scale * s for s in baseline.sides())
-        for p in sweep_ps:
-            ev = TheoremEvaluator(u, interval, p=p, weight=weight,
-                                  tol=tol, quad=quad)
-            sides = ev.evaluate(tid, alpha=alpha).sides()
+        for p, alpha in points:
+            sides = evs[p].evaluate(tid, alpha=alpha).sides()
             deltas = tuple(abs(s - t) for s, t in zip(sides, scaled_base))
             rows.append(LimitRow(p, alpha, sides, scaled_base, deltas,
                                  max(deltas)))
-
-    decay = _fit_decay(rows, axis)
-    return LimitSweepResult(tid, bid, axis, rows, decay, notes)
-
-
-def _fit_decay(rows, axis) -> float | None:
-    if axis == "p":
-        first_alpha = rows[0].alpha
-        pts = [(r.p, r.max_delta) for r in rows if r.alpha == first_alpha]
-    else:
-        pts = [(1.0 - r.alpha, r.max_delta) for r in rows]
-    pts = [(x, d) for x, d in pts if d > 0.0 and x > 0.0]
-    if len(pts) < 2:
-        return None
-    xs = np.log([x for x, _ in pts])
-    ds = np.log([d for _, d in pts])
-    return float(np.polyfit(xs, ds, 1)[0])
+    return LimitSweepResult(tid, bid, axis, rows, notes)

@@ -22,18 +22,17 @@ evaluate many integrands on the same nodes.
 :func:`integrate_cells` runs the same pair on all cells of a grid with one
 integrand call and the same per-cell test.
 
-Adaptive fallback: otherwise the integral is recomputed from scratch with
-the embedded 7-point Gauss / 15-point Kronrod pair, whose difference is the
-panel error.  Adaptivity is by bisection: every round evaluates all
+Adaptive fallback: otherwise the integral is recomputed from scratch by
+bisection, split as in QUADPACK's QAWS: the panel at the singular end of a
+weight with ``alpha != 1`` gets the Gauss-Jacobi pair, scaled by
+``(h/2)**alpha`` (value Q_2n, error |Q_2n - Q_n|), and every other panel
+the embedded 7-point Gauss / 15-point Kronrod pair on the weighted
+integrand, where the weight is smooth.  Every round evaluates all
 still-active panels in one vectorized batch, accepts those whose error fits
 their share of the budget (or is at the round-off floor of the panel), and
-bisects the rest.  There, weights ``(x-a)**(alpha-1)`` with ``alpha < 1``
-are removed exactly by the power substitution ``x = a + u**(1/alpha)``
-(mirrored on the right), which turns the weighted integral into a plain one
-with a bounded integrand; for ``alpha >= 1`` the weight is continuous and
-is integrated directly.  A round whose panel sum is inf or nan ends the
-loop at once with ``converged=False`` and an infinite error estimate:
-bisection cannot cure an overflow.
+bisects the rest.  A round whose panel sum is inf or nan ends the loop at
+once with ``converged=False`` and an infinite error estimate: bisection
+cannot cure an overflow.
 
 Integrands are called with a flat numpy array and must return an array of
 the same shape; expression trees from :mod:`hypfrac.expressions` satisfy
@@ -285,8 +284,10 @@ def integrate(f, interval: Interval, cfg: QuadConfig = DEFAULT_QUAD) -> QuadResu
     return _integrate_adaptive(f, interval, cfg)
 
 
-def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig) -> QuadResult:
-    """Bisection-adaptive Gauss-Kronrod 7/15 over [a, b]."""
+def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig,
+                        end_panel=None) -> QuadResult:
+    """Bisection-adaptive Gauss-Kronrod 7/15 over [a, b]; when given,
+    end_panel(h) evaluates the panel [a, a+h] in place of the Kronrod pair."""
     a, b = interval.a, interval.b
     span = b - a
     lo = np.array([a])
@@ -296,7 +297,11 @@ def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig) -> QuadResult:
     splits = 0
     converged = True
     while True:
-        k, err, l1 = _panels(f, lo, hi)
+        first = 1 if end_panel is not None and lo[0] == a else 0
+        k, err, l1 = _panels(f, lo[first:], hi[first:])
+        if first:
+            k, err, l1 = (np.insert(v, 0, e)
+                          for v, e in zip((k, err, l1), end_panel(hi[0] - a)))
         total = done_val + float(k.sum())
         if not math.isfinite(total):  # an overflow that bisection cannot cure
             return QuadResult(total, math.inf, splits, False)
@@ -308,17 +313,14 @@ def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig) -> QuadResult:
         if np.any(floor & ~accept):
             converged = False
             accept = accept | floor
-        if np.all(accept):
-            done_val += float(k.sum())
-            done_err += float(err.sum())
-            break
         done_val += float(k[accept].sum())
         done_err += float(err[accept].sum())
+        if np.all(accept):
+            break
         lo, hi = lo[~accept], hi[~accept]
         if splits + lo.size > cfg.max_subdivisions:
-            krem, erem, _ = k[~accept], err[~accept], None
-            done_val += float(krem.sum())
-            done_err += float(erem.sum())
+            done_val += float(k[~accept].sum())
+            done_err += float(err[~accept].sum())
             converged = False
             break
         splits += lo.size
@@ -341,31 +343,29 @@ def integrate_singular(
 
     ``g`` must be smooth on [a, b]; ``alpha > 0``.  A fixed Gauss-Jacobi
     pair for the weight is tried first.  When it is not accepted, the
-    adaptive integrator runs: for ``alpha < 1`` the weight is removed by the
-    power substitution, for ``alpha >= 1`` the weighted integrand is
-    integrated unchanged.
+    adaptive loop runs in the distance s from the singular end: the panel
+    [0, h] gets the same Gauss-Jacobi pair, the others Gauss-Kronrod on
+    ``g * s**(alpha-1)``.  For ``alpha == 1`` the weight is 1 and the loop
+    is that of :func:`integrate`.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     fixed = _fixed_rule(g, interval, alpha, endpoint, cfg)
     if fixed is not None:
         return fixed
-    a, b = interval.a, interval.b
     if alpha == 1.0:
         return _integrate_adaptive(g, interval, cfg)
-    if alpha > 1.0:
-        if endpoint is Endpoint.LEFT:
-            f = lambda x: np.asarray(g(x)) * np.power(x - a, alpha - 1.0)
-        else:
-            f = lambda x: np.asarray(g(x)) * np.power(b - x, alpha - 1.0)
-        return _integrate_adaptive(f, interval, cfg)
-    span = (b - a) ** alpha
-    inv = 1.0 / alpha
-    if endpoint is Endpoint.LEFT:
-        f = lambda u: np.asarray(g(np.minimum(a + np.power(u, inv), b))) * inv
-    else:
-        f = lambda u: np.asarray(g(np.maximum(b - np.power(u, inv), a))) * inv
-    return _integrate_adaptive(f, Interval(0.0, span), cfg)
+    a, b = interval.a, interval.b
+    at = (lambda s: a + s) if endpoint is Endpoint.LEFT else (lambda s: b - s)
+
+    def end_panel(h):
+        xs = at(fixed_rule_nodes(0.0, h, alpha, Endpoint.LEFT))
+        s1, s2, l1 = _fixed_sums(np.asarray(g(xs), dtype=float), alpha)
+        scale = np.power(0.5 * h, alpha)
+        return scale * s2, scale * abs(s2 - s1), scale * l1
+
+    f = lambda s: np.asarray(g(at(s)), dtype=float) * np.power(s, alpha - 1.0)
+    return _integrate_adaptive(f, Interval(0.0, b - a), cfg, end_panel)
 
 
 def gauss_kronrod_nodes():

@@ -272,3 +272,30 @@ def test_config_validation():
             CampaignConfig(tol=tol)
     with pytest.raises(ValueError):
         parse_config_text("this is not a key value line")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("foo = 3", "config line 2: unknown key 'foo'"),
+    ("printed_probe = nope", "config line 2: printed_probe must be true or "
+                             "false, got 'nope'"),
+])
+def test_config_text_rejects_unknown_keys_and_bad_booleans(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(f"seed = 1\n{line}\n")
+
+
+def test_config_text_booleans():
+    for word, value in (("On", True), ("yes", True), ("1", True),
+                        ("off", False), ("NO", False), ("0", False)):
+        assert parse_config_text(f"printed_probe = {word}") == {
+            "printed_probe": value}
+
+
+@pytest.mark.parametrize("name,values", [
+    ("alphas", (0.5, math.inf)), ("p_list", (math.inf,)),
+    ("pl_range", (0.05, math.nan)), ("length_range", (-math.inf, 4.0)),
+    ("center_range", (math.nan, 1.0)),
+])
+def test_config_rejects_non_finite_entries(name, values):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CampaignConfig(**{name: values})

@@ -197,6 +197,20 @@ def test_limits_judges_monotone_within_each_alpha(capsys):
     assert "approach monotone: False" in out
 
 
+def test_limits_alpha_sweep_runs_every_p_and_judges_each(capsys):
+    code, out, _ = run_cli(capsys, "limits", "--thm", "D8", "--to", "D3",
+                           "--fn", "cosh(2*x)", "--a", "0", "--b", "1",
+                           "--weight", "1+pow(x-0.5,2)", "--p", "1,2",
+                           "--alpha", "0.9,0.99,0.999")
+    assert code == 0
+    table = [line.split() for line in out.splitlines()[2:8]]
+    assert [(float(r[0]), float(r[1])) for r in table] == [
+        (p, alpha) for p in (1.0, 2.0) for alpha in (0.9, 0.99, 0.999)]
+    # p = 2 starts above where p = 1 ends; each p on its own shrinks
+    assert float(table[3][2]) > float(table[2][2])
+    assert "approach monotone: True" in out
+
+
 def test_limits_unknown_pairing_exits_2(capsys):
     code, _, err = run_cli(capsys, "limits", "--thm", "D4", "--to", "D3",
                            "--fn", "cosh(2*x)", "--a", "0", "--b", "1")
@@ -374,6 +388,26 @@ def test_campaign_config_file_bad_tol_exits_2(tmp_path, capsys, tol):
     assert code == 2
     assert out == ""
     assert "error: tol must be finite and >= 0" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("foo = 3", "unknown key 'foo'"),
+    ("printed_probe = nope", "printed_probe must be true or false"),
+    ("p_list = inf", "p_list must be finite"),
+    ("alphas = inf", "alphas must be finite"),
+    ("center_range = nan,1", "center_range must be finite"),
+])
+def test_campaign_config_file_bad_entry_exits_2(tmp_path, capsys, line,
+                                                message):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"n_instances = 1\nworkers = 1\n{line}\n"
+                       f"rows_path = {tmp_path / 'r.csv'}\n"
+                       f"report_path = {tmp_path / 'rep.json'}\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfgfile))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -478,6 +478,35 @@ def test_limit_sweep_closes_the_gap_to_each_baseline(tid, bid):
         assert fine.max_delta / coarse.max_delta == pytest.approx(1e-2, rel=0.05)
 
 
+def test_limit_sweep_alpha_axis_sweeps_every_p():
+    u = cosh_centered(2.0, 0.5)
+    w = WeightSpec(parse_function("1+pow(x-0.5,2)"))
+    alphas, ps = (0.9, 0.99, 0.999), (2.0, 0.5)
+    sweep = limit_sweep("D8", "D3", u, I01, weight=w, alphas=alphas, ps=ps)
+    assert [(r.p, r.alpha) for r in sweep.rows] == [
+        (p, alpha) for p in ps for alpha in alphas]
+    singles = [limit_sweep("D8", "D3", u, I01, weight=w, alphas=alphas,
+                           ps=(p,)) for p in ps]
+    assert sweep.rows == singles[0].rows + singles[1].rows
+    # each p against its own D3 baseline, times the kernel constant 2
+    d3 = TheoremEvaluator(u, I01, p=0.5, weight=w).evaluate("D3")
+    assert sweep.rows[-1].baseline_sides == tuple(2.0 * s for s in d3.sides())
+    # the slowest decay speaks for the sweep, here the second p's
+    rates = [single.decay_rate for single in singles]
+    assert rates[1] < rates[0]
+    assert sweep.decay_rate == rates[1]
+
+
+def test_limit_sweep_p_axis_decay_rate_is_the_slowest_alpha():
+    u = cosh_centered(2.0, 0.5)
+    alphas, ps = (0.3, 1.5), (1e-1, 1e-2)
+    sweep = limit_sweep("D4", "FHH", u, I01, alphas=alphas, ps=ps)
+    rates = [limit_sweep("D4", "FHH", u, I01, alphas=(alpha,), ps=ps).decay_rate
+             for alpha in alphas]
+    assert rates[1] < rates[0]
+    assert sweep.decay_rate == rates[1]
+
+
 def test_limit_sweep_unknown_pairing():
     with pytest.raises(ValueError, match="no documented limit"):
         limit_sweep("D4", "D3", X2, I01)

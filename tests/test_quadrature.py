@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypfrac.expressions import Interval
+from hypfrac.fractional import OPERATOR_QUAD
 from hypfrac.quadrature import (
     DEFAULT_QUAD,
     Endpoint,
@@ -101,7 +102,8 @@ def test_singular_alpha_one_is_plain():
 
 
 def test_singular_alpha_above_one():
-    # integral of x^(0.5) over [0, 1]: weight continuous, no substitution
+    # integral of x^(0.5) over [0, 1]: the weight is continuous but not
+    # smooth at 0, so the Gauss-Jacobi rule carries it
     res = integrate_singular(lambda x: np.ones_like(x), Interval(0.0, 1.0), 1.5,
                              Endpoint.LEFT, TIGHT)
     assert res.value == pytest.approx(2.0 / 3.0, rel=1e-10)
@@ -292,3 +294,89 @@ def test_integrate_cells_matches_integrate_per_cell():
         assert got == pytest.approx(ref.value, rel=1e-14)
     exact = np.diff(np.arctan(edges / math.sqrt(c))) / math.sqrt(c)
     np.testing.assert_allclose(values, exact, rtol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# adaptive fallback: a Gauss-Jacobi panel at the singular end, Gauss-Kronrod
+# on every other panel
+
+def _positive_series(z, alpha):
+    """The integral of exp(z*s) * s**(alpha-1) over [0, 1] as a sum of
+    positive terms: sum z**n / (n! (n+alpha)) for z >= 0; for z < 0 that
+    series alternates, and its Kummer mirror exp(z) * sum |z|**n /
+    (alpha (alpha+1) ... (alpha+n)) is summed instead."""
+    y, terms, t = abs(z), [], 1.0
+    for n in range(int(y) + 200):
+        if z >= 0:
+            terms.append(t / (n + alpha))
+            t *= y / (n + 1)
+        else:
+            t /= alpha + n
+            terms.append(t)
+            t *= y
+    return math.fsum(terms) * (1.0 if z >= 0 else math.exp(z))
+
+
+_STRESS_A, _STRESS_B = -0.5, 3.5
+_STRESS_LAMBDAS = (-60.0, -8.0, 3.0, 25.0, 60.0)
+_STRESS_ALPHAS = (0.05, 0.3, 0.8, 1.5, 2.5, 4.0, 10.0)
+
+
+def _stress_case(lam, alpha, endpoint):
+    """integrate_singular of exp(lam*x) on the stress interval, and the
+    closed form: with s the distance from the singular end c, the integral
+    is exp(lam*c) * L**alpha * _positive_series(+-lam*L, alpha)."""
+    length = _STRESS_B - _STRESS_A
+    c, z = ((_STRESS_A, lam) if endpoint is Endpoint.LEFT
+            else (_STRESS_B, -lam))
+    exact = (math.exp(lam * c) * length ** alpha
+             * _positive_series(z * length, alpha))
+    res = integrate_singular(lambda x: np.exp(lam * x),
+                             Interval(_STRESS_A, _STRESS_B), alpha, endpoint,
+                             OPERATOR_QUAD)
+    return res, exact
+
+
+@pytest.mark.parametrize("endpoint", list(Endpoint))
+@pytest.mark.parametrize("alpha", _STRESS_ALPHAS)
+@pytest.mark.parametrize("lam", _STRESS_LAMBDAS)
+def test_adaptive_fallback_stress_grid(lam, alpha, endpoint):
+    res, exact = _stress_case(lam, alpha, endpoint)
+    assert res.converged
+    assert res.subdivisions_used <= 16
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert abs(res.value - exact) <= max(res.error_estimate, 1e-12 * exact)
+
+
+def test_stress_grid_reaches_the_adaptive_fallback():
+    # 42 of the 70 cases: the grid tests the fallback, not the fixed rule
+    fallbacks = sum(_stress_case(lam, alpha, endpoint)[0].subdivisions_used > 0
+                    for lam in _STRESS_LAMBDAS for alpha in _STRESS_ALPHAS
+                    for endpoint in Endpoint)
+    assert fallbacks >= 40
+
+
+@pytest.mark.parametrize("endpoint", list(Endpoint))
+def test_alpha_one_fallback_is_the_plain_loop(endpoint):
+    # weight 1: the same Gauss-Kronrod loop as integrate, bit for bit
+    g = lambda x: np.exp(80.0 * x)
+    res = integrate_singular(g, Interval(0.0, 1.0), 1.0, endpoint)
+    plain = integrate(g, Interval(0.0, 1.0))
+    assert res.subdivisions_used > 0
+    assert res == plain
+
+
+def test_fallback_bisects_a_kink_beside_the_end_panel():
+    # the kink at 0.5 rejects the fixed rule; after one bisection the end
+    # panel [0, 0.5] holds a polynomial, which its Gauss-Jacobi pair
+    # integrates exactly against s**(alpha-1)
+    g = lambda x: np.abs(x - 0.5) + x ** 3
+    for alpha in (0.3, 2.5):
+        res = integrate_singular(g, Interval(0.0, 1.0), alpha, Endpoint.LEFT,
+                                 TIGHT)
+        # int_0^1 |x - 1/2| x^(alpha-1) + x^(alpha+2)
+        half = 0.5 ** alpha
+        exact = (2 * half * 0.5 / (alpha * (alpha + 1)) - 0.5 / alpha
+                 + 1.0 / (alpha + 1) + 1.0 / (alpha + 3))
+        assert res.subdivisions_used > 0 and res.converged
+        assert res.value == pytest.approx(exact, rel=1e-11)
