@@ -75,6 +75,14 @@ class CampaignConfig:
         for name in _LIST_KEYS:
             if not all(map(math.isfinite, getattr(self, name) or ())):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in _RANGE_KEYS:
+            bounds = tuple(getattr(self, name))
+            if len(bounds) != 2 or bounds[0] > bounds[1]:
+                raise ValueError(f"{name} must be two numbers low,high with "
+                                 f"low <= high, got {bounds}")
+        if self.length_range[0] <= 0:
+            raise ValueError("length_range entries must be > 0, got "
+                             f"{tuple(self.length_range)}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be csv or json")
 
@@ -335,11 +343,19 @@ def write_report(report: CampaignReport, path: str) -> None:
 # ---------------------------------------------------------------------------
 # config files: flat key=value, comma-separated lists, '#' comments
 
-_LIST_KEYS = ("alphas", "p_list", "pl_range", "length_range", "center_range")
+_RANGE_KEYS = ("pl_range", "length_range", "center_range")
+_LIST_KEYS = ("alphas", "p_list") + _RANGE_KEYS
 _INT_KEYS = {"seed", "n_instances", "workers"}
 _FLOAT_KEYS = {"tol"}
 _BOOL_KEYS = {"printed_probe"}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _number(kind, text: str, lineno: int, key: str):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"config line {lineno}: {key}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -352,11 +368,12 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: expected key=value")
         key, value = (s.strip() for s in stripped.split("=", 1))
         if key in _LIST_KEYS:
-            out[key] = tuple(float(v) for v in value.split(",") if v.strip())
+            out[key] = tuple(_number(float, v, lineno, key)
+                             for v in value.split(",") if v.strip())
         elif key in _INT_KEYS:
-            out[key] = int(value)
+            out[key] = _number(int, value, lineno, key)
         elif key in _FLOAT_KEYS:
-            out[key] = float(value)
+            out[key] = _number(float, value, lineno, key)
         elif key in _BOOL_KEYS:
             if value.lower() not in _TRUE + _FALSE:
                 raise ValueError(f"config line {lineno}: {key} must be "

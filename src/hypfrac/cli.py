@@ -48,8 +48,8 @@ _USAGE_ERROR = 2
 _VIOLATED = 3
 _IO_ERROR = 4
 
-# classify's grid bound: the chord test costs O(n**3) time and O(n**2) memory,
-# about 2 s and 65 MB of arrays at the upper bound
+# classify's grid bound: every test costs at most O(n**2) time and memory,
+# about 0.15 s and 55 MB of arrays (the gradient test's) at the upper bound
 _GRID_N_RANGE = (3, 1001)
 
 

@@ -38,6 +38,9 @@ from .quadrature import QuadConfig, integrate_cells
 DEFAULT_GRID_N = 101
 DEFAULT_TOL = 1e-9
 
+# elements per block of chord starts in check_chord: bounds its temporaries
+_CHORD_BLOCK = 1 << 14
+
 _PHI_QUAD = QuadConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
 
 
@@ -134,11 +137,26 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     With D[r, c] = x_c - x_r, E = expm1(-2p*D) and X = exp(-p*D) every sinh
     ratio factors into pairwise tables, e.g. sinh(p*(x_j-x_k))/sinh(p*(x_j-x_i))
     = X[i, k]*E[k, j]/E[i, j], which stays finite for any p > 0; p == 0 has
-    the same form with E = D and X = 1.  The tables are built once and the
-    triples are streamed one chord start i at a time over the upper triangle
-    k < j, so memory is O(n**2) and each triple costs arithmetic only.  The
-    per-start maxima are reduced in order, so ties resolve to the first
-    triple in (i, k, j) order.
+    the same form with E = D and X = 1.
+
+    The worst chord at each (i, k) is found without visiting every j.
+    {cosh(px), sinh(px)} is a Chebyshev system: in the coordinates
+    (E[i, c], f_c*X[i, c]) every chord from x_i is a straight line, so
+
+        H = (f_i + E[i, k]*s[i, j]) / X[i, k],  s[i, j] = (f_j*X[i, j] - f_i)/E[i, j],
+
+    and for fixed (i, k) the excess f_k - H is monotone in the slope
+    s[i, j].  The selection key X[i, j]*(f_i*X[i, j] - f_j)/|E[i, j]| equals
+    s - f_i for p > 0 and -s for p == 0, so the excess rises with it in both
+    cases, and it carries no cancellation against f_i.  A suffix arg-max
+    and a suffix arg-min of the key along each row (smallest j on ties) give
+    the j of the largest and of the smallest excess for every k at once:
+    O(n**2) time.  H is then evaluated at those triples from the tables as
+    above, never through the slope, which would lose about
+    exp(p*(x_k-x_i))*eps.  Chord starts are taken in blocks of rows, so the
+    temporaries stay small beside the n x n tables.  Maxima are reduced in
+    row-major (i, k) order, so ties resolve to the first triple in (i, k, j)
+    order.
     """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
@@ -147,43 +165,52 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     fv = _value_callable(f)(xs)
     n = grid_n
     D = xs[None, :] - xs[:, None]
-    # (k, j) pairs with k < j in row-major order: those with k > i are the
-    # suffix starting at starts[i + 1]
-    kk, jj = np.triu_indices(n, 1)
-    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-    top = np.empty(n - 2)
-    top_k = np.empty(n - 2, dtype=np.intp)
-    low = np.empty(n - 2)
-    low_k = np.empty(n - 2, dtype=np.intp)
-    # the unused lower triangles of E and X may overflow
+    cols = np.arange(n)
+    tops, top_k, lows, low_k = [], [], [], []
+    # the unused lower triangles of E and X may overflow and the key
+    # divides by E's zero diagonal; neither reaches a used entry
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p == 0.0:
             E, X = D, np.ones_like(D)
         else:
-            E, X = np.expm1(-2.0 * p * D), np.exp(-p * D)
-        fX = fv[:, None] * X  # f_i * X[i, k]
-        E_kj = E[kk, jj]
-        XF_kj = X[kk, jj] * fv[jj]  # X[k, j] * f_j
-        f_k = fv[kk]
-        for i in range(n - 2):
-            s = starts[i + 1]
-            k, j = kk[s:], jj[s:]
-            E_i = E[i]
-            H = fX[i].take(k)
-            H *= E_kj[s:]
-            term = E_i.take(k)
-            term *= XF_kj[s:]
-            H += term
-            H /= E_i.take(j)
-            excess = np.subtract(f_k[s:], H, out=H)  # > 0 violates convexity
-            at = int(excess.argmax())
-            top[i], top_k[i] = excess[at], k[at]
-            at = int(excess.argmin())
-            low[i], low_k[i] = excess[at], k[at]
+            X = np.multiply(-p, D)
+            np.exp(X, out=X)
+            D *= -2.0 * p
+            E = np.expm1(D, out=D)
+        XF = X * fv  # X[k, j] * f_j
+        step = max(1, _CHORD_BLOCK // n)
+        for r0 in range(0, n - 2, step):
+            r1 = min(r0 + step, n - 2)
+            i = cols[r0:r1, None]
+            k = cols[r0 + 1:n - 1]  # j runs over cols[r0 + 1:], one ahead
+            Xb = X[r0:r1, r0 + 1:]
+            # the excess at every x_k inside (x_i, x_j) rises with key[i, j]
+            key = Xb * (fv[i] * Xb - fv[r0 + 1:]) / np.abs(E[r0:r1, r0 + 1:])
+            fX_ik = fv[i] * X[r0:r1, r0 + 1:n - 1]
+            E_ik = E[r0:r1, r0 + 1:n - 1]
+            outside = k <= i
+            for extreme, pick, sink, vals, wits in (
+                    (np.maximum, np.argmax, -np.inf, tops, top_k),
+                    (np.minimum, np.argmin, np.inf, lows, low_k)):
+                # the extreme of each suffix of a row sits at the nearest
+                # column, at or after the suffix start, that attains it
+                run = extreme.accumulate(key[:, ::-1], axis=1)[:, ::-1]
+                first = np.where(key == run, cols[r0 + 1:], n - 1)
+                # for each k, the suffix j > k
+                j = np.minimum.accumulate(first[:, ::-1], axis=1)[:, -2::-1]
+                kj = k * n + j
+                H = fX_ik * E.take(kj)
+                H += E_ik * XF.take(kj)
+                H /= E.take(i * n + j)
+                excess = np.subtract(fv[k], H, out=H)  # > 0 violates convexity
+                excess[outside] = sink
+                at = int(pick(excess))
+                vals.append(excess.flat[at])
+                wits.append(k[at % len(k)])
     scale = 1.0 + float(np.max(np.abs(fv)))
-    i1 = int(np.argmax(top))
-    i2 = int(np.argmin(low))
-    return _settle(float(top[i1]) / scale, -float(low[i2]) / scale, tol,
+    i1 = int(np.argmax(tops))
+    i2 = int(np.argmin(lows))
+    return _settle(float(tops[i1]) / scale, -float(lows[i2]) / scale, tol,
                    xs[top_k[i1]], xs[low_k[i2]], Method.CHORD)
 
 

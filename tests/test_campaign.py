@@ -299,3 +299,28 @@ def test_config_text_booleans():
 def test_config_rejects_non_finite_entries(name, values):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         CampaignConfig(**{name: values})
+
+
+@pytest.mark.parametrize("name,values,message", [
+    ("pl_range", (5.0,), "pl_range must be two numbers low,high"),
+    ("pl_range", (5.0, 0.05), "pl_range must be two numbers low,high"),
+    ("center_range", (-1.0, 0.0, 1.0), "center_range must be two numbers"),
+    ("center_range", (1.0, -1.0), "center_range must be two numbers"),
+    ("length_range", (4.0, 0.2), "length_range must be two numbers"),
+    ("length_range", (-2.0, -1.0), r"length_range entries must be > 0"),
+    ("length_range", (0.0, 1.0), r"length_range entries must be > 0"),
+])
+def test_config_rejects_malformed_ranges(name, values, message):
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig(**{name: values})
+
+
+@pytest.mark.parametrize("line,message", [
+    ("seed = abc", "config line 2: seed: invalid literal for int"),
+    ("workers = 1.5", "config line 2: workers: invalid literal for int"),
+    ("tol = x", "config line 2: tol: could not convert string to float: 'x'"),
+    ("alphas = 0.5,y", "config line 2: alphas: could not convert string"),
+])
+def test_config_text_number_errors_name_the_line(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(f"n_instances = 1\n{line}\n")

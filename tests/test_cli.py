@@ -397,6 +397,11 @@ def test_campaign_config_file_bad_tol_exits_2(tmp_path, capsys, tol):
     ("p_list = inf", "p_list must be finite"),
     ("alphas = inf", "alphas must be finite"),
     ("center_range = nan,1", "center_range must be finite"),
+    ("pl_range = 5", "pl_range must be two numbers low,high"),
+    ("pl_range = 5,0.05", "pl_range must be two numbers low,high"),
+    ("length_range = -2,-1", "length_range entries must be > 0"),
+    ("seed = abc", "config line 3: seed: invalid literal"),
+    ("tol = x", "config line 3: tol: could not convert"),
 ])
 def test_campaign_config_file_bad_entry_exits_2(tmp_path, capsys, line,
                                                 message):

@@ -102,12 +102,22 @@ def test_neither_agrees_across_methods():
     assert methods_agree(reports)
 
 
+class _GridValues:
+    """A function known only through exact values at the grid nodes."""
+
+    def __init__(self, nodes, values):
+        self.nodes, self.values = nodes, values
+
+    def value(self, x):
+        return np.interp(x, self.nodes, self.values)
+
+
 def _brute_chord(f, I, p, n):
     """Independent triple-loop chord excesses: (largest excess, its x_k,
     largest deficit, its x_k), normalized like check_chord; ties go to the
     first triple in (i, k, j) order."""
     xs = I.grid(n)
-    fv = f.eval(xs)
+    fv = f.value(xs) if isinstance(f, _GridValues) else f.eval(xs)
     over = under = -math.inf
     x_over = x_under = None
     for i in range(n):
@@ -136,7 +146,15 @@ CHORD_CASES = [
     (build_exp(2.0), I01, 1.0),
     # large-amplitude boundary member 3*cosh(5*(x+1)), amplitude ~ 1e4
     (scaled(3.0, cosh_centered(5.0, -1.0)), I01, 5.0),
+    # p*L = 300: chords from x_0 reach x_k through exp(-300*x_k), so the
+    # slope form (f_i + E_ik*s_ij)/X_ik of H would lose exp(300*x_k)*eps
+    (add(cosh_centered(2.0, 0.0), constant(-2.0)), I01, 300.0),
 ]
+_RNG = np.random.default_rng(2026)
+# random node values, NEITHER on all but the coarsest grids
+CHORD_CASES += [(_GridValues(I.grid(m), _RNG.normal(size=m)), I, p)
+                for I in (I01, Interval(-1.5, 0.5))
+                for p in (0.0, 0.4, 2.0, 10.0) for m in (5, 21)]
 
 
 def test_chord_tensor_matches_brute_force():
@@ -160,16 +178,6 @@ def test_chord_tensor_matches_brute_force():
             assert r.worst_violation == pytest.approx(worst, rel=1e-12, abs=1e-14), case
             if worst > 1e-12:  # below that the witness is a round-off tie
                 assert r.witness_x == witness, case
-
-
-class _GridValues:
-    """A function known only through exact values at the grid nodes."""
-
-    def __init__(self, nodes, values):
-        self.nodes, self.values = nodes, values
-
-    def value(self, x):
-        return np.interp(x, self.nodes, self.values)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -205,6 +213,21 @@ def test_chord_memory_is_quadratic_in_grid():
         tracemalloc.stop()
     # three (401, 401, 401) float tensors would take 1.5 GB
     assert peak < 32 * 2**20
+
+
+def test_chord_memory_at_the_largest_cli_grid():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        r = check_chord(build_power(3.0), Interval(-1.0, 1.0), 0.0, grid_n=1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.verdict is Verdict.NEITHER
+    # three 1001 x 1001 float tables take 24 MB; the block temporaries
+    # stay near 2 MB
+    assert peak < 40 * 2**20
 
 
 def test_worst_violation_nonnegative_and_small_when_convex():
