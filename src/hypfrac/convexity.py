@@ -172,7 +172,7 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p == 0.0:
             E, X = D, np.ones_like(D)
-        else:
+        else:  # in place, so that only E, X and XF are n x n
             X = np.multiply(-p, D)
             np.exp(X, out=X)
             D *= -2.0 * p

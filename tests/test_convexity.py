@@ -146,12 +146,12 @@ CHORD_CASES = [
     (build_exp(2.0), I01, 1.0),
     # large-amplitude boundary member 3*cosh(5*(x+1)), amplitude ~ 1e4
     (scaled(3.0, cosh_centered(5.0, -1.0)), I01, 5.0),
-    # p*L = 300: chords from x_0 reach x_k through exp(-300*x_k), so the
-    # slope form (f_i + E_ik*s_ij)/X_ik of H would lose exp(300*x_k)*eps
+    # p*L = 300, NEITHER: the slope form H = (f_i + E_ik*s_ij)/X_ik would
+    # lose about exp(300*(x_k - x_i))*eps here
     (add(cosh_centered(2.0, 0.0), constant(-2.0)), I01, 300.0),
 ]
 _RNG = np.random.default_rng(2026)
-# random node values, NEITHER on all but the coarsest grids
+# random node values: NEITHER on most grids of four or more points
 CHORD_CASES += [(_GridValues(I.grid(m), _RNG.normal(size=m)), I, p)
                 for I in (I01, Interval(-1.5, 0.5))
                 for p in (0.0, 0.4, 2.0, 10.0) for m in (5, 21)]
