@@ -9,7 +9,8 @@ writes two artifacts:
   across runs with the same config, independent of worker count;
 * a summary report (JSON) with per-theorem pass counts, the most negative
   slack seen with its full instance parameters, the printed-constant probe
-  results for D4/D5, wall time and a config echo.
+  results for D4/D5, wall time and a config echo.  Rows with an inf or nan
+  value count apart (``nonfinite``), never as violations or worst slacks.
 
 Fractional orders >= 1 apply to the Riemann-Liouville family only.  The
 probe rows re-evaluate D4/D5 with the as-printed right-hand constant
@@ -95,6 +96,7 @@ class CampaignReport:
     config: dict
     n_rows: int
     violations: int
+    nonfinite: int                       # rows with an inf or nan value
     per_theorem: dict
     printed_constant_probe: dict
     wall_time_s: float
@@ -168,7 +170,11 @@ def _resolve_workers(cfg: CampaignConfig) -> int:
     base = min(cfg.workers or cpus, cpus, cfg.n_instances)
     cap_env = os.environ.get("HYPFRAC_THREADS", "").strip()
     if cap_env:
-        base = min(base, max(1, int(cap_env)))
+        try:
+            base = min(base, max(1, int(cap_env)))
+        except ValueError:
+            raise ValueError("HYPFRAC_THREADS must be an integer, got "
+                             f"{cap_env!r}") from None
     return max(1, base)
 
 
@@ -192,33 +198,37 @@ def run_campaign(cfg: CampaignConfig):
 
     per_theorem = {}
     probe = {}
-    violations = 0
     for r in rows:
         tid = r["theorem_id"]
         is_probe = tid.endswith("_printed")
-        slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
-        worst = min(slacks)
-        bucket = probe.setdefault(tid.split("_")[0], {
-            "instances": 0, "violations": 0, "worst_slack": None,
-        }) if is_probe else None
         if is_probe:
-            bucket["instances"] += 1
-            if not r["holds"]:
-                bucket["violations"] += 1
-            if bucket["worst_slack"] is None or worst < bucket["worst_slack"]:
-                bucket["worst_slack"] = worst
-            continue
-        entry = per_theorem.setdefault(tid, {
-            "pass": 0, "fail": 0, "worst_slack": None, "worst_params": None,
-        })
-        if r["holds"]:
-            entry["pass"] += 1
+            entry = probe.setdefault(tid.split("_")[0], {
+                "instances": 0, "violations": 0, "nonfinite": 0,
+                "worst_slack": None,
+            })
+            entry["instances"] += 1
         else:
-            entry["fail"] += 1
-            violations += 1
+            entry = per_theorem.setdefault(tid, {
+                "pass": 0, "fail": 0, "nonfinite": 0, "worst_slack": None,
+                "worst_params": None,
+            })
+        slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
+        # a value that overflowed a double (mid shows in its slack) is no
+        # verdict either way, and a nan never compares below the worst slack
+        if not all(map(math.isfinite, [r["lhs"], r["rhs"], *slacks])):
+            entry["nonfinite"] += 1
+            continue
+        if is_probe:
+            entry["violations"] += not r["holds"]
+        else:
+            entry["pass" if r["holds"] else "fail"] += 1
+        worst = min(slacks)
         if entry["worst_slack"] is None or worst < entry["worst_slack"]:
             entry["worst_slack"] = worst
-            entry["worst_params"] = dict(r)
+            if not is_probe:
+                entry["worst_params"] = dict(r)
+    violations = sum(entry["fail"] for entry in per_theorem.values())
+    nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())
 
     wall = time.perf_counter() - start
     config_echo = asdict(cfg)
@@ -231,6 +241,7 @@ def run_campaign(cfg: CampaignConfig):
         config=config_echo,
         n_rows=len(rows),
         violations=violations,
+        nonfinite=nonfinite,
         per_theorem=per_theorem,
         printed_constant_probe=probe,
         wall_time_s=wall,

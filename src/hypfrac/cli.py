@@ -49,7 +49,7 @@ _VIOLATED = 3
 _IO_ERROR = 4
 
 # classify's grid bound: every test costs at most O(n**2) time and memory,
-# about 0.15 s and 55 MB of arrays (the gradient test's) at the upper bound
+# about 0.15 s and 25 MB of arrays (the chord test's tables) at the upper bound
 _GRID_N_RANGE = (3, 1001)
 
 
@@ -269,9 +269,11 @@ def _cmd_campaign(args) -> int:
     write_rows(rows, cfg.rows_path, cfg.output_format)
     write_report(report, cfg.report_path)
     print(f"campaign: {cfg.n_instances} instances, {report.n_rows} verdicts, "
-          f"{report.violations} violations, {report.wall_time_s:.1f}s")
+          f"{report.violations} violations, {report.nonfinite} non-finite, "
+          f"{report.wall_time_s:.1f}s")
     for tid, entry in report.per_theorem.items():
         print(f"  {tid:10s} pass {entry['pass']:6d}  fail {entry['fail']:4d}  "
+              f"non-finite {entry['nonfinite']:4d}  "
               f"worst slack {_fmt(entry['worst_slack'])}")
     for tid, entry in report.printed_constant_probe.items():
         print(f"  probe {tid} (as-printed constant): "
@@ -279,7 +281,12 @@ def _cmd_campaign(args) -> int:
               f"worst slack {_fmt(entry['worst_slack'])}")
     print(f"rows -> {cfg.rows_path}")
     print(f"report -> {cfg.report_path}")
-    return 0 if report.violations == 0 else _VIOLATED
+    if report.violations:
+        return _VIOLATED
+    if report.nonfinite:  # exits 2, as verify does on the same values
+        raise ValueError(f"non-finite values in {report.nonfinite} verdicts: "
+                         "values overflow a double on this input")
+    return 0
 
 
 def _cmd_limits(args) -> int:

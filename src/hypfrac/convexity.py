@@ -38,8 +38,8 @@ from .quadrature import QuadConfig, integrate_cells
 DEFAULT_GRID_N = 101
 DEFAULT_TOL = 1e-9
 
-# elements per block of chord starts in check_chord: bounds its temporaries
-_CHORD_BLOCK = 1 << 14
+# elements per block of grid rows in check_chord and check_gradient
+_ROW_BLOCK = 1 << 14
 
 _PHI_QUAD = QuadConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -178,7 +178,7 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
             D *= -2.0 * p
             E = np.expm1(D, out=D)
         XF = X * fv  # X[k, j] * f_j
-        step = max(1, _CHORD_BLOCK // n)
+        step = max(1, _ROW_BLOCK // n)
         for r0 in range(0, n - 2, step):
             r1 = min(r0 + step, n - 2)
             i = cols[r0:r1, None]
@@ -234,28 +234,38 @@ def check_second_order(f, interval: Interval, p: float,
 def check_gradient(f, interval: Interval, p: float,
                    grid_n: int = DEFAULT_GRID_N,
                    tol: float = DEFAULT_TOL) -> ConvexityReport:
-    """Hyperbolic tangent-line test over all ordered grid pairs (x, y)."""
+    """Hyperbolic tangent-line test over all ordered grid pairs (x, y).
+
+    Tangent points x run in blocks of rows and only row extremes are kept,
+    so memory is O(n) beside one block; ties and nans go to the first row."""
     p = abs(float(p))
     xs = interval.grid(grid_n)
     val, d1, _ = _c2_callables(f)
     fv = val(xs)
     dv = d1(xs)
-    delta = xs[None, :] - xs[:, None]  # y - x with x down rows
-    if p == 0.0:
-        support = fv[:, None] + dv[:, None] * delta
-        mag = np.abs(fv[:, None]) + np.abs(dv[:, None] * delta)
-    else:
-        ch = np.cosh(p * delta)
-        sh = np.sinh(p * delta) / p
-        support = fv[:, None] * ch + dv[:, None] * sh
-        mag = np.abs(fv[:, None]) * ch + np.abs(dv[:, None] * sh)
-    g = support - fv[None, :]  # > 0 violates convexity
-    scale = 1.0 + float(np.max(mag))
-    conv_v = float(np.max(g)) / scale
-    conc_v = float(np.max(-g)) / scale
-    iv = np.unravel_index(np.argmax(g), g.shape)
-    ic = np.unravel_index(np.argmax(-g), g.shape)
-    return _settle(conv_v, conc_v, tol, xs[iv[0]], xs[ic[0]], Method.GRADIENT)
+    n = xs.size
+    top, low, big = np.empty(n), np.empty(n), np.empty(n)  # of g, -g, mag
+    step = max(1, _ROW_BLOCK // n)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        delta = xs[None, :] - xs[rows, None]  # y - x with x down rows
+        if p == 0.0:
+            support = fv[rows, None] + dv[rows, None] * delta
+            mag = np.abs(fv[rows, None]) + np.abs(dv[rows, None] * delta)
+        else:
+            ch = np.cosh(p * delta)
+            sh = np.sinh(p * delta) / p
+            support = fv[rows, None] * ch + dv[rows, None] * sh
+            mag = np.abs(fv[rows, None]) * ch + np.abs(dv[rows, None] * sh)
+        g = support - fv[None, :]  # > 0 violates convexity
+        top[rows] = g.max(axis=1)
+        low[rows] = np.negative(g, out=g).max(axis=1)
+        big[rows] = mag.max(axis=1)
+    scale = 1.0 + float(np.max(big))
+    iv = int(np.argmax(top))
+    ic = int(np.argmax(low))
+    return _settle(float(top[iv]) / scale, float(low[ic]) / scale, tol,
+                   xs[iv], xs[ic], Method.GRADIENT)
 
 
 def check_phi_monotone(f, interval: Interval, p: float,

@@ -1,4 +1,5 @@
-"""Fractional integral operators on finite intervals.
+"""Fractional integral operators on finite intervals, and the kernel table
+behind every fractional integral of the package.
 
 Two families:
 
@@ -7,6 +8,12 @@ Two families:
   order ``alpha > 0``; singular at the evaluation point for ``alpha < 1``.
 * ``exp`` - bounded exponential kernel
   ``exp(-(1-alpha)/alpha * distance) / alpha``, order ``alpha`` in (0, 1).
+
+The module owns the kernel table: :func:`kernel_parts` alone writes a
+kernel down, as endpoint-weight integrals with an optional kernel factor
+and the norm they are divided by.  The operators, the two-sided
+:func:`kernel_moment` and the moment bank of the inequalities all read it;
+:func:`kernel_mass` is the closed form of the moment of 1.
 
 The closed forms used as test oracles: for ``f(s) = (s-a)**k`` the left
 Riemann-Liouville integral at ``t`` is
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Interval
-from .quadrature import Endpoint, QuadConfig, QuadResult, integrate, integrate_singular
+from .quadrature import Endpoint, QuadConfig, QuadResult, integrate_singular
 
 # Operators feed inequality slacks checked at 1e-8, so they run much tighter
 # than the general-purpose quadrature defaults.
@@ -54,75 +61,93 @@ class FracParams:
             raise ValueError("alpha must be in (0, 1) for family exp")
 
 
-_ZERO = QuadResult(0.0, 0.0, 0)
+def kernel_parts(kernel: FracParams | None, interval: Interval,
+                 side: Side | None = None):
+    """The operator of ``kernel`` on [a, b] as fixed-weight integrals, and
+    its norm: a tuple of (alpha of the endpoint weight, endpoint, kernel
+    factor or None) whose integrals of g times the factor add up to the
+    operator of g times ``norm``.
+
+    ``side`` LEFT is the left operator at b, RIGHT the right operator at a,
+    and None the symmetric two-sided kernel, their sum; for EXP that stays
+    one integral of the summed factor, so that a moment bank needs one dot
+    product per node set.  ``kernel=None`` is K = 1 (norm 1)."""
+    if kernel is None:
+        return ((1.0, Endpoint.LEFT, None),), 1.0
+    alpha = kernel.alpha
+    if kernel.family is Family.RL:
+        parts = ()
+        if side is not Side.LEFT:  # (x-a)**(alpha-1): the right operator at a
+            parts += ((alpha, Endpoint.LEFT, None),)
+        if side is not Side.RIGHT:  # (b-x)**(alpha-1): the left operator at b
+            parts += ((alpha, Endpoint.RIGHT, None),)
+        return parts, math.gamma(alpha)
+    a, b = interval.a, interval.b
+    lam = (1.0 - alpha) / alpha
+    if side is Side.LEFT:
+        factor = lambda x: np.exp(-lam * (b - x))
+    elif side is Side.RIGHT:
+        factor = lambda x: np.exp(-lam * (x - a))
+    else:
+        factor = lambda x: np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))
+    return ((1.0, Endpoint.LEFT, factor),), alpha
 
 
-def fractional_integral(
-    f,
-    interval: Interval,
-    params: FracParams,
-    side: Side,
-    t: float,
-    cfg: QuadConfig = OPERATOR_QUAD,
-) -> QuadResult:
+def _integrate_parts(g, interval: Interval, parts, norm: float) -> QuadResult:
+    """The integrals of g over the parts of :func:`kernel_parts`, summed
+    and divided by the norm."""
+    res = [integrate_singular(g if k is None else (lambda x, k=k: g(x) * k(x)),
+                              interval, weight_alpha, endpoint, OPERATOR_QUAD)
+           for weight_alpha, endpoint, k in parts]
+    value = sum([r.value for r in res[1:]], res[0].value)
+    return QuadResult(value / norm, sum(r.error_estimate for r in res) / norm,
+                      sum(r.subdivisions_used for r in res),
+                      all(r.converged for r in res))
+
+
+def fractional_integral(f, interval: Interval, params: FracParams, side: Side,
+                        t: float) -> QuadResult:
     """Evaluate one of the four operators at the point ``t``."""
     a, b = interval.a, interval.b
     if not a <= t <= b:
         raise ValueError(f"evaluation point {t} outside [{a}, {b}]")
-    alpha = params.alpha
-    if params.family is Family.RL:
-        if side is Side.LEFT:
-            if t == a:
-                raise ValueError("left operator needs t > a")
-            res = integrate_singular(f, Interval(a, t), alpha, Endpoint.RIGHT, cfg)
-        else:
-            if t == b:
-                raise ValueError("right operator needs t < b")
-            res = integrate_singular(f, Interval(t, b), alpha, Endpoint.LEFT, cfg)
-        scale = 1.0 / math.gamma(alpha)
-    else:
-        lam = (1.0 - alpha) / alpha
-        if side is Side.LEFT:
-            if t == a:
-                return _ZERO
-            kernel = lambda s: np.exp(-lam * (t - s)) * np.asarray(f(s))
-            res = integrate(kernel, Interval(a, t), cfg)
-        else:
-            if t == b:
-                return _ZERO
-            kernel = lambda s: np.exp(-lam * (s - t)) * np.asarray(f(s))
-            res = integrate(kernel, Interval(t, b), cfg)
-        scale = 1.0 / alpha
-    return QuadResult(
-        scale * res.value,
-        scale * res.error_estimate,
-        res.subdivisions_used,
-        res.converged,
-    )
+    if t == (a if side is Side.LEFT else b):
+        if params.family is Family.RL:
+            raise ValueError("left operator needs t > a" if side is Side.LEFT
+                             else "right operator needs t < b")
+        return QuadResult(0.0, 0.0, 0)  # a bounded kernel on an empty interval
+    sub = Interval(a, t) if side is Side.LEFT else Interval(t, b)
+    return _integrate_parts(f, sub, *kernel_parts(params, sub, side))
 
 
-def rl_left(f, interval: Interval, alpha: float, t: float,
-            cfg: QuadConfig = OPERATOR_QUAD) -> float:
+def kernel_moment(g, interval: Interval, family: Family | None, alpha) -> float:
+    """integral of g(x) * K(x) over [a, b] for the symmetric two-sided kernel
+    K of the family: 1 for ``family=None``, ((b-x)**(alpha-1) +
+    (x-a)**(alpha-1)) / Gamma(alpha) for RL, (exp(-lam*(b-x)) +
+    exp(-lam*(x-a))) / alpha with lam = (1-alpha)/alpha for EXP.  This is
+    the left operator of g at b plus the right operator at a."""
+    kernel = None if family is None else FracParams(alpha, family)
+    return _integrate_parts(g, interval, *kernel_parts(kernel, interval)).value
+
+
+def rl_left(f, interval: Interval, alpha: float, t: float) -> float:
     return fractional_integral(f, interval, FracParams(alpha, Family.RL),
-                               Side.LEFT, t, cfg).value
+                               Side.LEFT, t).value
 
 
-def rl_right(f, interval: Interval, alpha: float, t: float,
-             cfg: QuadConfig = OPERATOR_QUAD) -> float:
+def rl_right(f, interval: Interval, alpha: float, t: float) -> float:
     return fractional_integral(f, interval, FracParams(alpha, Family.RL),
-                               Side.RIGHT, t, cfg).value
+                               Side.RIGHT, t).value
 
 
-def exp_left(f, interval: Interval, alpha: float, t: float,
-             cfg: QuadConfig = OPERATOR_QUAD) -> float:
+def exp_left(f, interval: Interval, alpha: float, t: float) -> float:
     return fractional_integral(f, interval, FracParams(alpha, Family.EXP),
-                               Side.LEFT, t, cfg).value
+                               Side.LEFT, t).value
 
 
-def exp_right(f, interval: Interval, alpha: float, t: float,
-              cfg: QuadConfig = OPERATOR_QUAD) -> float:
+def exp_right(f, interval: Interval, alpha: float, t: float) -> float:
     return fractional_integral(f, interval, FracParams(alpha, Family.EXP),
-                               Side.RIGHT, t, cfg).value
+                               Side.RIGHT, t).value
 
 
 def rl_monomial_left(k: int, a: float, alpha: float, t: float) -> float:
@@ -134,3 +159,21 @@ def exp_unit_left(a: float, alpha: float, t: float) -> float:
     """Closed form of the left exponential-kernel integral of f == 1."""
     rho = (1.0 - alpha) * (t - a) / alpha
     return -math.expm1(-rho) / (1.0 - alpha)
+
+
+def kernel_mass(interval: Interval, family: Family | None, alpha) -> float:
+    """Closed form of the kernel moment of g == 1 (:func:`kernel_moment`),
+    the p -> 0 value of the unit-weight cosh moment."""
+    if family is None:
+        return interval.length
+    if family is Family.RL:
+        return 2.0 * interval.length ** alpha / math.gamma(alpha + 1.0)
+    return 2.0 * exp_unit_left(interval.a, alpha, interval.b)
+
+
+def exp_flat_limit_alternative(interval: Interval, alpha: float) -> float:
+    """The alternative closed form 2*exp(-rho)/(1-alpha) sometimes quoted for
+    the EXP kernel mass; it does not match the computed integral and is
+    surfaced only for comparison."""
+    rho = (1.0 - alpha) * interval.length / alpha
+    return 2.0 * math.exp(-rho) / (1.0 - alpha)

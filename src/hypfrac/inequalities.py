@@ -20,9 +20,9 @@ D4 .. D9    fractional hyperbolic analogues (RL and exponential kernels,
 One inequality
 --------------
 Every integral is a kernel moment ``integral of g * K over [a, b]``
-(:func:`kernel_moment`): K = 1 for the plain theorems, and for the
-fractional ones the two-sided kernel, so that the moment is the left
-operator at b plus the right operator at a.  As the paper says, every
+(:func:`hypfrac.fractional.kernel_moment`): K = 1 for the plain theorems,
+and for the fractional ones the two-sided kernel, so that the moment is the
+left operator at b plus the right operator at a.  As the paper says, every
 theorem is the Hermite-Hadamard-Fejer inequality for a p-hyperbolic convex
 u, read off one row of ``_REQUIRES`` (hyperbolic, weighted, family of K,
 has_mid).  With M the moment, m the midpoint and L = b - a, the sandwich
@@ -39,9 +39,11 @@ mass M(1).  The three rows without a MID (D3, D8, D9) are the tilt bound
 
 where D8 and D9 admit an asymmetric v on request.
 
-Each moment is one or two fixed-weight integrals (:func:`_kernel_parts`):
-the plain and EXP moments one Gauss-Legendre integral (EXP with its kernel
-as a factor of g), the RL moments one Gauss-Jacobi integral at each end.
+The kernels, their norms and masses live in :mod:`hypfrac.fractional`,
+whose :func:`~hypfrac.fractional.kernel_parts` writes each moment as one or
+two fixed-weight integrals: the plain and EXP moments one Gauss-Legendre
+integral (EXP with its kernel as a factor of g), the RL moments one
+Gauss-Jacobi integral at each end, all at ``OPERATOR_QUAD``.
 A :class:`TheoremEvaluator` shares one interval among all its moments, so
 it keeps a moment bank: on the first request for a node set it evaluates
 only the columns that moment needs (u, v, cosh(p(x-m)), sinh(p(x-m)),
@@ -68,15 +70,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import FuncExpr, Interval, as_callable
-from .fractional import OPERATOR_QUAD, Family, FracParams
-from .grammar import to_grammar
-from .quadrature import (
-    Endpoint,
-    QuadConfig,
-    fixed_rule_nodes,
-    fixed_rule_result,
-    integrate_singular,
+from .fractional import (
+    OPERATOR_QUAD,
+    Family,
+    FracParams,
+    exp_flat_limit_alternative,
+    kernel_mass,
+    kernel_moment,
+    kernel_parts,
 )
+from .grammar import to_grammar
+from .quadrature import fixed_rule_nodes, fixed_rule_result
 
 DEFAULT_SLACK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -202,81 +206,22 @@ def unit_weight() -> WeightSpec:
 # ---------------------------------------------------------------------------
 # kernel moments
 
-def _kernel_parts(interval: Interval, family: Family | None, alpha):
-    """The kernel moment as fixed-weight integrals: a tuple of (alpha of the
-    endpoint weight, endpoint, kernel factor or None) whose integrals of g
-    times the factor add up to the moment times ``norm``, and ``norm``."""
-    if family is None:
-        return ((1.0, Endpoint.LEFT, None),), 1.0
-    FracParams(alpha, family)  # range check with the family's message
-    if family is Family.RL:
-        return ((alpha, Endpoint.LEFT, None),
-                (alpha, Endpoint.RIGHT, None)), math.gamma(alpha)
-    a, b = interval.a, interval.b
-    lam = (1.0 - alpha) / alpha
-    kernel = lambda x: np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))
-    return ((1.0, Endpoint.LEFT, kernel),), alpha
-
-
-def _normalised(values, norm: float) -> float:
-    return sum(values[1:], values[0]) / norm
-
-
-def kernel_moment(g, interval: Interval, family: Family | None, alpha,
-                  cfg: QuadConfig = OPERATOR_QUAD) -> float:
-    """integral of g(x) * K(x) over [a, b] for the symmetric two-sided kernel
-    K of the family: 1 for ``family=None``, ((b-x)**(alpha-1) +
-    (x-a)**(alpha-1)) / Gamma(alpha) for RL, (exp(-lam*(b-x)) +
-    exp(-lam*(x-a))) / alpha with lam = (1-alpha)/alpha for EXP.  This is
-    the left operator of g at b plus the right operator at a."""
-    parts, norm = _kernel_parts(interval, family, alpha)
-    values = []
-    for weight_alpha, endpoint, kernel in parts:
-        gk = g if kernel is None else (lambda x, k=kernel: g(x) * k(x))
-        values.append(integrate_singular(gk, interval, weight_alpha, endpoint,
-                                         cfg).value)
-    return _normalised(values, norm)
-
-
-def rl_flat_limit_constant(interval: Interval, alpha: float) -> float:
-    """p -> 0 value of the unit-weight RL cosh moment: 2*(b-a)**alpha/Gamma(alpha+1)."""
-    return 2.0 * interval.length ** alpha / math.gamma(alpha + 1.0)
-
-
-def exp_flat_limit_constant(interval: Interval, alpha: float) -> float:
-    """p -> 0 value of the unit-weight exponential cosh moment:
-    2*(1 - exp(-rho))/(1 - alpha) with rho = (1-alpha)*(b-a)/alpha."""
-    rho = (1.0 - alpha) * interval.length / alpha
-    return 2.0 * -math.expm1(-rho) / (1.0 - alpha)
-
-
-def kernel_mass(interval: Interval, family: Family | None, alpha) -> float:
-    """Closed form of the kernel moment of g == 1."""
-    if family is None:
-        return interval.length
-    if family is Family.RL:
-        return rl_flat_limit_constant(interval, alpha)
-    return exp_flat_limit_constant(interval, alpha)
-
-
 def kernel_cosh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float,
-                       family: Family = Family.RL,
-                       cfg: QuadConfig = OPERATOR_QUAD) -> float:
+                       family: Family = Family.RL) -> float:
     """integral of cosh(p*(x - midpoint)) * kernel(x) * v(x) over [a, b],
     where kernel is the symmetric two-sided fractional kernel of the family."""
     m, vf = interval.mid, as_callable(v.v)
     return kernel_moment(lambda x: np.cosh(p * (x - m)) * vf(x), interval,
-                         family, alpha, cfg)
+                         family, alpha)
 
 
 def kernel_sinh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float,
-                       family: Family = Family.RL,
-                       cfg: QuadConfig = OPERATOR_QUAD) -> float:
+                       family: Family = Family.RL) -> float:
     """Same as kernel_cosh_moment with sinh in place of cosh; vanishes for
     symmetric v because the integrand is odd about the midpoint."""
     m, vf = interval.mid, as_callable(v.v)
     return kernel_moment(lambda x: np.sinh(p * (x - m)) * vf(x), interval,
-                         family, alpha, cfg)
+                         family, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +266,7 @@ class TheoremEvaluator:
 
     def __init__(self, u, interval: Interval, p: float | None = None,
                  weight: WeightSpec | None = None, tol: float = DEFAULT_SLACK_TOL,
-                 quad: QuadConfig = OPERATOR_QUAD, allow_asymmetric: bool = False,
-                 check_weight: bool = True):
+                 allow_asymmetric: bool = False):
         self.u = u
         self.uf = as_callable(u)
         self.interval = interval
@@ -330,9 +274,8 @@ class TheoremEvaluator:
         self.weight = weight
         self.vf = as_callable(weight.v) if weight is not None else None
         self.tol = tol
-        self.quad = quad
         self.allow_asymmetric = allow_asymmetric
-        self._weight_checked = not check_weight
+        self._weight_checked = False
         self._cache: dict = {}
         self._bank: dict = {}
 
@@ -367,19 +310,21 @@ class TheoremEvaluator:
         once per evaluator.  A moment whose fixed rule is rejected is
         recomputed alone by :func:`kernel_moment`, so no value depends on
         which other moments were requested."""
-        parts, norm = _kernel_parts(self.interval, family, alpha)
+        kernel = None if family is None else FracParams(alpha, family)
+        parts, norm = kernel_parts(kernel, self.interval)
         values = []
-        for weight_alpha, endpoint, kernel in parts:
+        for weight_alpha, endpoint, factor in parts:
             bank = self._node_set(weight_alpha, endpoint)
             ys = self._column(bank, which)
-            if kernel is not None:
-                ys = ys * self._column(bank, (family, alpha), kernel)
-            fixed = fixed_rule_result(ys, self.interval, weight_alpha, self.quad)
+            if factor is not None:
+                ys = ys * self._column(bank, (family, alpha), factor)
+            fixed = fixed_rule_result(ys, self.interval, weight_alpha,
+                                      OPERATOR_QUAD)
             if fixed is None:
                 return kernel_moment(self._integrand(which), self.interval,
-                                     family, alpha, self.quad)
+                                     family, alpha)
             values.append(fixed.value)
-        return _normalised(values, norm)
+        return sum(values[1:], values[0]) / norm
 
     def _node_set(self, weight_alpha, endpoint) -> dict:
         """The bank's columns on the fixed-rule nodes of one endpoint weight,
@@ -496,10 +441,9 @@ class TheoremEvaluator:
 def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = None,
                  alpha: float | None = None, p: float | None = None,
                  tol: float = DEFAULT_SLACK_TOL, strict_printed: bool = False,
-                 allow_asymmetric: bool = False,
-                 quad: QuadConfig = OPERATOR_QUAD) -> InequalityVerdict:
+                 allow_asymmetric: bool = False) -> InequalityVerdict:
     """One-shot evaluation of a single inequality."""
-    ev = TheoremEvaluator(u, interval, p=p, weight=v, tol=tol, quad=quad,
+    ev = TheoremEvaluator(u, interval, p=p, weight=v, tol=tol,
                           allow_asymmetric=allow_asymmetric)
     return ev.evaluate(TheoremId(theorem_id), alpha=alpha,
                        strict_printed=strict_printed)
@@ -507,14 +451,6 @@ def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = No
 
 # ---------------------------------------------------------------------------
 # limit sweeps
-
-def exp_flat_limit_alternative(interval: Interval, alpha: float) -> float:
-    """The alternative closed form 2*exp(-rho)/(1-alpha) sometimes quoted for
-    the same limit; it does not match the computed integral and is surfaced
-    only for comparison."""
-    rho = (1.0 - alpha) * interval.length / alpha
-    return 2.0 * math.exp(-rho) / (1.0 - alpha)
-
 
 # the documented limits; the two rows give the swept axis and the scale
 _LIMIT_PAIRINGS = (
@@ -568,8 +504,7 @@ class LimitSweepResult:
 def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
                 weight: WeightSpec | None = None,
                 alphas=(0.5,), ps=(1e-2, 1e-4, 1e-6),
-                tol: float = DEFAULT_SLACK_TOL,
-                quad: QuadConfig = OPERATOR_QUAD) -> LimitSweepResult:
+                tol: float = DEFAULT_SLACK_TOL) -> LimitSweepResult:
     """Evaluate a theorem along its documented limit toward a baseline and
     report componentwise gaps.
 
@@ -594,8 +529,8 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     # plain theorem, where both kernels are the constant 2
     axis = "p" if base_row.family is row.family else "alpha"
 
-    evs = {p: TheoremEvaluator(u, interval, p=p, weight=weight, tol=tol,
-                               quad=quad) for p in ps}
+    evs = {p: TheoremEvaluator(u, interval, p=p, weight=weight, tol=tol)
+           for p in ps}
     # (baseline, scale, the (p, alpha) points that approach it)
     groups, notes = [], []
     if axis == "alpha":

@@ -241,15 +241,6 @@ def fixed_rule_result(ys, interval: Interval, alpha: float, cfg: QuadConfig):
     return None
 
 
-def _fixed_rule(g, interval: Interval, alpha: float, endpoint: Endpoint,
-                cfg: QuadConfig):
-    """The fixed-rule value of g times the endpoint weight
-    ``(x-a)**(alpha-1)`` (LEFT) or ``(b-x)**(alpha-1)`` (RIGHT), or None."""
-    xs = fixed_rule_nodes(interval.a, interval.b, alpha, endpoint)
-    return fixed_rule_result(np.asarray(g(xs), dtype=float), interval, alpha,
-                             cfg)
-
-
 def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     """Integrals of f over the cells [edges[k], edges[k+1]], as an array.
 
@@ -271,17 +262,15 @@ def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
 
 
 def integrate(f, interval: Interval, cfg: QuadConfig = DEFAULT_QUAD) -> QuadResult:
-    """Integrate a vectorized callable over [a, b].
+    """Integrate a vectorized callable over [a, b]: the weight-1 case
+    (``alpha == 1``) of :func:`integrate_singular`.
 
     A fixed Gauss-Legendre pair is tried first; when it is not accepted the
     adaptive integrator runs.  The result is flagged ``converged=False`` when
     the subdivision budget ran out before the error budget was met; the best
     value found is still returned.
     """
-    fixed = _fixed_rule(f, interval, 1.0, Endpoint.LEFT, cfg)
-    if fixed is not None:
-        return fixed
-    return _integrate_adaptive(f, interval, cfg)
+    return integrate_singular(f, interval, 1.0, Endpoint.LEFT, cfg)
 
 
 def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig,
@@ -350,12 +339,13 @@ def integrate_singular(
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    fixed = _fixed_rule(g, interval, alpha, endpoint, cfg)
+    a, b = interval.a, interval.b
+    xs = fixed_rule_nodes(a, b, alpha, endpoint)
+    fixed = fixed_rule_result(np.asarray(g(xs), dtype=float), interval, alpha, cfg)
     if fixed is not None:
         return fixed
     if alpha == 1.0:
         return _integrate_adaptive(g, interval, cfg)
-    a, b = interval.a, interval.b
     at = (lambda s: a + s) if endpoint is Endpoint.LEFT else (lambda s: b - s)
 
     def end_panel(h):

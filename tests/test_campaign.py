@@ -239,6 +239,47 @@ def test_hypfrac_threads_env_caps_workers(monkeypatch):
     assert _resolve_workers(CampaignConfig(workers=1)) == 1
 
 
+# overflow-prone ranges: some instances have inf or nan sides
+EDGE = CampaignConfig(seed=7, n_instances=12, alphas=(0.5,), pl_range=(5.0, 80.0),
+                      length_range=(0.01, 12.0), center_range=(-40.0, 40.0),
+                      workers=1)
+
+
+def test_non_finite_rows_are_counted_apart_from_violations():
+    with np.errstate(all="ignore"):
+        report, rows = run_campaign(EDGE)
+    bad = [r for r in rows if not all(
+        math.isfinite(v) for v in (r["lhs"], r["mid"], r["rhs"], r["slack_left"],
+                                   r["slack_right"]) if v is not None)]
+    plain = [r for r in bad if not r["theorem_id"].endswith("_printed")]
+    assert len(plain) == report.nonfinite == 15 and len(bad) == 17
+    # no finite row fails
+    assert report.violations == 0
+    for tid, entry in report.per_theorem.items():
+        n_tid = sum(r["theorem_id"] == tid for r in rows)
+        assert entry["pass"] + entry["fail"] + entry["nonfinite"] == n_tid
+        assert entry["nonfinite"] == sum(r["theorem_id"] == tid for r in bad)
+        assert math.isfinite(entry["worst_slack"])
+    for entry in report.printed_constant_probe.values():
+        assert entry["nonfinite"] == 1 and math.isfinite(entry["worst_slack"])
+    assert json.loads(report_to_json(report))["nonfinite"] == 15
+
+
+def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
+    import hypfrac.campaign as campaign
+
+    def rows(cfg, index):  # mid overflowed; lhs and rhs are finite
+        mid = math.inf if index else 2.0
+        return [{"theorem_id": "D2", "instance_index": index, "alpha": None,
+                 "lhs": 1.0, "mid": mid, "rhs": 3.0, "slack_left": mid - 1.0,
+                 "slack_right": 3.0 - mid, "holds": 3.0 - mid >= 0}]
+
+    monkeypatch.setattr(campaign, "instance_rows", rows)
+    report, _ = run_campaign(CampaignConfig(n_instances=2, workers=1))
+    assert (report.violations, report.nonfinite) == (0, 1)
+    assert report.per_theorem["D2"]["worst_slack"] == 1.0
+
+
 def test_workers_capped_by_instances_and_cpus(monkeypatch):
     # only the pool size is computed: no pool is started
     from hypfrac.campaign import _resolve_workers

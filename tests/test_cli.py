@@ -155,6 +155,30 @@ def test_campaign_with_violations_exits_3(tmp_path, capsys):
     assert "violations" in out
 
 
+def test_campaign_with_non_finite_rows_exits_2(tmp_path, capsys):
+    # no finite row fails on these ranges; 15 rows overflow a double
+    cfgfile = tmp_path / "edge.cfg"
+    cfgfile.write_text(
+        "seed = 7\nn_instances = 12\nalphas = 0.5\npl_range = 5,80\n"
+        "length_range = 0.01,12\ncenter_range = -40,40\nworkers = 1\n"
+        f"rows_path = {tmp_path / 'r.csv'}\n"
+        f"report_path = {tmp_path / 'rep.json'}\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfgfile))
+    assert code == 2
+    assert "0 violations, 15 non-finite" in out
+    assert err.startswith("error: non-finite values in 15 verdicts")
+    assert json.loads((tmp_path / "rep.json").read_text())["nonfinite"] == 15
+
+
+def test_bad_hypfrac_threads_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HYPFRAC_THREADS", "two")
+    code, _, err = run_cli(capsys, "campaign", "--n", "1",
+                           "--rows", str(tmp_path / "r.csv"),
+                           "--report", str(tmp_path / "rep.json"))
+    assert code == 2
+    assert "HYPFRAC_THREADS" in err and "'two'" in err
+
+
 def test_campaign_io_error_exits_4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "campaign", "--seed", "3", "--n", "1",
                            "--alphas", "0.5", "--rows",

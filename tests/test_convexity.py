@@ -6,6 +6,7 @@ import pytest
 from hypfrac.convexity import (
     Method,
     Verdict,
+    _settle,
     check_all,
     check_chord,
     check_gradient,
@@ -25,6 +26,7 @@ from hypfrac.expressions import (
     build_power,
     constant,
     cosh_centered,
+    deriv,
     scaled,
 )
 
@@ -228,6 +230,50 @@ def test_chord_memory_at_the_largest_cli_grid():
     # three 1001 x 1001 float tables take 24 MB; the block temporaries
     # stay near 2 MB
     assert peak < 40 * 2**20
+
+
+def _whole_table_gradient(f, I, p, n):
+    """check_gradient's violations and witnesses (convex side, then
+    concave) from the whole n x n table at once: the reference for its
+    row blocks."""
+    xs = I.grid(n)
+    fv, dv = f.eval(xs), deriv(f).eval(xs)
+    delta = xs[None, :] - xs[:, None]
+    ch = np.cosh(p * delta) if p else np.ones_like(delta)
+    sh = np.sinh(p * delta) / p if p else delta
+    g = fv[:, None] * ch + dv[:, None] * sh - fv[None, :]
+    scale = 1.0 + float(np.max(np.abs(fv[:, None]) * ch + np.abs(dv[:, None] * sh)))
+    conv, conc = float(np.max(g)) / scale, float(np.max(-g)) / scale
+    return conv, conc, xs[np.argmax(g) // n], xs[np.argmax(-g) // n]
+
+
+@pytest.mark.parametrize("f, I, p", CHORD_CASES[:7] + [
+    (cosh_centered(2.0, 0.0), I01, 1000.0),  # overflows: nan reports
+    (constant(1.0), I01, 0.0),  # g == 0: every pair ties
+])
+def test_gradient_blocks_match_the_whole_table(f, I, p):
+    with np.errstate(all="ignore"):
+        for n in (5, 401):  # one block of rows, and eleven
+            conv, conc, x_conv, x_conc = _whole_table_gradient(f, I, p, n)
+            want = _settle(conv, conc, 1e-9, x_conv, x_conc, Method.GRADIENT)
+            # repr: nan reports compare equal too
+            assert repr(check_gradient(f, I, p, grid_n=n, tol=1e-9)) == repr(want)
+
+
+def test_gradient_memory_below_the_chord_test():
+    import tracemalloc
+
+    f, I = build_exp(2.0), I01
+    peaks = []
+    for check in (check_gradient, check_chord):
+        tracemalloc.start()
+        try:
+            check(f, I, 1.0, grid_n=1001)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the whole table was six 1001 x 1001 arrays, 53.5 MiB
+    assert peaks[0] <= peaks[1]
 
 
 def test_worst_violation_nonnegative_and_small_when_convex():

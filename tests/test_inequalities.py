@@ -17,7 +17,10 @@ from hypfrac.fractional import (
     Family,
     FracParams,
     Side,
+    exp_flat_limit_alternative,
     fractional_integral,
+    kernel_mass,
+    kernel_moment,
 )
 from hypfrac.generators import (
     GenConfig,
@@ -34,14 +37,9 @@ from hypfrac.inequalities import (
     TheoremId,
     WeightSpec,
     eval_theorem,
-    exp_flat_limit_alternative,
-    exp_flat_limit_constant,
     kernel_cosh_moment,
-    kernel_mass,
-    kernel_moment,
     kernel_sinh_moment,
     limit_sweep,
-    rl_flat_limit_constant,
     unit_weight,
 )
 
@@ -175,18 +173,18 @@ def test_cosh_moment_rl_alpha_one():
 def test_cosh_moment_rl_small_p_limit():
     got = kernel_cosh_moment(unit_weight(), I01, 0.5, 1e-8, Family.RL)
     assert got == pytest.approx(4.0 / math.sqrt(math.pi), rel=1e-10)
-    assert rl_flat_limit_constant(I01, 0.5) == pytest.approx(
+    assert kernel_mass(I01, Family.RL, 0.5) == pytest.approx(
         4.0 / math.sqrt(math.pi), rel=1e-15)
 
 
 def test_cosh_moment_exp_p_zero():
     got = kernel_cosh_moment(unit_weight(), I01, 0.5, 0.0, Family.EXP)
     assert got == pytest.approx(4.0 * (1.0 - math.exp(-1.0)), rel=1e-11)
-    assert exp_flat_limit_constant(I01, 0.5) == pytest.approx(
+    assert kernel_mass(I01, Family.EXP, 0.5) == pytest.approx(
         4.0 * (1.0 - math.exp(-1.0)), rel=1e-15)
     # the alternative closed form disagrees: surfaced, never used
     assert exp_flat_limit_alternative(I01, 0.5) != pytest.approx(
-        exp_flat_limit_constant(I01, 0.5), rel=1e-3)
+        kernel_mass(I01, Family.EXP, 0.5), rel=1e-3)
 
 
 def test_sinh_moment_vanishes_for_symmetric_weight():
