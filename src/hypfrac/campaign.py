@@ -8,7 +8,8 @@ writes two artifacts:
 * a rows file (CSV by default) with one line per verdict - byte-identical
   across runs with the same config, independent of worker count;
 * a summary report (JSON) with per-theorem pass counts, the most negative
-  slack seen with its full instance parameters, the printed-constant probe
+  slack seen with its full instance parameters, the most negative slack
+  relative to max(1, |rhs|) (what ``holds`` tests), the printed-constant probe
   results for D4/D5, wall time and a config echo.  Rows with an inf or nan
   value count apart (``nonfinite``), never as violations or worst slacks.
 
@@ -20,9 +21,11 @@ sech(p*(b-a)); they are reported but never counted as campaign violations.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,14 +35,14 @@ from . import __version__
 from .expressions import Interval
 from .fractional import Family
 from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
-from .grammar import to_grammar
 from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId
 
-CSV_COLUMNS = [
-    "theorem_id", "a", "b", "p", "alpha", "lhs", "mid", "rhs",
-    "slack_left", "slack_right", "holds", "fn_descriptor",
-    "weight_descriptor", "seed", "instance_index",
-]
+# a row: its theorem id, the fields fixed per instance and alpha (head), the
+# sides and slacks, holds, and the fields fixed per instance (tail)
+_HEAD = ("a", "b", "p", "alpha")
+_SIDES = ("lhs", "mid", "rhs", "slack_left", "slack_right")
+_TAIL = ("fn_descriptor", "weight_descriptor", "seed", "instance_index")
+CSV_COLUMNS = ["theorem_id", *_HEAD, *_SIDES, "holds", *_TAIL]
 
 _THEOREMS = {family: tuple(t for t in TheoremId if _REQUIRES[t].family is family)
              for family in (None, Family.RL, Family.EXP)}
@@ -105,28 +108,8 @@ class CampaignReport:
         return asdict(self)
 
 
-def _row(tid_str, verdict, seed, index, u_descr, w_descr, alpha):
-    return {
-        "theorem_id": tid_str,
-        "a": verdict.params["a"],
-        "b": verdict.params["b"],
-        "p": verdict.params["p"],
-        "alpha": alpha,
-        "lhs": verdict.lhs,
-        "mid": verdict.mid,
-        "rhs": verdict.rhs,
-        "slack_left": verdict.slack_left,
-        "slack_right": verdict.slack_right,
-        "holds": verdict.holds,
-        "fn_descriptor": u_descr,
-        "weight_descriptor": w_descr,
-        "seed": seed,
-        "instance_index": index,
-    }
-
-
-def instance_rows(cfg: CampaignConfig, index: int) -> list:
-    """All verdict rows for one seeded instance (pure in (cfg, index))."""
+def _draw(cfg: CampaignConfig, index: int):
+    """The seeded instance (u, interval, p, weight) of a campaign index."""
     rng = rng_for(cfg.seed, index)
     length = rng.uniform(*cfg.length_range)
     center = rng.uniform(*cfg.center_range)
@@ -138,13 +121,26 @@ def instance_rows(cfg: CampaignConfig, index: int) -> list:
     gencfg = GenConfig(seed=cfg.seed)
     u = gen_p_convex(gencfg, p, interval, rng=rng)
     w = gen_symmetric_weight(gencfg, interval, rng=rng)
-    u_descr = to_grammar(u)
-    w_descr = to_grammar(w.v)
-    ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
+    return u, interval, p, w
 
-    return [_row(name, ev.evaluate(tid, alpha=alpha, strict_printed=printed),
-                 cfg.seed, index, u_descr, w_descr, alpha)
-            for tid, name, alpha, printed in _plan(cfg)]
+
+def instance_rows(cfg: CampaignConfig, index: int) -> list:
+    """All verdict rows for one seeded instance (pure in (cfg, index)),
+    from the columns of one :meth:`TheoremEvaluator.evaluate_plan`."""
+    u, interval, p, w = _draw(cfg, index)
+    ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
+    u_descr, w_descr = ev.descriptors()
+    plan = _plan(cfg)
+    cols = ev.evaluate_plan([(tid, alpha, printed)
+                             for tid, _, alpha, printed in plan])
+    a, b, p, seed = interval.a, interval.b, ev.p, cfg.seed
+    return [{"theorem_id": name, "a": a, "b": b, "p": p, "alpha": alpha,
+             "lhs": lhs, "mid": mid, "rhs": rhs, "slack_left": slack_left,
+             "slack_right": slack_right, "holds": holds,
+             "fn_descriptor": u_descr, "weight_descriptor": w_descr,
+             "seed": seed, "instance_index": index}
+            for (_, name, alpha, _), lhs, mid, rhs, slack_left, slack_right,
+            holds in zip(plan, *cols)]
 
 
 def _plan(cfg: CampaignConfig) -> list:
@@ -202,16 +198,20 @@ def run_campaign(cfg: CampaignConfig):
         tid = r["theorem_id"]
         is_probe = tid.endswith("_printed")
         if is_probe:
-            entry = probe.setdefault(tid.split("_")[0], {
-                "instances": 0, "violations": 0, "nonfinite": 0,
-                "worst_slack": None,
-            })
+            entry = probe.get(tid.split("_")[0])
+            if entry is None:
+                entry = probe[tid.split("_")[0]] = {
+                    "instances": 0, "violations": 0, "nonfinite": 0,
+                    "worst_slack": None, "worst_rel_slack": None,
+                }
             entry["instances"] += 1
         else:
-            entry = per_theorem.setdefault(tid, {
-                "pass": 0, "fail": 0, "nonfinite": 0, "worst_slack": None,
-                "worst_params": None,
-            })
+            entry = per_theorem.get(tid)
+            if entry is None:
+                entry = per_theorem[tid] = {
+                    "pass": 0, "fail": 0, "nonfinite": 0, "worst_slack": None,
+                    "worst_rel_slack": None, "worst_params": None,
+                }
         slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
         # a value that overflowed a double (mid shows in its slack) is no
         # verdict either way, and a nan never compares below the worst slack
@@ -227,6 +227,10 @@ def run_campaign(cfg: CampaignConfig):
             entry["worst_slack"] = worst
             if not is_probe:
                 entry["worst_params"] = dict(r)
+        # what holds tests against -tol
+        rel = worst / max(1.0, abs(r["rhs"]))
+        if entry["worst_rel_slack"] is None or rel < entry["worst_rel_slack"]:
+            entry["worst_rel_slack"] = rel
     violations = sum(entry["fail"] for entry in per_theorem.values())
     nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())
 
@@ -283,10 +287,74 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()
 
 
+def _row_texts(fmt, gap):
+    """The function that gives the texts of a row's theorem id, head,
+    sides, holds and tail (see ``CSV_COLUMNS``) for a writer whose values
+    are ``fmt(v)`` and where ``gap(key)`` precedes every key of a group but
+    its first.
+
+    Head and tail are formatted once per distinct values, keyed with their
+    types (1 == 1.0 == True); values holding a float zero are formatted
+    every time (0.0 == -0.0).  Sides that are floats or None go through one
+    %-template per pattern of the two: %r for a float (``repr`` is
+    ``float.__repr__``), and for None its text and %.0s, which prints none
+    of its argument.  Sides holding a nan or an inf are formatted by fmt
+    instead (JSON spells them NaN and Infinity).
+    """
+    fields = operator.itemgetter(*_HEAD, *_TAIL)
+    sides_of = operator.itemgetter(*_SIDES)
+    n_head = len(_HEAD)
+    gaps = {keys: [gap(k) for k in keys[1:]] for keys in (_HEAD, _SIDES, _TAIL)}
+    instances, templates, ids = {}, {}, {}
+
+    def joined(keys, values):
+        return fmt(values[0]) + "".join(
+            [g + fmt(v) for g, v in zip(gaps[keys], values[1:])])
+
+    def template(kinds):
+        if not set(kinds) <= {float, type(None)}:
+            return None
+        form = "".join(
+            g.replace("%", "%%")
+            + ("%r" if kind is float else fmt(None).replace("%", "%%") + "%.0s")
+            for g, kind in zip([""] + gaps[_SIDES], kinds))
+        # a non-finite float is found by its text: the rest must not hold it
+        return None if "nan" in form or "inf" in form else form
+
+    def texts(r):
+        values = fields(r)
+        key = values + tuple(map(type, values))
+        head_tail = instances.get(key)
+        if head_tail is None:
+            head_tail = (joined(_HEAD, values[:n_head]),
+                         joined(_TAIL, values[n_head:]))
+            if not any(v == 0 and type(v) is float for v in values):
+                instances[key] = head_tail
+        sides = sides_of(r)
+        kinds = tuple(map(type, sides))
+        form = templates.get(kinds, False)
+        if form is False:
+            form = templates[kinds] = template(kinds)
+        text = None if form is None else form % sides
+        if text is None or "nan" in text or "inf" in text:
+            text = joined(_SIDES, sides)
+        tid, holds = r["theorem_id"], r["holds"]
+        tid_text = ids.get(tid)
+        if tid_text is None:
+            tid_text = fmt(tid)
+            if type(tid) is str:
+                ids[tid] = tid_text
+        return (tid_text, head_tail[0], text,
+                "true" if holds is True else "false" if holds is False
+                else fmt(holds), head_tail[1])
+
+    return texts
+
+
 def rows_to_csv(rows) -> str:
-    fields = {}
+    texts = _row_texts(functools.partial(_cell, fields={}), lambda k: ",")
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join([_cell(r[c], fields) for c in CSV_COLUMNS]) for r in rows]
+    lines += ["%s,%s,%s,%s,%s" % texts(r) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -316,21 +384,27 @@ def _json_value(v, strings: dict) -> str:
 def rows_to_json(rows) -> str:
     """``json.dumps(rows, indent=2) + "\\n"`` for flat row dicts, written
     directly: ``indent`` makes ``json`` fall back to its pure-Python
-    encoder.  Each distinct key sequence becomes one %-template."""
-    strings = {}
+    encoder.  Each distinct key sequence becomes one %-template; rows with
+    the keys of ``CSV_COLUMNS``, in order, fill theirs from ``_row_texts``."""
+    value = functools.partial(_json_value, strings={})
+    texts = _row_texts(value, lambda k: ",\n    " + value(k) + ": ")
+    campaign = tuple(CSV_COLUMNS)
     layouts = {}
     objects = []
     for r in rows:
         keys = tuple(r)
         layout = layouts.get(keys)
         if layout is None:
-            items = [_json_value(k, strings).replace("%", "%%") + ": %s"
-                     for k in keys]
+            shown = keys  # the keys ahead of the %s slots
+            if keys == campaign:  # the five texts of _row_texts
+                shown = ("theorem_id", _HEAD[0], _SIDES[0], "holds", _TAIL[0])
+            items = [(value(k) + ": ").replace("%", "%%") + "%s" for k in shown]
             layout = layouts[keys] = (
                 "  {\n    " + ",\n    ".join(items) + "\n  }" if items
-                else "  {}")
-        objects.append(layout % tuple([_json_value(v, strings)
-                                       for v in r.values()]))
+                else "  {}", keys == campaign)
+        template, is_campaign = layout
+        objects.append(template % (texts(r) if is_campaign else
+                                   tuple([value(v) for v in r.values()])))
     if not objects:
         return "[]\n"
     return "[\n" + ",\n".join(objects) + "\n]\n"

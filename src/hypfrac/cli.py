@@ -274,11 +274,13 @@ def _cmd_campaign(args) -> int:
     for tid, entry in report.per_theorem.items():
         print(f"  {tid:10s} pass {entry['pass']:6d}  fail {entry['fail']:4d}  "
               f"non-finite {entry['nonfinite']:4d}  "
-              f"worst slack {_fmt(entry['worst_slack'])}")
+              f"worst slack {_fmt(entry['worst_slack'])} "
+              f"(relative {_fmt(entry['worst_rel_slack'])})")
     for tid, entry in report.printed_constant_probe.items():
         print(f"  probe {tid} (as-printed constant): "
               f"{entry['violations']}/{entry['instances']} violations, "
-              f"worst slack {_fmt(entry['worst_slack'])}")
+              f"worst slack {_fmt(entry['worst_slack'])} "
+              f"(relative {_fmt(entry['worst_rel_slack'])})")
     print(f"rows -> {cfg.rows_path}")
     print(f"report -> {cfg.report_path}")
     if report.violations:

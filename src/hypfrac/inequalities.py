@@ -44,13 +44,26 @@ whose :func:`~hypfrac.fractional.kernel_parts` writes each moment as one or
 two fixed-weight integrals: the plain and EXP moments one Gauss-Legendre
 integral (EXP with its kernel as a factor of g), the RL moments one
 Gauss-Jacobi integral at each end, all at ``OPERATOR_QUAD``.
-A :class:`TheoremEvaluator` shares one interval among all its moments, so
-it keeps a moment bank: on the first request for a node set it evaluates
-only the columns that moment needs (u, v, cosh(p(x-m)), sinh(p(x-m)),
-x-m, the EXP kernel) and caches them; every moment is then a product of
-columns and the n/2n-point dot products of the fixed rule.  A moment whose
-fixed rule is rejected is recomputed alone by :func:`kernel_moment`, so its
-value never depends on which other moments were asked for.
+
+One stacked pass
+----------------
+:meth:`TheoremEvaluator.evaluate_plan` evaluates a plan of rows (theorem,
+alpha, strict_printed) at once, and :meth:`~TheoremEvaluator.evaluate` is
+its one-row case.  A layout built once per plan lists the plan's moments,
+the node sets of their fixed-weight parts and, per row, which moments it
+reads.  u, v, cosh(p(x-m)), sinh(p(x-m)) and x-m are each evaluated once on
+all the node sets the plan needs, stacked; the products and EXP kernel
+factors are formed on that stack, and every part is one row of it.  Each
+row's two sums are 1-D ``dot`` products, one per rule: one 2-D ``dot``
+over the stack (BLAS gemv) moves some sums by an ulp, and then a moment
+would depend on which other moments share its batch.  The acceptance test
+of the fixed rule runs on all rows at once, and a moment it rejects is
+recomputed alone by :func:`kernel_moment`.  The sides, slacks and verdicts
+are then one loop over the rows in Python floats, in the operation order of
+the formulas above, so every row equals, bit for bit, the same row
+evaluated alone (numpy's fixed cost per operation would exceed the loop for
+a campaign's 53 rows, and be most of a one-row ``verify``).  A verdict with
+a nan slack does not hold.
 
 Two printed-formula corrections are applied throughout (both forced by the
 equality case u = cosh(p*(x-m)) being tight): ``cosh^-1``/``sinh^-1``
@@ -62,6 +75,7 @@ behind ``strict_printed=True`` for comparison runs.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -80,7 +94,7 @@ from .fractional import (
     kernel_parts,
 )
 from .grammar import to_grammar
-from .quadrature import fixed_rule_nodes, fixed_rule_result
+from .quadrature import fixed_rule_nodes, fixed_rule_values
 
 DEFAULT_SLACK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -245,24 +259,149 @@ class InequalityVerdict:
         return (self.lhs, self.mid, self.rhs)
 
 
-def _make_verdict(tid, lhs, mid, rhs, tol, params) -> InequalityVerdict:
-    scale = max(1.0, abs(rhs))
-    if mid is None:
-        slack_left = None
-        slack_right = rhs - lhs
-        holds = slack_right >= -tol * scale
-    else:
-        slack_left = mid - lhs
-        slack_right = rhs - mid
-        holds = min(slack_left, slack_right) >= -tol * scale
-    return InequalityVerdict(tid, lhs, mid, rhs, slack_left, slack_right,
-                             holds, tol, params)
+class VerdictColumns(NamedTuple):
+    """The verdicts of a plan as lists, one entry per row; a row without a
+    MID has None for ``mid`` and ``slack_left``.  ``holds`` is false when a
+    slack is nan."""
+
+    lhs: list
+    mid: list
+    rhs: list
+    slack_left: list
+    slack_right: list
+    holds: list
+
+
+class _Moments(NamedTuple):
+    """The moments of a batch and the fixed-rule integrals (columns) that
+    make them up, built once per batch by :func:`_moment_layout`."""
+
+    keys: tuple            # the moments, as (integrand, family, alpha)
+    sets: tuple            # node sets, as (alpha of the endpoint weight, endpoint)
+    bases: tuple           # integrands evaluated on every node set
+    products: tuple        # integrands formed as products of two bases
+    names: tuple           # the integrands of the columns
+    factors: tuple         # (family, alpha, node set) of kernels with a factor
+    column_name: np.ndarray    # per column: index into names
+    column_set: np.ndarray     # per column: index into sets
+    factored: slice        # the columns times a kernel factor (the last)
+    factor_of: np.ndarray  # and the index of that factor
+    runs: tuple            # (weight alpha, first column, end) of column runs
+    first: np.ndarray      # per moment: its first column
+    second: np.ndarray     # the moments with two columns (RL)
+    second_column: np.ndarray  # and their second column
+    norms: np.ndarray      # per moment: the kernel norm
+
+
+class _Plan(NamedTuple):
+    """A plan's moments and, per row, where its factors sit in the table of
+    :meth:`TheoremEvaluator.evaluate_plan`, built once per plan by
+    :func:`_plan_layout`."""
+
+    moments: _Moments
+    masses: tuple          # (family, alpha) of the kernel masses divided out
+    # per row: M(u v) or M(u), mass, C, sech factor (-1: the constant 1.0),
+    # and the tilt moment of a row without a MID (else None)
+    rows: tuple
+    tilt: bool             # whether any row is a tilt bound
+
+
+def _constant(values, dtype=None) -> np.ndarray:
+    """A read-only array: the layouts are cached and shared by every call."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+# kernel_parts' weights, endpoints and norm do not depend on the interval
+# (its EXP factor does): the layouts read them on the unit interval
+_UNIT = Interval(0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_layout(keys: tuple) -> _Moments:
+    """The layout of a batch of moment keys (which, family, alpha): the
+    columns come in runs that share the alpha of their endpoint weight, and
+    so one fixed rule."""
+    sets, factors, columns, parts_of, norms = {}, {}, [], [], []
+    for which, family, alpha in keys:
+        kernel = None if family is None else FracParams(alpha, family)
+        parts, norm = kernel_parts(kernel, _UNIT)
+        parts_of.append(range(len(columns), len(columns) + len(parts)))
+        for weight_alpha, endpoint, factor in parts:
+            at = sets.setdefault((weight_alpha, endpoint), len(sets))
+            if factor is not None:
+                factor = factors.setdefault((family, alpha), (len(factors), at))[0]
+            columns.append((weight_alpha, which, at, factor))
+        norms.append(norm)
+    # the columns with a kernel factor last, and each part by weight alpha
+    order = sorted(range(len(columns)),
+                   key=lambda c: (columns[c][3] is not None, columns[c][0]))
+    where = {c: i for i, c in enumerate(order)}
+    columns = [columns[c] for c in order]
+    names = tuple(dict.fromkeys(col[1] for col in columns))
+    factor_columns = [i for i, col in enumerate(columns) if col[3] is not None]
+    runs = []
+    for i, (weight_alpha, *_) in enumerate(columns):
+        if runs and runs[-1][0] == weight_alpha:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([weight_alpha, i, i + 1])
+    two = [k for k, cols in enumerate(parts_of) if len(cols) == 2]  # RL: both ends
+    return _Moments(
+        keys, tuple(sets),
+        tuple(dict.fromkeys(b for n in names for b in _PRODUCTS.get(n, (n,)))),
+        tuple(n for n in names if n in _PRODUCTS), names,
+        tuple((family, alpha, at) for (family, alpha), (_, at) in factors.items()),
+        _constant([names.index(col[1]) for col in columns], int),
+        _constant([col[2] for col in columns], int),
+        slice(factor_columns[0] if factor_columns else len(columns), None),
+        _constant([columns[i][3] for i in factor_columns], int),
+        tuple(map(tuple, runs)),
+        _constant([where[cols[0]] for cols in parts_of], int),
+        _constant(two, int),
+        _constant([where[parts_of[k][1]] for k in two], int),
+        _constant(norms))
+
+
+@functools.lru_cache(maxsize=256)
+def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
+    """The layout of a validated plan of (theorem, alpha, strict_printed)
+    rows.  It depends on u, v and the interval not at all and on p only
+    through ``p_zero``, so a campaign builds it once."""
+    keys = {}
+    index = lambda key: keys.setdefault(key, len(keys))
+    masses, rows = {}, []
+    for tid, alpha, strict_printed in plan:
+        row = _REQUIRES[TheoremId(tid)]
+        family = row.family
+        alpha = None if family is None else alpha
+        mid = index(("uv" if row.weighted else "u", family, alpha))
+        c, mass, tilt = -1, -1, None
+        if row.hyperbolic:
+            c = index(("cosh_v" if row.weighted else "cosh", family, alpha))
+        elif row.weighted:
+            c = index(("v", family, alpha))
+        else:  # C = M(1) is the kernel mass: divide it out of every side
+            mass = masses.setdefault((family, alpha), len(masses))
+        if not row.has_mid:  # the tilt bound; at p = 0, csch * sinh -> 2/L * (x - m)
+            tilt = index(("xm_v" if p_zero else "sinh_v", family, alpha))
+        rc = 0 if not row.hyperbolic else (
+            2 if strict_printed and row.printed_constant else 1)
+        rows.append((mid, mass, c, rc, tilt))
+    # the table is [moments..., masses..., the three rc, 1.0]
+    n = len(keys)
+    rows = tuple((mid, -1 if mass < 0 else n + mass, c, n + len(masses) + rc,
+                  tilt) for mid, mass, c, rc, tilt in rows)
+    return _Plan(_moment_layout(tuple(keys)), tuple(masses), rows,
+                 any(tilt is not None for *_, tilt in rows))
 
 
 class TheoremEvaluator:
     """Evaluates any of the fifteen inequalities for one (u, v, interval, p)
-    quadruple, memoizing every integral so families of theorems sharing
-    operators (a whole campaign cell) pay for each integral once."""
+    quadruple: a plan of rows in one stacked pass, so that theorems sharing
+    moments (a whole campaign instance) pay for each moment once.  Moments
+    and the integrand values on each layout's node sets are memoized."""
 
     def __init__(self, u, interval: Interval, p: float | None = None,
                  weight: WeightSpec | None = None, tol: float = DEFAULT_SLACK_TOL,
@@ -294,65 +433,59 @@ class TheoremEvaluator:
 
         return self._memo("u_ends", make)
 
-    def _moment(self, which, family: Family | None = None, alpha=None) -> float:
-        """Kernel moment of one integrand: u, v, uv, cosh, or cosh_v, sinh_v
-        and xm_v (cosh(p*(x-m)), sinh(p*(x-m)) and x-m times v)."""
-        key = (which, family, alpha)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = self._bank_moment(which, family, alpha)
-        return value
-
-    def _bank_moment(self, which, family, alpha) -> float:
-        """The moment from the moment bank: each fixed-rule integral of
-        :func:`kernel_moment` is a dot product of the integrand's values on
-        the node set of its endpoint weight, and those values are computed
-        once per evaluator.  A moment whose fixed rule is rejected is
-        recomputed alone by :func:`kernel_moment`, so no value depends on
-        which other moments were requested."""
-        kernel = None if family is None else FracParams(alpha, family)
-        parts, norm = kernel_parts(kernel, self.interval)
-        values = []
-        for weight_alpha, endpoint, factor in parts:
-            bank = self._node_set(weight_alpha, endpoint)
-            ys = self._column(bank, which)
-            if factor is not None:
-                ys = ys * self._column(bank, (family, alpha), factor)
-            fixed = fixed_rule_result(ys, self.interval, weight_alpha,
-                                      OPERATOR_QUAD)
-            if fixed is None:
-                return kernel_moment(self._integrand(which), self.interval,
-                                     family, alpha)
-            values.append(fixed.value)
-        return sum(values[1:], values[0]) / norm
-
-    def _node_set(self, weight_alpha, endpoint) -> dict:
-        """The bank's columns on the fixed-rule nodes of one endpoint weight,
-        by integrand name; the nodes themselves are the column "x"."""
-        key = (weight_alpha, endpoint)
-        bank = self._bank.get(key)
+    def _moment_values(self, layout: _Moments) -> np.ndarray:
+        """The kernel moments of a layout (which is u, v, uv, cosh, or
+        cosh_v, sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times
+        v), in one stacked pass.  The base integrands are evaluated once on
+        the stacked node sets of all the layout's fixed-weight parts
+        (:func:`kernel_parts`) and kept; products are formed on the stack;
+        every part is one row of it, summed by :func:`fixed_rule_values`
+        with the acceptance test applied to all rows at once.  A moment
+        whose fixed rule is rejected is recomputed alone by
+        :func:`kernel_moment`, so no value depends on which other moments
+        were requested.  Values are memoized by moment."""
+        known = [self._cache.get(key) for key in layout.keys]
+        if None not in known:
+            return np.array(known)
+        bank = self._bank.get(layout.sets)
         if bank is None:
-            bank = self._bank[key] = {"x": fixed_rule_nodes(
-                self.interval.a, self.interval.b, weight_alpha, endpoint)}
-        return bank
-
-    def _column(self, bank, name, f=None):
-        """The values on a node set of the integrand ``name`` (or of the
-        callable f, filed under ``name``), computed once; a product is the
-        product of its factors' columns."""
-        col = bank.get(name)
-        if col is None:
-            if name in _PRODUCTS:
+            a, b = self.interval.a, self.interval.b
+            bank = self._bank[layout.sets] = {"x": np.array(
+                [fixed_rule_nodes(a, b, *nodes) for nodes in layout.sets])}
+        x = bank["x"]
+        for name in layout.bases:
+            if name not in bank:
+                bank[name] = np.asarray(self._integrand(name)(x.ravel()),
+                                        dtype=float).reshape(x.shape)
+        for name in layout.products:
+            if name not in bank:
                 first, second = _PRODUCTS[name]
-                col = self._column(bank, first) * self._column(bank, second)
-            else:
-                col = np.asarray((f or self._integrand(name))(bank["x"]),
-                                 dtype=float)
-            bank[name] = col
-        return col
+                bank[name] = bank[first] * bank[second]
+        ys = np.array([bank[name] for name in layout.names])[
+            layout.column_name, layout.column_set]
+        if layout.factors:  # EXP kernels: the factor of their one part
+            factors = []
+            for family, alpha, at in layout.factors:
+                ((_, _, factor),), _ = kernel_parts(FracParams(alpha, family),
+                                                    self.interval)
+                factors.append(factor(x[at]))
+            ys[layout.factored] *= np.array(factors)[layout.factor_of]
+        q, ok = fixed_rule_values(ys, self.interval, layout.runs, OPERATOR_QUAD)
+        values = q[layout.first]
+        good = ok[layout.first]
+        if layout.second.size:
+            values[layout.second] += q[layout.second_column]
+            good[layout.second] &= ok[layout.second_column]
+        values /= layout.norms
+        for k in () if good.all() else np.flatnonzero(~good):
+            which, family, alpha = layout.keys[k]
+            values[k] = known[k] if known[k] is not None else kernel_moment(
+                self._integrand(which), self.interval, family, alpha)
+        self._cache.update(zip(layout.keys, values.tolist()))
+        return values
 
     def _integrand(self, name):
-        """The integrand of a moment (see ``_moment``) as a callable."""
+        """The integrand of a moment (see ``_moment_values``) as a callable."""
         if name in _PRODUCTS:
             f, h = (self._integrand(n) for n in _PRODUCTS[name])
             return lambda x: f(x) * h(x)
@@ -391,45 +524,63 @@ class TheoremEvaluator:
 
     # -- the evaluators ------------------------------------------------------
 
+    def evaluate_plan(self, plan) -> VerdictColumns:
+        """The verdicts of the rows (theorem, alpha, strict_printed) of
+        ``plan``, as columns.  The plan's moments come from one stacked
+        pass (``_moment_values``); the sides and slacks of each row are then
+        the sandwich or the tilt bound (module docstring) in that operation
+        order, over a table of the moments and the per-instance scalars
+        (sech, csch, the kernel masses, from ``math``)."""
+        plan = tuple(map(tuple, plan))
+        for tid, alpha in dict.fromkeys((tid, alpha) for tid, alpha, _ in plan):
+            self._validate(TheoremId(tid), alpha)
+        p, L, tol = self.p, self.interval.length, self.tol
+        layout = _plan_layout(plan, p == 0.0)
+        moments = self._moment_values(layout.moments)
+        ua, um, ub = self._u_ends()
+        avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
+        q = 0.0 if p is None else p  # rows without p take sech(0)
+        table = moments.tolist() + [kernel_mass(self.interval, family, alpha)
+                                    for family, alpha in layout.masses]
+        table += [sech(0.0), sech(0.5 * q * L), sech(q * L), 1.0]
+        if layout.tilt:  # at p = 0 the limit of csch(p*L/2) * sinh
+            coef = 2.0 / L if p == 0.0 else csch(0.5 * p * L)
+        verdicts = []
+        for m, mass, c, rc, tilt in layout.rows:
+            M, C = table[m], table[c]
+            lhs, rhs = um * C, avg * table[rc] * C
+            if tilt is None:
+                mid = M / table[mass]
+                slack_left, slack_right = mid - lhs, rhs - mid
+                holds = slack_left >= -tol * max(1.0, abs(rhs))  # nan: false
+            else:  # the tilt bound: lhs is M(u v), and there is no MID
+                lhs, mid, slack_left = M, None, None
+                rhs += half_diff * (coef * table[tilt])
+                slack_right, holds = rhs - lhs, True
+            holds = holds and slack_right >= -tol * max(1.0, abs(rhs))
+            verdicts.append((lhs, mid, rhs, slack_left, slack_right, holds))
+        return VerdictColumns(*map(list, zip(*verdicts)))
+
     def evaluate(self, tid: TheoremId, alpha: float | None = None,
                  strict_printed: bool = False) -> InequalityVerdict:
+        """One inequality: the one-row case of :meth:`evaluate_plan`."""
         tid = TheoremId(tid)
-        self._validate(tid, alpha)
-        row = _REQUIRES[tid]
-        interval = self.interval
-        a, b, L = interval.a, interval.b, interval.length
-        ua, um, ub = self._u_ends()
-        avg = 0.5 * (ua + ub)
-        fn, weight = self._memo("descr", lambda: (
+        cols = self.evaluate_plan([(tid, alpha, strict_printed)])
+        lhs, mid, rhs, slack_left, slack_right, holds = (col[0] for col in cols)
+        fn, weight = self.descriptors()
+        params = {"a": self.interval.a, "b": self.interval.b, "p": self.p,
+                  "alpha": alpha, "fn": fn, "weight": weight}
+        if mid is not None and _REQUIRES[tid].printed_constant:
+            params["constant_mode"] = "printed" if strict_printed else "proof"
+        return InequalityVerdict(tid, lhs, mid, rhs, slack_left, slack_right,
+                                 holds, self.tol, params)
+
+    def descriptors(self) -> tuple:
+        """The grammar text of u and of the weight (None without one)."""
+        return self._memo("descr", lambda: (
             self._descr(self.u),
             self._descr(self.weight.v) if self.weight else None,
         ))
-        params = {"a": a, "b": b, "p": self.p, "alpha": alpha,
-                  "fn": fn, "weight": weight}
-        M = lambda which: self._moment(which, row.family, alpha)
-
-        # M(u v) and C = M(cosh(p(x-m)) v) of the sandwich
-        p = self.p if row.hyperbolic else 0.0
-        mid = M("uv" if row.weighted else "u")
-        if row.hyperbolic:
-            C = M("cosh_v" if row.weighted else "cosh")
-        elif row.weighted:
-            C = M("v")
-        else:  # C = M(1) is the kernel mass: divide it out of every side
-            mid, C = mid / kernel_mass(interval, row.family, alpha), 1.0
-        rc = sech(0.5 * p * L)
-        if not row.has_mid:  # the tilt bound
-            if p == 0.0:  # the limit of csch(p*L/2) * sinh moment
-                tilt = (2.0 / L) * M("xm_v")
-            else:
-                tilt = csch(0.5 * p * L) * M("sinh_v")
-            rhs = avg * rc * C + 0.5 * (ua - ub) * tilt
-            return _make_verdict(tid, mid, None, rhs, self.tol, params)
-        if row.printed_constant:
-            if strict_printed:
-                rc = sech(p * L)
-            params["constant_mode"] = "printed" if strict_printed else "proof"
-        return _make_verdict(tid, um * C, mid, avg * rc * C, self.tol, params)
 
     @staticmethod
     def _descr(f) -> str:

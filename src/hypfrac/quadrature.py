@@ -17,8 +17,9 @@ adaptive loop uses; the difference, floored at the adaptive loop's round-off
 level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
 ``subdivisions_used == 0`` marks an accepted fixed rule.  The rule comes
 in two halves, :func:`fixed_rule_nodes` and :func:`fixed_rule_result`
-(values at those nodes to the accepted result or None), for callers that
-evaluate many integrands on the same nodes.
+(values at those nodes to the accepted result or None); for callers that
+evaluate many integrands on the same nodes, :func:`fixed_rule_values` takes
+them as the rows of one array, with the same sums and the same test.
 :func:`integrate_cells` runs the same pair on all cells of a grid with one
 integrand call and the same per-cell test.
 
@@ -213,10 +214,21 @@ def _fixed_sums(ys, alpha: float):
     return ys[..., :_FIXED_N].dot(w1), y2.dot(w2), np.abs(y2).dot(w2)
 
 
-def _fixed_ok(q1: float, q2: float, cfg: QuadConfig) -> bool:
-    """Whether the 2n-point value q2 is vouched for by the n-point value q1."""
-    return (math.isfinite(q1) and math.isfinite(q2)
-            and abs(q2 - q1) <= max(cfg.abs_tol, cfg.rel_tol * abs(q2)))
+def _fixed_ok(q1, q2, cfg: QuadConfig):
+    """Whether the 2n-point values q2 are vouched for by the n-point values
+    q1 (elementwise; a bool for scalars)."""
+    # a nan or inf q1 fails the comparison, an inf q2 the finiteness test
+    return np.isfinite(q2) & (abs(q2 - q1) <= np.maximum(cfg.abs_tol,
+                                                          cfg.rel_tol * abs(q2)))
+
+
+def _fixed_scale(interval: Interval, alpha: float) -> float:
+    """The factor ``h**alpha`` of the fixed-rule sums; inf when it overflows
+    (every value it scales is then rejected)."""
+    try:
+        return (0.5 * (interval.b - interval.a)) ** alpha
+    except OverflowError:
+        return math.inf
 
 
 def fixed_rule_result(ys, interval: Interval, alpha: float, cfg: QuadConfig):
@@ -228,10 +240,7 @@ def fixed_rule_result(ys, interval: Interval, alpha: float, cfg: QuadConfig):
     ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
     when both rules resolve g, their difference is round-off and can sit
     below the true error."""
-    try:
-        scale = (0.5 * (interval.b - interval.a)) ** alpha
-    except OverflowError:
-        return None
+    scale = _fixed_scale(interval, alpha)
     s1, s2, l1 = _fixed_sums(ys, alpha)
     q1 = scale * float(s1)
     q2 = scale * float(s2)
@@ -239,6 +248,27 @@ def fixed_rule_result(ys, interval: Interval, alpha: float, cfg: QuadConfig):
         return QuadResult(q2, max(abs(q2 - q1), 100.0 * _EPS * scale * float(l1)),
                           0, True)
     return None
+
+
+def fixed_rule_values(ys, interval: Interval, runs, cfg: QuadConfig):
+    """The 2n-point values of many integrals on one interval, and whether
+    each passes the test of :func:`fixed_rule_result`, as two arrays.
+
+    Row k of ``ys`` holds an integrand's values at
+    ``fixed_rule_nodes(a, b, alpha, endpoint)``, where ``runs`` lists
+    (alpha, first row, end row) for the runs of rows that share alpha.
+    Every sum is its own 1-D ``dot`` per row and rule, as in
+    fixed_rule_result, so that a value is bit-identical to that integral
+    taken alone; one 2-D ``dot`` over the rows (BLAS gemv) rounds some sums
+    differently."""
+    s1, s2, scales = [], [], []
+    for alpha, lo, hi in runs:
+        _, w1, w2 = _fixed_pair(alpha - 1.0)
+        s1 += [y.dot(w1) for y in ys[lo:hi, :_FIXED_N]]
+        s2 += [y.dot(w2) for y in ys[lo:hi, _FIXED_N:]]
+        scales += [_fixed_scale(interval, alpha)] * (hi - lo)
+    q1, q2 = np.array(scales) * np.array([s1, s2])
+    return q2, _fixed_ok(q1, q2, cfg)
 
 
 def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
@@ -255,9 +285,8 @@ def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     s1, s2, _ = _fixed_sums(ys, 1.0)
     values = h * s2
-    for k, (q1, q2) in enumerate(zip((h * s1).tolist(), values.tolist())):
-        if not _fixed_ok(q1, q2, cfg):
-            values[k] = _integrate_adaptive(f, Interval(a[k], b[k]), cfg).value
+    for k in np.flatnonzero(~_fixed_ok(h * s1, values, cfg)):
+        values[k] = _integrate_adaptive(f, Interval(a[k], b[k]), cfg).value
     return values
 
 

@@ -10,6 +10,8 @@ import pytest
 from hypfrac.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
+    _draw,
+    _plan,
     instance_rows,
     load_config,
     parse_config_text,
@@ -20,6 +22,7 @@ from hypfrac.campaign import (
     write_report,
     write_rows,
 )
+from hypfrac.inequalities import eval_theorem
 
 SMALL = CampaignConfig(seed=9, n_instances=4, workers=1)
 
@@ -184,6 +187,39 @@ def test_rows_json_special_values_match_json_dumps():
     assert rows_to_json([]) == json.dumps([], indent=2) + "\n"
 
 
+def _cell_reference(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow([v])
+        return buf.getvalue()
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def test_writers_format_equal_values_of_other_text_apart():
+    # per-instance fields are cached by value, but 0.0 == -0.0 and
+    # 1 == 1.0 == True print differently; sides may be None, nan or numpy
+    base = dict(zip(CSV_COLUMNS, (
+        "D3", 0.5, 1.5, 2.0, 1.0, 0.1, None, 0.3, None, 0.2, True,
+        "cosh(2*x)", "pow((x-0.5),2.0)", 4, 7)))
+    rows = [base, dict(base, alpha=1), dict(base, alpha=True),
+            dict(base, a=0.0), dict(base, a=-0.0), dict(base, p=-0.0),
+            dict(base, seed=0), dict(base, instance_index=True),
+            dict(base, mid=math.nan, slack_left=math.inf),
+            dict(base, lhs=-math.inf, holds=False),
+            dict(base, rhs=np.float64(0.25), mid=0.2, slack_left=0.1),
+            dict(base, lhs=1, mid="x", holds=None), base]
+    assert rows_to_json(rows) == json.dumps(rows, indent=2) + "\n"
+    lines = rows_to_csv(rows).splitlines()
+    assert lines[1:] == [",".join(_cell_reference(r[c]) for c in CSV_COLUMNS)
+                         for r in rows]
+    assert [line.split(",")[4] for line in lines[1:4]] == ["1.0", "1", "true"]
+    assert [line.split(",")[1] for line in lines[4:6]] == ["0.0", "-0.0"]
+
+
 def test_single_instance_config():
     cfg = CampaignConfig(seed=4, n_instances=1, alphas=(0.5,), workers=1)
     report, rows = run_campaign(cfg)
@@ -253,6 +289,10 @@ def test_non_finite_rows_are_counted_apart_from_violations():
                                    r["slack_right"]) if v is not None)]
     plain = [r for r in bad if not r["theorem_id"].endswith("_printed")]
     assert len(plain) == report.nonfinite == 15 and len(bad) == 17
+    # a nan slack (HH_1_1 with mid = rhs = inf) never holds
+    assert not any(r["holds"] for r in bad)
+    assert any(r["slack_right"] != r["slack_right"] and r["slack_left"] is not None
+               and r["slack_left"] == r["slack_left"] for r in bad)
     # no finite row fails
     assert report.violations == 0
     for tid, entry in report.per_theorem.items():
@@ -263,6 +303,51 @@ def test_non_finite_rows_are_counted_apart_from_violations():
     for entry in report.printed_constant_probe.values():
         assert entry["nonfinite"] == 1 and math.isfinite(entry["worst_slack"])
     assert json.loads(report_to_json(report))["nonfinite"] == 15
+
+
+@pytest.mark.parametrize("cfg,indices", [
+    (CampaignConfig(seed=42, n_instances=20, workers=1), range(20)),
+    (EDGE, range(EDGE.n_instances)),
+])
+def test_instance_rows_are_one_row_evaluations(cfg, indices):
+    # the stacked pass gives, bit for bit (nan equal to nan), what a fresh
+    # one-row evaluation gives for every row
+    sides = ("lhs", "mid", "rhs", "slack_left", "slack_right", "holds")
+    with np.errstate(all="ignore"):
+        for index in indices:
+            u, interval, p, w = _draw(cfg, index)
+            rows = instance_rows(cfg, index)
+            for row, (tid, name, alpha, printed) in zip(rows, _plan(cfg)):
+                assert row["theorem_id"] == name
+                v = eval_theorem(tid, u, interval, v=w, alpha=alpha, p=p,
+                                 tol=cfg.tol, strict_printed=printed)
+                assert [repr(row[k]) for k in sides] == \
+                    [repr(getattr(v, k)) for k in sides], (index, name, alpha)
+
+
+def _relative_worst(rows):
+    worst = {}
+    for r in rows:
+        slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
+        if all(map(math.isfinite, [r["lhs"], r["rhs"], *slacks])):
+            rel = min(slacks) / max(1.0, abs(r["rhs"]))
+            tid = r["theorem_id"]
+            worst[tid] = min(worst.get(tid, rel), rel)
+    return worst
+
+
+def test_report_relative_worst_slack_is_what_holds_tests():
+    with np.errstate(all="ignore"):
+        report, rows = run_campaign(EDGE)
+    worst = _relative_worst(rows)
+    for tid, entry in report.per_theorem.items():
+        assert entry["worst_rel_slack"] == worst[tid]
+        # no failing row: the relative worst is within the tolerance even
+        # where the absolute worst (D6, about -2e7 here) is not
+        assert entry["fail"] == 0 and entry["worst_rel_slack"] >= -EDGE.tol
+    assert report.per_theorem["D6"]["worst_slack"] < -1e6
+    for tid, entry in report.printed_constant_probe.items():
+        assert entry["worst_rel_slack"] == worst[tid + "_printed"]
 
 
 def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):

@@ -36,6 +36,7 @@ from hypfrac.inequalities import (
     TheoremEvaluator,
     TheoremId,
     WeightSpec,
+    _moment_layout,
     eval_theorem,
     kernel_cosh_moment,
     kernel_sinh_moment,
@@ -121,13 +122,15 @@ def test_banked_moments_equal_kernel_moment():
             "sinh_v": lambda x: np.sinh(p * (x - m)) * vf(x),
             "xm_v": lambda x: (x - m) * vf(x),
         }
-        ev = TheoremEvaluator(u, I, p=p, weight=w)
-        for family, alpha in _CAMPAIGN_KERNELS:
-            for which, g in integrands.items():
-                got = ev._moment(which, family, alpha)
-                ref = kernel_moment(g, I, family, alpha)
-                assert abs(got - ref) <= 4e-16 * abs(ref), \
-                    (index, which, family, alpha, got, ref)
+        keys = [(which, family, alpha) for family, alpha in _CAMPAIGN_KERNELS
+                for which in integrands]
+        # every moment of the instance in one stacked pass
+        got = TheoremEvaluator(u, I, p=p, weight=w)._moment_values(
+            _moment_layout(tuple(keys)))
+        for (which, family, alpha), value in zip(keys, got):
+            ref = kernel_moment(integrands[which], I, family, alpha)
+            assert abs(value - ref) <= 4e-16 * abs(ref), \
+                (index, which, family, alpha, value, ref)
 
 
 def test_rejected_bank_moment_falls_back_alone():
@@ -137,12 +140,18 @@ def test_rejected_bank_moment_falls_back_alone():
     uf = u.eval
     assert integrate_singular(uf, I, 0.3, Endpoint.LEFT,
                               OPERATOR_QUAD).subdivisions_used > 0
-    ev = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())
-    got = ev._moment("u", Family.RL, 0.3)
-    assert got == kernel_moment(uf, I, Family.RL, 0.3)
-    # a moment the pair accepts on the same evaluator is unaffected
-    assert ev._moment("v", Family.RL, 0.3) == kernel_moment(
-        lambda x: np.ones_like(x), I, Family.RL, 0.3)
+    keys = [("u", Family.RL, 0.3), ("v", Family.RL, 0.3)] + [
+        (which, family, alpha) for which in ("cosh", "uv")
+        for family, alpha in ((Family.RL, 0.3), (None, None))]
+    got = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())._moment_values(
+        _moment_layout(tuple(keys))).tolist()
+    assert got[0] == kernel_moment(uf, I, Family.RL, 0.3)
+    assert got[1] == kernel_moment(lambda x: np.ones_like(x), I, Family.RL, 0.3)
+    # every moment of the batch equals the same moment computed alone
+    for key, value in zip(keys, got):
+        alone = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())._moment_values(
+            _moment_layout((key,)))
+        assert alone.tolist() == [value], key
 
 
 def test_cold_hh_evaluates_u_on_one_node_array(monkeypatch):
