@@ -89,6 +89,8 @@ class CampaignConfig:
                              f"{tuple(self.length_range)}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be csv or json")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def _resolve_workers(cfg: CampaignConfig) -> int:
         except ValueError:
             raise ValueError("HYPFRAC_THREADS must be an integer, got "
                              f"{cap_env!r}") from None
-    return max(1, base)
+    return base
 
 
 def run_campaign(cfg: CampaignConfig):

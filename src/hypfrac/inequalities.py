@@ -53,17 +53,18 @@ its one-row case.  A layout built once per plan lists the plan's moments,
 the node sets of their fixed-weight parts and, per row, which moments it
 reads.  u, v, cosh(p(x-m)), sinh(p(x-m)) and x-m are each evaluated once on
 all the node sets the plan needs, stacked; the products and EXP kernel
-factors are formed on that stack, and every part is one row of it.  Each
-row's two sums are 1-D ``dot`` products, one per rule: one 2-D ``dot``
-over the stack (BLAS gemv) moves some sums by an ulp, and then a moment
-would depend on which other moments share its batch.  The acceptance test
-of the fixed rule runs on all rows at once, and a moment it rejects is
-recomputed alone by :func:`kernel_moment`.  The sides, slacks and verdicts
-are then one loop over the rows in Python floats, in the operation order of
-the formulas above, so every row equals, bit for bit, the same row
-evaluated alone (numpy's fixed cost per operation would exceed the loop for
-a campaign's 53 rows, and be most of a one-row ``verify``).  A verdict with
-a nan slack does not hold.
+factors are formed on that stack, and every part is one row of it, in
+moment order.  :func:`~hypfrac.quadrature.fixed_rule_values` sums and tests
+all parts at once, each with the rule of its own endpoint weight, in one
+stacked ``matmul`` that rounds every part as if it were summed alone.  A
+moment is the ``np.add.reduceat`` of its parts (two for RL, one otherwise)
+over its norm, accepted when all its parts are; a moment the fixed rule
+rejects is recomputed alone by :func:`kernel_moment`.  The sides, slacks
+and verdicts are then one loop over the rows in Python floats, in the
+operation order of the formulas above, so every row equals, bit for bit,
+the same row evaluated alone (numpy's fixed cost per operation would exceed
+the loop for a campaign's 53 rows, and be most of a one-row ``verify``).  A
+verdict with a nan slack does not hold.
 
 Two printed-formula corrections are applied throughout (both forced by the
 equality case u = cosh(p*(x-m)) being tight): ``cosh^-1``/``sinh^-1``
@@ -94,7 +95,7 @@ from .fractional import (
     kernel_parts,
 )
 from .grammar import to_grammar
-from .quadrature import fixed_rule_nodes, fixed_rule_values
+from .quadrature import fixed_rule_nodes, fixed_rule_scale, fixed_rule_values
 
 DEFAULT_SLACK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -284,12 +285,10 @@ class _Moments(NamedTuple):
     factors: tuple         # (family, alpha, node set) of kernels with a factor
     column_name: np.ndarray    # per column: index into names
     column_set: np.ndarray     # per column: index into sets
-    factored: slice        # the columns times a kernel factor (the last)
+    column_alpha: tuple    # per column: the alpha of its endpoint weight
+    factored: np.ndarray   # the columns times a kernel factor
     factor_of: np.ndarray  # and the index of that factor
-    runs: tuple            # (weight alpha, first column, end) of column runs
-    first: np.ndarray      # per moment: its first column
-    second: np.ndarray     # the moments with two columns (RL)
-    second_column: np.ndarray  # and their second column
+    first: np.ndarray      # per moment: its first column (RL has two)
     norms: np.ndarray      # per moment: the kernel norm
 
 
@@ -320,34 +319,21 @@ _UNIT = Interval(0.0, 1.0)
 
 @functools.lru_cache(maxsize=256)
 def _moment_layout(keys: tuple) -> _Moments:
-    """The layout of a batch of moment keys (which, family, alpha): the
-    columns come in runs that share the alpha of their endpoint weight, and
-    so one fixed rule."""
-    sets, factors, columns, parts_of, norms = {}, {}, [], [], []
+    """The layout of a batch of moment keys (which, family, alpha): one
+    column per fixed-weight part of each moment, in moment order."""
+    sets, factors, columns, first, norms = {}, {}, [], [], []
     for which, family, alpha in keys:
         kernel = None if family is None else FracParams(alpha, family)
         parts, norm = kernel_parts(kernel, _UNIT)
-        parts_of.append(range(len(columns), len(columns) + len(parts)))
+        first.append(len(columns))
         for weight_alpha, endpoint, factor in parts:
             at = sets.setdefault((weight_alpha, endpoint), len(sets))
             if factor is not None:
                 factor = factors.setdefault((family, alpha), (len(factors), at))[0]
             columns.append((weight_alpha, which, at, factor))
         norms.append(norm)
-    # the columns with a kernel factor last, and each part by weight alpha
-    order = sorted(range(len(columns)),
-                   key=lambda c: (columns[c][3] is not None, columns[c][0]))
-    where = {c: i for i, c in enumerate(order)}
-    columns = [columns[c] for c in order]
     names = tuple(dict.fromkeys(col[1] for col in columns))
-    factor_columns = [i for i, col in enumerate(columns) if col[3] is not None]
-    runs = []
-    for i, (weight_alpha, *_) in enumerate(columns):
-        if runs and runs[-1][0] == weight_alpha:
-            runs[-1][2] = i + 1
-        else:
-            runs.append([weight_alpha, i, i + 1])
-    two = [k for k, cols in enumerate(parts_of) if len(cols) == 2]  # RL: both ends
+    factored = [i for i, col in enumerate(columns) if col[3] is not None]
     return _Moments(
         keys, tuple(sets),
         tuple(dict.fromkeys(b for n in names for b in _PRODUCTS.get(n, (n,)))),
@@ -355,12 +341,10 @@ def _moment_layout(keys: tuple) -> _Moments:
         tuple((family, alpha, at) for (family, alpha), (_, at) in factors.items()),
         _constant([names.index(col[1]) for col in columns], int),
         _constant([col[2] for col in columns], int),
-        slice(factor_columns[0] if factor_columns else len(columns), None),
-        _constant([columns[i][3] for i in factor_columns], int),
-        tuple(map(tuple, runs)),
-        _constant([where[cols[0]] for cols in parts_of], int),
-        _constant(two, int),
-        _constant([where[parts_of[k][1]] for k in two], int),
+        tuple(col[0] for col in columns),
+        _constant(factored, int),
+        _constant([columns[i][3] for i in factored], int),
+        _constant(first, int),
         _constant(norms))
 
 
@@ -449,9 +433,12 @@ class TheoremEvaluator:
             return np.array(known)
         bank = self._bank.get(layout.sets)
         if bank is None:
-            a, b = self.interval.a, self.interval.b
-            bank = self._bank[layout.sets] = {"x": np.array(
-                [fixed_rule_nodes(a, b, *nodes) for nodes in layout.sets])}
+            interval = self.interval
+            bank = self._bank[layout.sets] = {
+                "x": np.array([fixed_rule_nodes(interval.a, interval.b, *nodes)
+                               for nodes in layout.sets]),
+                "scale": np.array([fixed_rule_scale(interval, alpha)
+                                   for alpha, _ in layout.sets])}
         x = bank["x"]
         for name in layout.bases:
             if name not in bank:
@@ -470,13 +457,10 @@ class TheoremEvaluator:
                                                     self.interval)
                 factors.append(factor(x[at]))
             ys[layout.factored] *= np.array(factors)[layout.factor_of]
-        q, ok = fixed_rule_values(ys, self.interval, layout.runs, OPERATOR_QUAD)
-        values = q[layout.first]
-        good = ok[layout.first]
-        if layout.second.size:
-            values[layout.second] += q[layout.second_column]
-            good[layout.second] &= ok[layout.second_column]
-        values /= layout.norms
+        q, _, ok = fixed_rule_values(ys, bank["scale"][layout.column_set],
+                                     layout.column_alpha, OPERATOR_QUAD)
+        values = np.add.reduceat(q, layout.first) / layout.norms
+        good = np.logical_and.reduceat(ok, layout.first)
         for k in () if good.all() else np.flatnonzero(~good):
             which, family, alpha = layout.keys[k]
             values[k] = known[k] if known[k] is not None else kernel_moment(

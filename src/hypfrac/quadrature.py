@@ -15,13 +15,13 @@ eigenvalue problem on the Jacobi matrix and are cached per (n, beta).  The
 ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
 adaptive loop uses; the difference, floored at the adaptive loop's round-off
 level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
-``subdivisions_used == 0`` marks an accepted fixed rule.  The rule comes
-in two halves, :func:`fixed_rule_nodes` and :func:`fixed_rule_result`
-(values at those nodes to the accepted result or None); for callers that
-evaluate many integrands on the same nodes, :func:`fixed_rule_values` takes
-them as the rows of one array, with the same sums and the same test.
-:func:`integrate_cells` runs the same pair on all cells of a grid with one
-integrand call and the same per-cell test.
+``subdivisions_used == 0`` marks an accepted fixed rule.  The sums are
+taken in one place, :func:`_fixed_sums`, and the ``h**alpha`` scale, the
+error floor and the test are applied in one place,
+:func:`fixed_rule_values`, to the values at :func:`fixed_rule_nodes`: one
+integral for :func:`integrate_singular`, one per cell for
+:func:`integrate_cells`, and one per fixed-weight integral, each with its
+own order, for the moment pass of :mod:`hypfrac.inequalities`.
 
 Adaptive fallback: otherwise the integral is recomputed from scratch by
 bisection, split as in QUADPACK's QAWS: the panel at the singular end of a
@@ -204,25 +204,42 @@ def fixed_rule_nodes(a, b, alpha: float, endpoint: Endpoint):
     return a + offsets if endpoint is Endpoint.LEFT else b - offsets
 
 
-def _fixed_sums(ys, alpha: float):
+@functools.lru_cache(maxsize=256)
+def _fixed_weights(alpha):
+    """The n- and 2n-point weights of one order, or of a tuple of per-row
+    orders as (rows, n, 1) stacks."""
+    if not isinstance(alpha, tuple):
+        return _fixed_pair(alpha - 1.0)[1:]
+    stacks = tuple(np.stack(w)[:, :, None]
+                   for w in zip(*map(_fixed_weights, alpha)))
+    for w in stacks:
+        w.setflags(write=False)
+    return stacks
+
+
+def _fixed_sums(ys, alpha):
     """The n- and 2n-point sums, without the ``h**alpha`` factor, of the
     values ``ys`` at :func:`fixed_rule_nodes` (along the last axis), and the
-    2n-point sum of |ys|."""
-    _, w1, w2 = _fixed_pair(alpha - 1.0)
+    2n-point sum of |ys|.  ``alpha`` is one order or a tuple of per-row
+    orders.
+
+    With a tuple, every row is a (1, n) by (n, 1) product of one stacked
+    ``matmul``, which numpy takes with the dot routine of a 1-D ``dot``, so
+    a row's sums equal those of the row alone and do not depend on the rows
+    stacked with it; a 2-D ``dot`` per order (BLAS gemv) rounds some sums
+    differently.  With one order, many rows (the cells of
+    :func:`integrate_cells`) are one matrix-vector product."""
+    w1, w2 = _fixed_weights(alpha)
+    if isinstance(alpha, tuple):
+        y1, y2 = ys[:, None, :_FIXED_N], ys[:, None, _FIXED_N:]
+        return ((y1 @ w1)[:, 0, 0], (y2 @ w2)[:, 0, 0],
+                (np.abs(y2) @ w2)[:, 0, 0])
     y2 = ys[..., _FIXED_N:]
     # ndarray.dot: the same BLAS sums as @, with less call overhead
     return ys[..., :_FIXED_N].dot(w1), y2.dot(w2), np.abs(y2).dot(w2)
 
 
-def _fixed_ok(q1, q2, cfg: QuadConfig):
-    """Whether the 2n-point values q2 are vouched for by the n-point values
-    q1 (elementwise; a bool for scalars)."""
-    # a nan or inf q1 fails the comparison, an inf q2 the finiteness test
-    return np.isfinite(q2) & (abs(q2 - q1) <= np.maximum(cfg.abs_tol,
-                                                          cfg.rel_tol * abs(q2)))
-
-
-def _fixed_scale(interval: Interval, alpha: float) -> float:
+def fixed_rule_scale(interval: Interval, alpha: float) -> float:
     """The factor ``h**alpha`` of the fixed-rule sums; inf when it overflows
     (every value it scales is then rejected)."""
     try:
@@ -231,44 +248,26 @@ def _fixed_scale(interval: Interval, alpha: float) -> float:
         return math.inf
 
 
-def fixed_rule_result(ys, interval: Interval, alpha: float, cfg: QuadConfig):
-    """The 2n-point Gauss-Jacobi value from the integrand values ``ys`` at
-    ``fixed_rule_nodes(a, b, alpha, endpoint)``, or None when it disagrees
-    with the n-point value past the tolerance or ``h**alpha`` overflows
-    (the adaptive path then reports the overflow as inf).  The error
-    estimate is |Q_2n - Q_n|, but never below the round-off floor
+def fixed_rule_values(ys, scale, alpha, cfg: QuadConfig):
+    """The 2n-point Gauss-Jacobi values, their error estimates and whether
+    each is accepted, from the integrand values ``ys`` at
+    ``fixed_rule_nodes(a, b, alpha, endpoint)``: one integral, or one per
+    row of ``ys`` with ``alpha`` a tuple of per-row orders.  ``scale`` is
+    ``h**alpha``, one per row or shared.
+
+    A value is accepted when it is finite and
+    ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``.  The error estimate
+    is |Q_2n - Q_n|, but never below the round-off floor
     ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
     when both rules resolve g, their difference is round-off and can sit
     below the true error."""
-    scale = _fixed_scale(interval, alpha)
     s1, s2, l1 = _fixed_sums(ys, alpha)
-    q1 = scale * float(s1)
-    q2 = scale * float(s2)
-    if _fixed_ok(q1, q2, cfg):
-        return QuadResult(q2, max(abs(q2 - q1), 100.0 * _EPS * scale * float(l1)),
-                          0, True)
-    return None
-
-
-def fixed_rule_values(ys, interval: Interval, runs, cfg: QuadConfig):
-    """The 2n-point values of many integrals on one interval, and whether
-    each passes the test of :func:`fixed_rule_result`, as two arrays.
-
-    Row k of ``ys`` holds an integrand's values at
-    ``fixed_rule_nodes(a, b, alpha, endpoint)``, where ``runs`` lists
-    (alpha, first row, end row) for the runs of rows that share alpha.
-    Every sum is its own 1-D ``dot`` per row and rule, as in
-    fixed_rule_result, so that a value is bit-identical to that integral
-    taken alone; one 2-D ``dot`` over the rows (BLAS gemv) rounds some sums
-    differently."""
-    s1, s2, scales = [], [], []
-    for alpha, lo, hi in runs:
-        _, w1, w2 = _fixed_pair(alpha - 1.0)
-        s1 += [y.dot(w1) for y in ys[lo:hi, :_FIXED_N]]
-        s2 += [y.dot(w2) for y in ys[lo:hi, _FIXED_N:]]
-        scales += [_fixed_scale(interval, alpha)] * (hi - lo)
-    q1, q2 = np.array(scales) * np.array([s1, s2])
-    return q2, _fixed_ok(q1, q2, cfg)
+    q1, q2 = scale * s1, scale * s2
+    gap = abs(q2 - q1)
+    # a nan or inf q1 fails the comparison, an inf q2 the finiteness test
+    accepted = np.isfinite(q2) & (gap <= np.maximum(cfg.abs_tol,
+                                                    cfg.rel_tol * abs(q2)))
+    return q2, np.maximum(gap, 100.0 * _EPS * scale * l1), accepted
 
 
 def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
@@ -280,12 +279,10 @@ def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
-    h = 0.5 * (b - a)
     xs = fixed_rule_nodes(a[:, None], b[:, None], 1.0, Endpoint.LEFT)
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    s1, s2, _ = _fixed_sums(ys, 1.0)
-    values = h * s2
-    for k in np.flatnonzero(~_fixed_ok(h * s1, values, cfg)):
+    values, _, accepted = fixed_rule_values(ys, 0.5 * (b - a), 1.0, cfg)
+    for k in np.flatnonzero(~accepted):
         values[k] = _integrate_adaptive(f, Interval(a[k], b[k]), cfg).value
     return values
 
@@ -370,9 +367,11 @@ def integrate_singular(
         raise ValueError("alpha must be positive")
     a, b = interval.a, interval.b
     xs = fixed_rule_nodes(a, b, alpha, endpoint)
-    fixed = fixed_rule_result(np.asarray(g(xs), dtype=float), interval, alpha, cfg)
-    if fixed is not None:
-        return fixed
+    ys = np.asarray(g(xs), dtype=float)
+    value, error, accepted = fixed_rule_values(
+        ys, fixed_rule_scale(interval, alpha), alpha, cfg)
+    if accepted:
+        return QuadResult(float(value), float(error), 0, True)
     if alpha == 1.0:
         return _integrate_adaptive(g, interval, cfg)
     at = (lambda s: a + s) if endpoint is Endpoint.LEFT else (lambda s: b - s)

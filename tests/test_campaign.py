@@ -393,6 +393,9 @@ def test_config_validation():
         CampaignConfig(alphas=())
     with pytest.raises(ValueError):
         CampaignConfig(output_format="xml")
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            CampaignConfig(workers=workers)
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             CampaignConfig(tol=tol)

@@ -402,6 +402,17 @@ def test_non_finite_or_negative_option_exits_2(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_campaign_workers_below_one_exits_2(tmp_path, monkeypatch, capsys,
+                                             workers):
+    monkeypatch.chdir(tmp_path)  # a campaign that did run writes here
+    code, out, err = run_cli(capsys, "campaign", "--n", "1", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_campaign_config_file_bad_tol_exits_2(tmp_path, capsys, tol):
     cfgfile = tmp_path / "c.cfg"
@@ -426,6 +437,7 @@ def test_campaign_config_file_bad_tol_exits_2(tmp_path, capsys, tol):
     ("length_range = -2,-1", "length_range entries must be > 0"),
     ("seed = abc", "config line 3: seed: invalid literal"),
     ("tol = x", "config line 3: tol: could not convert"),
+    ("workers = -1", "workers must be >= 1, got -1"),
 ])
 def test_campaign_config_file_bad_entry_exits_2(tmp_path, capsys, line,
                                                 message):

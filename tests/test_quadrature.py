@@ -13,7 +13,10 @@ from hypfrac.quadrature import (
     Endpoint,
     QuadConfig,
     QuadResult,
+    _fixed_pair,
     _gauss_jacobi,
+    fixed_rule_nodes,
+    fixed_rule_values,
     gauss_kronrod_nodes,
     integrate,
     integrate_cells,
@@ -276,6 +279,32 @@ def test_quad_result_rejects_nan_error_estimate():
     with pytest.raises(ValueError):
         QuadResult(1.0, -1.0, 0)
     assert QuadResult(math.inf, math.inf, 0, False).error_estimate == math.inf
+
+
+def test_stacked_fixed_rule_rows_equal_each_row_alone():
+    # the moment pass sums every fixed-weight integral of an instance in one
+    # call: each row must round as it does alone, whatever rows sit next to
+    # it, and as the 1-D dot products with its own rule's weights
+    rng = np.random.default_rng(11)
+    alphas = tuple(rng.choice((0.3, 0.5, 0.8, 1.0, 1.5), size=120).tolist())
+    lams = rng.uniform(-90.0, 90.0, size=120)  # the steep rows are rejected
+    ys = np.array([rng.uniform(0.1, 1e3) * np.exp(lam * fixed_rule_nodes(
+        0.0, 1.0, alpha, Endpoint.LEFT)) for lam, alpha in zip(lams, alphas)])
+    scale = rng.uniform(0.01, 10.0, size=120)
+    values, errors, accepted = fixed_rule_values(ys, scale, alphas, OPERATOR_QUAD)
+    assert values.shape == errors.shape == accepted.shape == (120,)
+    assert 10 < np.count_nonzero(accepted) < 110
+    for k, alpha in enumerate(alphas):
+        alone = fixed_rule_values(ys[k], scale[k], alpha, OPERATOR_QUAD)
+        assert (values[k], errors[k], accepted[k]) == alone, (k, alpha)
+        _, w1, w2 = _fixed_pair(alpha - 1.0)
+        q1 = scale[k] * ys[k, :w1.size].dot(w1)
+        q2 = scale[k] * ys[k, w1.size:].dot(w2)
+        floor = 100.0 * np.finfo(float).eps * scale[k] * np.abs(ys[k, w1.size:]).dot(w2)
+        assert values[k] == q2, (k, alpha)
+        assert errors[k] == max(abs(q2 - q1), floor), (k, alpha)
+        assert accepted[k] == (abs(q2 - q1) <= max(OPERATOR_QUAD.abs_tol,
+                                                   OPERATOR_QUAD.rel_tol * abs(q2)))
 
 
 def test_integrate_cells_matches_integrate_per_cell():
