@@ -28,6 +28,7 @@ import numpy as np
 from .expressions import (
     FuncExpr,
     Interval,
+    as_callable,
     build_hyperbolic,
     deriv,
     deriv2,
@@ -83,10 +84,6 @@ def _c2_callables(f):
     return f.value, f.derivative, f.second_derivative
 
 
-def _value_callable(f):
-    return f.eval if isinstance(f, FuncExpr) else f.value
-
-
 def _settle(conv_violation, conc_violation, tol, x_conv, x_conc, method):
     convex_ok = conv_violation <= tol
     concave_ok = conc_violation <= tol
@@ -111,8 +108,8 @@ def _settle(conv_violation, conc_violation, tol, x_conv, x_conc, method):
 def chord_majorant(f, interval: Interval, p: float) -> FuncExpr:
     """The A*cosh(px) + B*sinh(px) (or straight line when p == 0)
     interpolating f at both endpoints of the interval."""
-    fa = _value_callable(f)(interval.a)
-    fb = _value_callable(f)(interval.b)
+    fa = as_callable(f)(interval.a)
+    fb = as_callable(f)(interval.b)
     a, b = interval.a, interval.b
     if p == 0.0:
         slope = (fb - fa) / (b - a)
@@ -162,7 +159,7 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
         raise ValueError("grid_n must be >= 3")
     p = abs(float(p))
     xs = interval.grid(grid_n)
-    fv = _value_callable(f)(xs)
+    fv = as_callable(f)(xs)
     n = grid_n
     D = xs[None, :] - xs[:, None]
     cols = np.arange(n)

@@ -14,6 +14,11 @@ constant exponent; functions are ``exp``, ``cosh``, ``sinh`` and
 ``pow(expr, constant)``; parentheses group.  Parsing goes through Python's
 ``ast`` module, so no code is ever executed.
 
+A string holds at most ``MAX_NODES`` syntax nodes (as ``ast.walk`` counts
+them), counted as they are converted: the second derivative grows cubically
+with the factors of a product or the depth of a nest, and a deep tree would
+exhaust the converter's recursion.
+
 ``to_grammar`` renders a tree back to a string that re-parses to an
 equivalent function.
 """
@@ -51,6 +56,12 @@ class GrammarError(ValueError):
 
 _UNARY_FUNCS = {"exp": exp_of, "cosh": cosh_of, "sinh": sinh_of}
 
+# generated functions have at most 46; on 2 CPUs classify --grid-n 1001 takes
+# up to 1.8 s on a 49-deep nest (150 nodes), 3.2 s on a 66-deep one (200)
+MAX_NODES = 150
+# ast nodes per converted node: with a name's context, an operator, a callee
+_AST_SIZE = {ast.Name: 2, ast.UnaryOp: 2, ast.BinOp: 2, ast.Call: 3}
+
 
 def parse_function(text: str) -> FuncExpr:
     """Parse a function string into an expression tree."""
@@ -60,10 +71,16 @@ def parse_function(text: str) -> FuncExpr:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
         raise GrammarError(f"cannot parse function {text!r}: {exc.msg}") from None
-    return _convert(tree.body, text)
+    except (RecursionError, MemoryError):  # the parser's own depth limits
+        raise GrammarError("function string nests too deeply") from None
+    return _convert(tree.body, text, [MAX_NODES])
 
 
-def _convert(node, text: str) -> FuncExpr:
+def _convert(node, text: str, budget: list) -> FuncExpr:
+    budget[0] -= _AST_SIZE.get(type(node), 1)
+    if budget[0] < 0:
+        raise GrammarError(f"function string has more than {MAX_NODES} "
+                           "syntax nodes")
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise GrammarError(f"unsupported literal {node.value!r}")
@@ -73,15 +90,15 @@ def _convert(node, text: str) -> FuncExpr:
             return Identity()
         raise GrammarError(f"unknown symbol {node.id!r} (the only variable is 'x')")
     if isinstance(node, ast.UnaryOp):
-        inner = _convert(node.operand, text)
+        inner = _convert(node.operand, text, budget)
         if isinstance(node.op, ast.USub):
             return scaled(-1.0, inner)
         if isinstance(node.op, ast.UAdd):
             return inner
         raise GrammarError("unsupported unary operator")
     if isinstance(node, ast.BinOp):
-        left = _convert(node.left, text)
-        right = _convert(node.right, text)
+        left = _convert(node.left, text, budget)
+        right = _convert(node.right, text, budget)
         if isinstance(node.op, ast.Add):
             return add(left, right)
         if isinstance(node.op, ast.Sub):
@@ -106,12 +123,12 @@ def _convert(node, text: str) -> FuncExpr:
         if name in _UNARY_FUNCS:
             if len(node.args) != 1:
                 raise GrammarError(f"{name}() takes exactly one argument")
-            return _UNARY_FUNCS[name](_convert(node.args[0], text))
+            return _UNARY_FUNCS[name](_convert(node.args[0], text, budget))
         if name == "pow":
             if len(node.args) != 2:
                 raise GrammarError("pow() takes exactly two arguments")
-            base = _convert(node.args[0], text)
-            expo = _convert(node.args[1], text)
+            base = _convert(node.args[0], text, budget)
+            expo = _convert(node.args[1], text, budget)
             if not isinstance(expo, Constant):
                 raise GrammarError("pow() exponent must be a constant")
             return power_of(base, expo.value)

@@ -384,8 +384,9 @@ def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
 class TheoremEvaluator:
     """Evaluates any of the fifteen inequalities for one (u, v, interval, p)
     quadruple: a plan of rows in one stacked pass, so that theorems sharing
-    moments (a whole campaign instance) pay for each moment once.  Moments
-    and the integrand values on each layout's node sets are memoized."""
+    moments (a whole campaign instance) pay for each moment once.  Sharing
+    happens within one plan only: the evaluator keeps no values between
+    calls, so a caller that wants moments shared puts the rows in one plan."""
 
     def __init__(self, u, interval: Interval, p: float | None = None,
                  weight: WeightSpec | None = None, tol: float = DEFAULT_SLACK_TOL,
@@ -399,73 +400,45 @@ class TheoremEvaluator:
         self.tol = tol
         self.allow_asymmetric = allow_asymmetric
         self._weight_checked = False
-        self._cache: dict = {}
-        self._bank: dict = {}
-
-    # -- cached primitives ---------------------------------------------------
-
-    def _memo(self, key, make):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
-    def _u_ends(self):
-        def make():
-            interval = self.interval
-            return (float(self.uf(interval.a)), float(self.uf(interval.mid)),
-                    float(self.uf(interval.b)))
-
-        return self._memo("u_ends", make)
 
     def _moment_values(self, layout: _Moments) -> np.ndarray:
         """The kernel moments of a layout (which is u, v, uv, cosh, or
         cosh_v, sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times
         v), in one stacked pass.  The base integrands are evaluated once on
         the stacked node sets of all the layout's fixed-weight parts
-        (:func:`kernel_parts`) and kept; products are formed on the stack;
-        every part is one row of it, summed by :func:`fixed_rule_values`
-        with the acceptance test applied to all rows at once.  A moment
-        whose fixed rule is rejected is recomputed alone by
-        :func:`kernel_moment`, so no value depends on which other moments
-        were requested.  Values are memoized by moment."""
-        known = [self._cache.get(key) for key in layout.keys]
-        if None not in known:
-            return np.array(known)
-        bank = self._bank.get(layout.sets)
-        if bank is None:
-            interval = self.interval
-            bank = self._bank[layout.sets] = {
-                "x": np.array([fixed_rule_nodes(interval.a, interval.b, *nodes)
-                               for nodes in layout.sets]),
-                "scale": np.array([fixed_rule_scale(interval, alpha)
-                                   for alpha, _ in layout.sets])}
-        x = bank["x"]
-        for name in layout.bases:
-            if name not in bank:
-                bank[name] = np.asarray(self._integrand(name)(x.ravel()),
-                                        dtype=float).reshape(x.shape)
+        (:func:`kernel_parts`); products are formed on the stack; every part
+        is one row of it, summed by :func:`fixed_rule_values` with the
+        acceptance test applied to all rows at once.  A moment whose fixed
+        rule is rejected is recomputed alone by :func:`kernel_moment`, so no
+        value depends on which other moments were requested."""
+        interval = self.interval
+        x = np.array([fixed_rule_nodes(interval.a, interval.b, *nodes)
+                      for nodes in layout.sets])
+        scale = np.array([fixed_rule_scale(interval, alpha)
+                          for alpha, _ in layout.sets])
+        stack = {name: np.asarray(self._integrand(name)(x.ravel()),
+                                  dtype=float).reshape(x.shape)
+                 for name in layout.bases}
         for name in layout.products:
-            if name not in bank:
-                first, second = _PRODUCTS[name]
-                bank[name] = bank[first] * bank[second]
-        ys = np.array([bank[name] for name in layout.names])[
+            first, second = _PRODUCTS[name]
+            stack[name] = stack[first] * stack[second]
+        ys = np.array([stack[name] for name in layout.names])[
             layout.column_name, layout.column_set]
         if layout.factors:  # EXP kernels: the factor of their one part
             factors = []
             for family, alpha, at in layout.factors:
                 ((_, _, factor),), _ = kernel_parts(FracParams(alpha, family),
-                                                    self.interval)
+                                                    interval)
                 factors.append(factor(x[at]))
             ys[layout.factored] *= np.array(factors)[layout.factor_of]
-        q, _, ok = fixed_rule_values(ys, bank["scale"][layout.column_set],
+        q, _, ok = fixed_rule_values(ys, scale[layout.column_set],
                                      layout.column_alpha, OPERATOR_QUAD)
         values = np.add.reduceat(q, layout.first) / layout.norms
         good = np.logical_and.reduceat(ok, layout.first)
         for k in () if good.all() else np.flatnonzero(~good):
             which, family, alpha = layout.keys[k]
-            values[k] = known[k] if known[k] is not None else kernel_moment(
-                self._integrand(which), self.interval, family, alpha)
-        self._cache.update(zip(layout.keys, values.tolist()))
+            values[k] = kernel_moment(self._integrand(which), interval,
+                                      family, alpha)
         return values
 
     def _integrand(self, name):
@@ -521,7 +494,8 @@ class TheoremEvaluator:
         p, L, tol = self.p, self.interval.length, self.tol
         layout = _plan_layout(plan, p == 0.0)
         moments = self._moment_values(layout.moments)
-        ua, um, ub = self._u_ends()
+        ua, um, ub = (float(self.uf(x)) for x in
+                      (self.interval.a, self.interval.mid, self.interval.b))
         avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
         q = 0.0 if p is None else p  # rows without p take sech(0)
         table = moments.tolist() + [kernel_mass(self.interval, family, alpha)
@@ -561,16 +535,11 @@ class TheoremEvaluator:
 
     def descriptors(self) -> tuple:
         """The grammar text of u and of the weight (None without one)."""
-        return self._memo("descr", lambda: (
-            self._descr(self.u),
-            self._descr(self.weight.v) if self.weight else None,
-        ))
+        def descr(f):
+            return to_grammar(f) if isinstance(f, FuncExpr) \
+                else f"<{type(f).__name__}>"
 
-    @staticmethod
-    def _descr(f) -> str:
-        if isinstance(f, FuncExpr):
-            return to_grammar(f)
-        return f"<{type(f).__name__}>"
+        return descr(self.u), descr(self.weight.v) if self.weight else None
 
 
 def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = None,
@@ -656,6 +625,10 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
                          f"supported: {known}")
     if not alphas or not ps:
         raise ValueError("alphas and ps must be nonempty")
+    for name, values in (("ps", ps), ("alphas", alphas)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat a value, got "
+                             f"{', '.join(map(repr, values))}")
     row, base_row = _REQUIRES[tid], _REQUIRES[bid]
     if row.weighted and weight is None:
         raise ValueError(f"{tid.value} requires a weight function")
@@ -664,34 +637,42 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     # plain theorem, where both kernels are the constant 2
     axis = "p" if base_row.family is row.family else "alpha"
 
-    evs = {p: TheoremEvaluator(u, interval, p=p, weight=weight, tol=tol)
-           for p in ps}
-    # (baseline, scale, the (p, alpha) points that approach it)
-    groups, notes = [], []
-    if axis == "alpha":
-        groups = [(evs[p].evaluate(bid), 2.0, [(p, alpha) for alpha in alphas])
-                  for p in ps]
-    else:
-        for alpha in alphas:
-            scale = 1.0
-            if not base_row.weighted:
-                scale = kernel_mass(interval, base_row.family, alpha)
-                if base_row.family is Family.EXP:
-                    alt = exp_flat_limit_alternative(interval, alpha)
-                    notes.append(
-                        f"alpha={alpha:g}: p->0 kernel constant computes to "
-                        f"2*(1-exp(-rho))/(1-alpha) = {scale:.9g}; the "
-                        f"alternative closed form 2*exp(-rho)/(1-alpha) = "
-                        f"{alt:.9g} does not match the integral and is not "
-                        "used")
-            groups.append((evs[ps[0]].evaluate(bid, alpha=alpha), scale,
-                           [(p, alpha) for p in ps]))
+    # the baselines' scales (the theorem's limiting kernel constant), by
+    # the alpha of the baseline row: D3 has none
+    scales, notes = {None: 2.0}, []
+    for alpha in alphas if axis == "p" else ():
+        scales[alpha] = 1.0 if base_row.weighted else kernel_mass(
+            interval, base_row.family, alpha)
+        if base_row.family is Family.EXP and not base_row.weighted:
+            alt = exp_flat_limit_alternative(interval, alpha)
+            notes.append(
+                f"alpha={alpha:g}: p->0 kernel constant computes to "
+                f"2*(1-exp(-rho))/(1-alpha) = {scales[alpha]:.9g}; the "
+                f"alternative closed form 2*exp(-rho)/(1-alpha) = "
+                f"{alt:.9g} does not match the integral and is not used")
+    # one plan per p: the baselines it needs there (an alpha sweep's D3 at
+    # every p; a p sweep's, which have no p, at the first p), then the
+    # theorem at every alpha
+    baselines, sides = {}, {}
+    for p in ps:
+        bases = [None] if axis == "alpha" else alphas if p == ps[0] else ()
+        plan = [(bid, alpha, False) for alpha in bases] + \
+            [(tid, alpha, False) for alpha in alphas]
+        cols = TheoremEvaluator(u, interval, p=p, weight=weight,
+                                tol=tol).evaluate_plan(plan)
+        for (t, alpha, _), lhs, mid, rhs in zip(plan, cols.lhs, cols.mid,
+                                               cols.rhs):
+            found = (lhs, rhs) if mid is None else (lhs, mid, rhs)
+            if t is tid:
+                sides[p, alpha] = found
+            else:
+                baselines[p if axis == "alpha" else alpha] = tuple(
+                    scales[alpha] * s for s in found)
     rows = []
-    for baseline, scale, points in groups:
-        scaled_base = tuple(scale * s for s in baseline.sides())
-        for p, alpha in points:
-            sides = evs[p].evaluate(tid, alpha=alpha).sides()
-            deltas = tuple(abs(s - t) for s, t in zip(sides, scaled_base))
-            rows.append(LimitRow(p, alpha, sides, scaled_base, deltas,
-                                 max(deltas)))
+    for p, alpha in (itertools.product(ps, alphas) if axis == "alpha" else
+                     ((p, alpha) for alpha in alphas for p in ps)):
+        base = baselines[p if axis == "alpha" else alpha]
+        deltas = tuple(abs(s - t) for s, t in zip(sides[p, alpha], base))
+        rows.append(LimitRow(p, alpha, sides[p, alpha], base, deltas,
+                             max(deltas)))
     return LimitSweepResult(tid, bid, axis, rows, notes)

@@ -242,6 +242,36 @@ def test_limits_unknown_pairing_exits_2(capsys):
     assert "no documented limit" in err
 
 
+@pytest.mark.parametrize("sweep", [
+    ("--p", "1e-2,1e-2", "--alpha", "0.5"),
+    ("--p", "1e-2,1e-3", "--alpha", "0.3,0.3"),
+])
+def test_limits_repeated_sweep_value_exits_2_without_warnings(capsys, sweep):
+    # two equal points would fit a decay rate through one point, with a
+    # numpy RankWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "limits", "--thm", "D4", "--to", "FHH",
+                                 "--fn", "cosh(x)", "--a", "0", "--b", "1",
+                                 *sweep)
+    assert code == 2
+    assert out == ""
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines()
+    assert len(lines) == 1 and "must not repeat a value" in lines[0]
+
+
+@pytest.mark.parametrize("fn", ["+".join(["x"] * 1500), "-" * 3000 + "x",
+                                "*".join(["x"] * 400)])
+def test_huge_function_string_exits_2_with_one_error_line(capsys, fn):
+    code, out, err = run_cli(capsys, "verify", "--thm", "HH_1_1", "--fn=" + fn,
+                             "--a", "0", "--b", "1")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: function string")
+
+
 @pytest.mark.parametrize("grid_n", ["2", "1002"])
 def test_classify_grid_outside_bounds_exits_2(capsys, grid_n):
     code, out, err = run_cli(capsys, "classify", "--fn", "cosh(2*x)", "--p", "1",

@@ -1,10 +1,18 @@
+import ast
 import math
 
 import numpy as np
 import pytest
 
 from hypfrac.expressions import build_hyperbolic, cosh_centered
-from hypfrac.grammar import GrammarError, parse_function, to_grammar
+from hypfrac.generators import (
+    GenConfig,
+    draw_interval,
+    gen_p_convex,
+    gen_symmetric_weight,
+    rng_for,
+)
+from hypfrac.grammar import MAX_NODES, GrammarError, parse_function, to_grammar
 
 
 @pytest.mark.parametrize("text,x,expected", [
@@ -59,3 +67,48 @@ def test_round_trip_preserves_exact_floats():
     text = to_grammar(f)
     assert "0.30000000000000004" in text
     assert parse_function(text).eval(1.0) == f.eval(1.0)
+
+
+def _product(n):
+    return "*".join(["x"] * n)
+
+
+def _nest(n):
+    return "cosh(" * n + "x" + ")" * n
+
+
+@pytest.mark.parametrize("at_bound,past_bound", [
+    (_product(38), _product(39)),    # 150 and 154 nodes
+    (_nest(49), _nest(50)),          # 149 and 152 nodes
+    ("-" * 74 + "x", "-" * 75 + "x"),  # 150 and 152 nodes
+])
+def test_parse_bounds_the_node_count(at_bound, past_bound):
+    assert MAX_NODES == 150
+    parse_function(at_bound)
+    with pytest.raises(GrammarError, match=f"more than {MAX_NODES} syntax nodes"):
+        parse_function(past_bound)
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["x"] * 1500),   # deeper than the converter could recurse
+    "-" * 3000 + "x",         # too deep for the parser's AST construction
+    "-" * 10000 + "x",        # overflows the parser's own stack
+])
+def test_parse_rejects_huge_strings_as_grammar_errors(text):
+    with pytest.raises(GrammarError):
+        parse_function(text)
+
+
+def test_generated_functions_parse_within_the_bound():
+    cfg = GenConfig(seed=42)
+    for index in range(200):
+        rng = rng_for(cfg.seed, index)
+        interval = draw_interval(cfg, rng)
+        p = rng.uniform(0.05, 5.0) / interval.length
+        u = gen_p_convex(cfg, p, interval, rng=rng)
+        w = gen_symmetric_weight(cfg, interval, rng=rng)
+        for f in (u, w.v):
+            text = to_grammar(f)
+            size = sum(1 for _ in ast.walk(ast.parse(text, mode="eval").body))
+            assert size <= MAX_NODES // 3, text
+            parse_function(text)

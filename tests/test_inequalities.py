@@ -36,6 +36,8 @@ from hypfrac.inequalities import (
     TheoremEvaluator,
     TheoremId,
     WeightSpec,
+    _LIMIT_PAIRINGS,
+    _REQUIRES,
     _moment_layout,
     eval_theorem,
     kernel_cosh_moment,
@@ -512,6 +514,58 @@ def test_limit_sweep_p_axis_decay_rate_is_the_slowest_alpha():
              for alpha in alphas]
     assert rates[1] < rates[0]
     assert sweep.decay_rate == rates[1]
+
+
+@pytest.mark.parametrize("tid,bid", _LIMIT_PAIRINGS)
+def test_limit_sweep_rows_equal_one_row_verdicts(tid, bid):
+    # a sweep evaluates one plan per p; each of its sides must be the side
+    # of a fresh one-row evaluation at that (p, alpha), times the scale
+    I = Interval(-0.4, 1.1)
+    u = gen_p_convex(GenConfig(seed=5), 1.2, I, index=2)
+    w = gen_symmetric_weight(GenConfig(seed=5), I, index=3)
+    if bid is TheoremId.D3:
+        alphas, ps = (0.9, 0.99), (1.2, 0.4)
+    elif _REQUIRES[tid].family is Family.EXP:
+        alphas, ps = (0.3, 0.8), (1e-1, 1e-2)
+    else:
+        alphas, ps = (0.5, 1.5), (1e-1, 1e-2)
+    sweep = limit_sweep(tid, bid, u, I, weight=w, alphas=alphas, ps=ps)
+    notes, points = [], []
+    for p, alpha in [(p, alpha) for p in ps for alpha in alphas]:
+        if sweep.axis == "alpha":
+            scale, base = 2.0, eval_theorem(bid, u, I, v=w, p=p)
+        else:
+            scale, base = 1.0, eval_theorem(bid, u, I, v=w, p=ps[0], alpha=alpha)
+            if not _REQUIRES[bid].weighted:
+                scale = kernel_mass(I, _REQUIRES[bid].family, alpha)
+        if bid is TheoremId.FHH2 and p == ps[0]:
+            notes.append(
+                f"alpha={alpha:g}: p->0 kernel constant computes to "
+                f"2*(1-exp(-rho))/(1-alpha) = {scale:.9g}; the alternative "
+                f"closed form 2*exp(-rho)/(1-alpha) = "
+                f"{exp_flat_limit_alternative(I, alpha):.9g} does not match "
+                "the integral and is not used")
+        sides = eval_theorem(tid, u, I, v=w, p=p, alpha=alpha).sides()
+        points.append(((p, alpha), sides, tuple(scale * s for s in base.sides())))
+    rows = {(r.p, r.alpha): r for r in sweep.rows}
+    assert len(rows) == len(points)
+    for point, sides, scaled_base in points:
+        assert repr(rows[point].sides) == repr(sides), point
+        assert repr(rows[point].baseline_sides) == repr(scaled_base), point
+    assert sweep.notes == notes
+
+
+@pytest.mark.parametrize("ps,alphas,name", [
+    ((1e-2, 1e-2), (0.5,), "ps"),
+    ((1e-2, 1e-3), (0.5, 0.3, 0.5), "alphas"),
+])
+def test_limit_sweep_rejects_a_repeated_value(ps, alphas, name):
+    # a repeated point would fit a decay rate through one point
+    with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+        limit_sweep("D4", "FHH", X2, I01, alphas=alphas, ps=ps)
+    with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+        limit_sweep("D8", "D3", X2, I01, weight=unit_weight(), alphas=alphas,
+                    ps=ps)
 
 
 def test_limit_sweep_unknown_pairing():
