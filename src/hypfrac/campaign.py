@@ -6,7 +6,10 @@ inequality suite on each across the configured fractional-order grid, and
 writes two artifacts:
 
 * a rows file (CSV by default) with one line per verdict - byte-identical
-  across runs with the same config, independent of worker count;
+  across runs with the same config, independent of worker count.  The rows
+  run theorem by theorem, instance by instance, alphas ascending: each
+  instance's plan lists its rows in that order, and the campaign gathers
+  them by theorem as they arrive;
 * a summary report (JSON) with per-theorem pass counts, the most negative
   slack seen with its full instance parameters, the most negative slack
   relative to max(1, |rhs|) (what ``holds`` tests), the printed-constant probe
@@ -23,6 +26,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -31,10 +35,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .expressions import Interval
 from .fractional import Family
 from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
+from .grammar import to_grammar
 from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId
 
 # a row: its theorem id, the fields fixed per instance and alpha (head), the
@@ -47,10 +54,6 @@ CSV_COLUMNS = ["theorem_id", *_HEAD, *_SIDES, "holds", *_TAIL]
 _THEOREMS = {family: tuple(t for t in TheoremId if _REQUIRES[t].family is family)
              for family in (None, Family.RL, Family.EXP)}
 _PRINTED_THEOREMS = tuple(t for t in TheoremId if _REQUIRES[t].printed_constant)
-
-_ROW_ORDER = [t.value for theorems in _THEOREMS.values() for t in theorems] \
-    + [t.value + "_printed" for t in _PRINTED_THEOREMS]
-_ROW_RANK = {tid: i for i, tid in enumerate(_ROW_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -127,32 +130,36 @@ def _draw(cfg: CampaignConfig, index: int):
 
 
 def instance_rows(cfg: CampaignConfig, index: int) -> list:
-    """All verdict rows for one seeded instance (pure in (cfg, index)),
-    from the columns of one :meth:`TheoremEvaluator.evaluate_plan`."""
+    """All verdict rows for one seeded instance (pure in (cfg, index)), in
+    plan order, from one :meth:`TheoremEvaluator.evaluate_plan`.  Overflow
+    shows in the rows as inf or nan, so numpy is asked not to warn of it."""
     u, interval, p, w = _draw(cfg, index)
     ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
-    u_descr, w_descr = ev.descriptors()
     plan = _plan(cfg)
-    cols = ev.evaluate_plan([(tid, alpha, printed)
-                             for tid, _, alpha, printed in plan])
+    with np.errstate(all="ignore"):
+        verdicts = ev.evaluate_plan([(tid, alpha, printed)
+                                     for tid, _, alpha, printed in plan])
     a, b, p, seed = interval.a, interval.b, ev.p, cfg.seed
+    u_descr, w_descr = to_grammar(u), to_grammar(w.v)
     return [{"theorem_id": name, "a": a, "b": b, "p": p, "alpha": alpha,
              "lhs": lhs, "mid": mid, "rhs": rhs, "slack_left": slack_left,
              "slack_right": slack_right, "holds": holds,
              "fn_descriptor": u_descr, "weight_descriptor": w_descr,
              "seed": seed, "instance_index": index}
-            for (_, name, alpha, _), lhs, mid, rhs, slack_left, slack_right,
-            holds in zip(plan, *cols)]
+            for (_, name, alpha, _), (lhs, mid, rhs, slack_left, slack_right,
+                                      holds) in zip(plan, verdicts)]
 
 
 def _plan(cfg: CampaignConfig) -> list:
     """(theorem, row name, alpha, strict_printed) of every row of an
-    instance: each theorem at each alpha of its kernel's family."""
-    alphas = {None: (None,), Family.RL: cfg.alphas,
-              Family.EXP: tuple(a for a in cfg.alphas if a < 1.0)}
+    instance, in file order: theorem by theorem (plain, RL, EXP, then the
+    printed probes), each at the alphas of its kernel's family, ascending."""
+    ascending = tuple(sorted(cfg.alphas))
+    alphas = {None: (None,), Family.RL: ascending,
+              Family.EXP: tuple(a for a in ascending if a < 1.0)}
     plan = [(tid, tid.value, alpha, False)
             for family, theorems in _THEOREMS.items()
-            for alpha in alphas[family] for tid in theorems]
+            for tid in theorems for alpha in alphas[family]]
     if cfg.printed_probe:
         plan += [(tid, tid.value + "_printed", alpha, True)
                  for tid in _PRINTED_THEOREMS
@@ -177,62 +184,42 @@ def _resolve_workers(cfg: CampaignConfig) -> int:
 
 
 def run_campaign(cfg: CampaignConfig):
-    """Returns (CampaignReport, rows).  Rows are ordered by
-    (theorem, instance index, alpha), independent of worker scheduling."""
+    """Returns (CampaignReport, rows).  Rows come theorem by theorem in
+    plan order, then by instance index, then alpha ascending (the plan's
+    order within an instance), independent of worker scheduling."""
     start = time.perf_counter()
     workers = _resolve_workers(cfg)
     indices = range(cfg.n_instances)
     if workers > 1:
         chunk = max(1, cfg.n_instances // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(_instance_worker,
-                                         [(cfg, i) for i in indices],
-                                         chunksize=chunk))
+            per_instance = list(pool.map(instance_rows, itertools.repeat(cfg),
+                                         indices, chunksize=chunk))
     else:
         per_instance = [instance_rows(cfg, i) for i in indices]
-    rows = [r for batch in per_instance for r in batch]
-    rows.sort(key=lambda r: (_ROW_RANK[r["theorem_id"]], r["instance_index"],
-                             -1.0 if r["alpha"] is None else r["alpha"]))
+    by_theorem = {}
+    for batch in per_instance:
+        for r in batch:
+            by_theorem.setdefault(r["theorem_id"], []).append(r)
+    rows = [r for group in by_theorem.values() for r in group]
 
     per_theorem = {}
     probe = {}
-    for r in rows:
-        tid = r["theorem_id"]
-        is_probe = tid.endswith("_printed")
-        if is_probe:
-            entry = probe.get(tid.split("_")[0])
-            if entry is None:
-                entry = probe[tid.split("_")[0]] = {
-                    "instances": 0, "violations": 0, "nonfinite": 0,
-                    "worst_slack": None, "worst_rel_slack": None,
-                }
-            entry["instances"] += 1
+    for tid, group in by_theorem.items():
+        nonfinite, fail, worst, worst_row, worst_rel = _summary(group)
+        if tid.endswith("_printed"):
+            probe[tid.split("_")[0]] = {
+                "instances": len(group), "violations": fail,
+                "nonfinite": nonfinite, "worst_slack": worst,
+                "worst_rel_slack": worst_rel,
+            }
         else:
-            entry = per_theorem.get(tid)
-            if entry is None:
-                entry = per_theorem[tid] = {
-                    "pass": 0, "fail": 0, "nonfinite": 0, "worst_slack": None,
-                    "worst_rel_slack": None, "worst_params": None,
-                }
-        slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
-        # a value that overflowed a double (mid shows in its slack) is no
-        # verdict either way, and a nan never compares below the worst slack
-        if not all(map(math.isfinite, [r["lhs"], r["rhs"], *slacks])):
-            entry["nonfinite"] += 1
-            continue
-        if is_probe:
-            entry["violations"] += not r["holds"]
-        else:
-            entry["pass" if r["holds"] else "fail"] += 1
-        worst = min(slacks)
-        if entry["worst_slack"] is None or worst < entry["worst_slack"]:
-            entry["worst_slack"] = worst
-            if not is_probe:
-                entry["worst_params"] = dict(r)
-        # what holds tests against -tol
-        rel = worst / max(1.0, abs(r["rhs"]))
-        if entry["worst_rel_slack"] is None or rel < entry["worst_rel_slack"]:
-            entry["worst_rel_slack"] = rel
+            per_theorem[tid] = {
+                "pass": len(group) - nonfinite - fail, "fail": fail,
+                "nonfinite": nonfinite, "worst_slack": worst,
+                "worst_rel_slack": worst_rel,
+                "worst_params": None if worst_row is None else dict(worst_row),
+            }
     violations = sum(entry["fail"] for entry in per_theorem.values())
     nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())
 
@@ -255,9 +242,28 @@ def run_campaign(cfg: CampaignConfig):
     return report, rows
 
 
-def _instance_worker(args):
-    cfg, index = args
-    return instance_rows(cfg, index)
+def _summary(rows):
+    """(nonfinite, failing, worst slack, the first row reaching it, worst
+    relative slack) of one theorem's rows; the worst slacks are over the
+    finite rows, and None without one."""
+    nonfinite = fail = 0
+    worst = worst_row = worst_rel = None
+    for r in rows:
+        slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
+        # a value that overflowed a double (mid shows in its slack) is no
+        # verdict either way, and a nan never compares below the worst slack
+        if not all(map(math.isfinite, [r["lhs"], r["rhs"], *slacks])):
+            nonfinite += 1
+            continue
+        fail += not r["holds"]
+        slack = min(slacks)
+        if worst is None or slack < worst:
+            worst, worst_row = slack, r
+        # what holds tests against -tol
+        rel = slack / max(1.0, abs(r["rhs"]))
+        if worst_rel is None or rel < worst_rel:
+            worst_rel = rel
+    return nonfinite, fail, worst, worst_row, worst_rel
 
 
 # ---------------------------------------------------------------------------

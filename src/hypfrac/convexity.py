@@ -34,15 +34,14 @@ from .expressions import (
     deriv2,
     line,
 )
-from .quadrature import QuadConfig, integrate_cells
+from .fractional import OPERATOR_QUAD
+from .quadrature import integrate_cells
 
 DEFAULT_GRID_N = 101
 DEFAULT_TOL = 1e-9
 
 # elements per block of grid rows in check_chord and check_gradient
 _ROW_BLOCK = 1 << 14
-
-_PHI_QUAD = QuadConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
 
 
 class Verdict(enum.Enum):
@@ -277,7 +276,7 @@ def check_phi_monotone(f, interval: Interval, p: float,
         phi = dv
         scale = 1.0 + float(np.max(np.abs(dv)))
     else:
-        cum = np.concatenate([[0.0], np.cumsum(integrate_cells(val, xs, _PHI_QUAD))])
+        cum = np.concatenate([[0.0], np.cumsum(integrate_cells(val, xs, OPERATOR_QUAD))])
         phi = dv - p * p * cum
         scale = 1.0 + float(np.max(np.abs(dv))) + p * p * float(np.max(np.abs(cum)))
     run_max = np.maximum.accumulate(phi)

@@ -296,18 +296,6 @@ def power_of(f: FuncExpr, r: float) -> FuncExpr:
     return Power(r, f)
 
 
-def exp_of(f: FuncExpr) -> FuncExpr:
-    return Exp(f)
-
-
-def cosh_of(f: FuncExpr) -> FuncExpr:
-    return Cosh(f)
-
-
-def sinh_of(f: FuncExpr) -> FuncExpr:
-    return Sinh(f)
-
-
 def compose_affine(f: FuncExpr, scale: float, shift: float) -> FuncExpr:
     """Tree computing f(scale*x + shift)."""
     scale, shift = float(scale), float(shift)

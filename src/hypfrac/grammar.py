@@ -41,12 +41,9 @@ from .expressions import (
     Sum,
     add,
     constant,
-    cosh_of,
-    exp_of,
     power_of,
     product,
     scaled,
-    sinh_of,
 )
 
 
@@ -54,7 +51,7 @@ class GrammarError(ValueError):
     """A function string could not be parsed."""
 
 
-_UNARY_FUNCS = {"exp": exp_of, "cosh": cosh_of, "sinh": sinh_of}
+_UNARY_FUNCS = {"exp": Exp, "cosh": Cosh, "sinh": Sinh}
 
 # generated functions have at most 46; on 2 CPUs classify --grid-n 1001 takes
 # up to 1.8 s on a 49-deep nest (150 nodes), 3.2 s on a 66-deep one (200)

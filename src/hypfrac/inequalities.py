@@ -63,8 +63,9 @@ rejects is recomputed alone by :func:`kernel_moment`.  The sides, slacks
 and verdicts are then one loop over the rows in Python floats, in the
 operation order of the formulas above, so every row equals, bit for bit,
 the same row evaluated alone (numpy's fixed cost per operation would exceed
-the loop for a campaign's 53 rows, and be most of a one-row ``verify``).  A
-verdict with a nan slack does not hold.
+the loop for a campaign's 53 rows, and be most of a one-row ``verify``).
+The pass returns one tuple (lhs, mid, rhs, slack_left, slack_right, holds)
+per row, in plan order.  A verdict with a nan slack does not hold.
 
 Two printed-formula corrections are applied throughout (both forced by the
 equality case u = cosh(p*(x-m)) being tight): ``cosh^-1``/``sinh^-1``
@@ -94,7 +95,6 @@ from .fractional import (
     kernel_moment,
     kernel_parts,
 )
-from .grammar import to_grammar
 from .quadrature import fixed_rule_nodes, fixed_rule_scale, fixed_rule_values
 
 DEFAULT_SLACK_TOL = 1e-8
@@ -260,19 +260,6 @@ class InequalityVerdict:
         return (self.lhs, self.mid, self.rhs)
 
 
-class VerdictColumns(NamedTuple):
-    """The verdicts of a plan as lists, one entry per row; a row without a
-    MID has None for ``mid`` and ``slack_left``.  ``holds`` is false when a
-    slack is nan."""
-
-    lhs: list
-    mid: list
-    rhs: list
-    slack_left: list
-    slack_right: list
-    holds: list
-
-
 class _Moments(NamedTuple):
     """The moments of a batch and the fixed-rule integrals (columns) that
     make them up, built once per batch by :func:`_moment_layout`."""
@@ -391,7 +378,6 @@ class TheoremEvaluator:
     def __init__(self, u, interval: Interval, p: float | None = None,
                  weight: WeightSpec | None = None, tol: float = DEFAULT_SLACK_TOL,
                  allow_asymmetric: bool = False):
-        self.u = u
         self.uf = as_callable(u)
         self.interval = interval
         self.p = None if p is None else float(p)
@@ -481,13 +467,16 @@ class TheoremEvaluator:
 
     # -- the evaluators ------------------------------------------------------
 
-    def evaluate_plan(self, plan) -> VerdictColumns:
+    def evaluate_plan(self, plan) -> list:
         """The verdicts of the rows (theorem, alpha, strict_printed) of
-        ``plan``, as columns.  The plan's moments come from one stacked
-        pass (``_moment_values``); the sides and slacks of each row are then
-        the sandwich or the tilt bound (module docstring) in that operation
-        order, over a table of the moments and the per-instance scalars
-        (sech, csch, the kernel masses, from ``math``)."""
+        ``plan``: one tuple (lhs, mid, rhs, slack_left, slack_right, holds)
+        per row, where a row without a MID has None for ``mid`` and
+        ``slack_left``, and ``holds`` is false when a slack is nan.  The
+        plan's moments come from one stacked pass (``_moment_values``); the
+        sides and slacks of each row are then the sandwich or the tilt bound
+        (module docstring) in that operation order, over a table of the
+        moments and the per-instance scalars (sech, csch, the kernel masses,
+        from ``math``)."""
         plan = tuple(map(tuple, plan))
         for tid, alpha in dict.fromkeys((tid, alpha) for tid, alpha, _ in plan):
             self._validate(TheoremId(tid), alpha)
@@ -517,29 +506,20 @@ class TheoremEvaluator:
                 slack_right, holds = rhs - lhs, True
             holds = holds and slack_right >= -tol * max(1.0, abs(rhs))
             verdicts.append((lhs, mid, rhs, slack_left, slack_right, holds))
-        return VerdictColumns(*map(list, zip(*verdicts)))
+        return verdicts
 
     def evaluate(self, tid: TheoremId, alpha: float | None = None,
                  strict_printed: bool = False) -> InequalityVerdict:
         """One inequality: the one-row case of :meth:`evaluate_plan`."""
         tid = TheoremId(tid)
-        cols = self.evaluate_plan([(tid, alpha, strict_printed)])
-        lhs, mid, rhs, slack_left, slack_right, holds = (col[0] for col in cols)
-        fn, weight = self.descriptors()
+        (lhs, mid, rhs, slack_left, slack_right, holds), = self.evaluate_plan(
+            [(tid, alpha, strict_printed)])
         params = {"a": self.interval.a, "b": self.interval.b, "p": self.p,
-                  "alpha": alpha, "fn": fn, "weight": weight}
+                  "alpha": alpha}
         if mid is not None and _REQUIRES[tid].printed_constant:
             params["constant_mode"] = "printed" if strict_printed else "proof"
         return InequalityVerdict(tid, lhs, mid, rhs, slack_left, slack_right,
                                  holds, self.tol, params)
-
-    def descriptors(self) -> tuple:
-        """The grammar text of u and of the weight (None without one)."""
-        def descr(f):
-            return to_grammar(f) if isinstance(f, FuncExpr) \
-                else f"<{type(f).__name__}>"
-
-        return descr(self.u), descr(self.weight.v) if self.weight else None
 
 
 def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = None,
@@ -658,10 +638,9 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
         bases = [None] if axis == "alpha" else alphas if p == ps[0] else ()
         plan = [(bid, alpha, False) for alpha in bases] + \
             [(tid, alpha, False) for alpha in alphas]
-        cols = TheoremEvaluator(u, interval, p=p, weight=weight,
-                                tol=tol).evaluate_plan(plan)
-        for (t, alpha, _), lhs, mid, rhs in zip(plan, cols.lhs, cols.mid,
-                                               cols.rhs):
+        verdicts = TheoremEvaluator(u, interval, p=p, weight=weight,
+                                    tol=tol).evaluate_plan(plan)
+        for (t, alpha, _), (lhs, mid, rhs, *_) in zip(plan, verdicts):
             found = (lhs, rhs) if mid is None else (lhs, mid, rhs)
             if t is tid:
                 sides[p, alpha] = found

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -124,9 +125,39 @@ def test_determinism_same_seed_same_bytes(small_run):
 
 
 def test_determinism_across_worker_counts(small_run):
-    _, rows = small_run
-    _, rows2 = run_campaign(CampaignConfig(seed=9, n_instances=4, workers=2))
+    report, rows = small_run
+    report2, rows2 = run_campaign(CampaignConfig(seed=9, n_instances=4, workers=2))
     assert rows_to_csv(rows) == rows_to_csv(rows2)
+    # the reports differ only in the wall time and the workers echoed
+    d1, d2 = report.to_dict(), report2.to_dict()
+    d1["wall_time_s"] = d2["wall_time_s"] = 0.0
+    assert (d1["config"]["workers"], d2["config"]["workers"]) == (1, 2)
+    d2["config"]["workers"] = 1
+    assert json.dumps(d1) == json.dumps(d2)
+
+
+# the theorem order of the rows file: plain, RL, EXP, then the probes
+_THEOREM_RANK = {tid: i for i, tid in enumerate([
+    "HH_1_1", "FEJER_1_2", "D1", "D2", "D3",
+    "FHH", "FHHF", "D4", "D6", "D8",
+    "FHH2", "FHHF2", "D5", "D7", "D9",
+    "D4_printed", "D5_printed"])}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_by_theorem_then_instance_then_alpha(workers):
+    # unsorted and repeated alphas: the plan lists each theorem's alphas
+    # ascending, and the campaign gathers rows by theorem without sorting
+    cfg = CampaignConfig(seed=42, n_instances=3, alphas=(1.5, 0.3, 0.5, 0.3, 1.0),
+                         workers=workers)
+    _, rows = run_campaign(cfg)
+    assert rows == sorted(rows, key=lambda r: (
+        _THEOREM_RANK[r["theorem_id"]], r["instance_index"],
+        -1.0 if r["alpha"] is None else r["alpha"]))
+    assert [r["alpha"] for r in rows if r["theorem_id"] == "FHH"
+            and r["instance_index"] == 1] == [0.3, 0.3, 0.5, 1.0, 1.5]
+    assert [r["alpha"] for r in rows if r["theorem_id"] == "D5_printed"
+            and r["instance_index"] == 0] == [0.3, 0.3, 0.5]
 
 
 def test_different_seed_differs():
@@ -282,8 +313,7 @@ EDGE = CampaignConfig(seed=7, n_instances=12, alphas=(0.5,), pl_range=(5.0, 80.0
 
 
 def test_non_finite_rows_are_counted_apart_from_violations():
-    with np.errstate(all="ignore"):
-        report, rows = run_campaign(EDGE)
+    report, rows = run_campaign(EDGE)
     bad = [r for r in rows if not all(
         math.isfinite(v) for v in (r["lhs"], r["mid"], r["rhs"], r["slack_left"],
                                    r["slack_right"]) if v is not None)]
@@ -337,8 +367,7 @@ def _relative_worst(rows):
 
 
 def test_report_relative_worst_slack_is_what_holds_tests():
-    with np.errstate(all="ignore"):
-        report, rows = run_campaign(EDGE)
+    report, rows = run_campaign(EDGE)
     worst = _relative_worst(rows)
     for tid, entry in report.per_theorem.items():
         assert entry["worst_rel_slack"] == worst[tid]
@@ -348,6 +377,14 @@ def test_report_relative_worst_slack_is_what_holds_tests():
     assert report.per_theorem["D6"]["worst_slack"] < -1e6
     for tid, entry in report.printed_constant_probe.items():
         assert entry["worst_rel_slack"] == worst[tid + "_printed"]
+
+
+def test_overflowing_rows_raise_no_warning():
+    # overflow shows as a nonfinite row, not as a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = run_campaign(EDGE)
+    assert report.nonfinite == 15
 
 
 def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
