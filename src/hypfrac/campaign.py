@@ -8,8 +8,7 @@ writes two artifacts:
 * a rows file (CSV by default) with one line per verdict - byte-identical
   across runs with the same config, independent of worker count.  The rows
   run theorem by theorem, instance by instance, alphas ascending: each
-  instance's plan lists its rows in that order, and the campaign gathers
-  them by theorem as they arrive;
+  instance's plan lists its rows in that order;
 * a summary report (JSON) with per-theorem pass counts, the most negative
   slack seen with its full instance parameters, the most negative slack
   relative to max(1, |rhs|) (what ``holds`` tests), the printed-constant probe
@@ -19,37 +18,44 @@ writes two artifacts:
 Fractional orders >= 1 apply to the Riemann-Liouville family only.  The
 probe rows re-evaluate D4/D5 with the as-printed right-hand constant
 sech(p*(b-a)); they are reported but never counted as campaign violations.
+
+The plan is built and its alphas checked once per campaign.  Each instance
+becomes one block: the fields its rows share and the verdict tuples of its
+plan.  Workers return blocks; the report is array work over them, and
+``run_campaign`` returns the rows as a read-only sequence over the blocks
+that builds each row dict on request.  The writers write campaign rows
+straight from the blocks, and any other list of row dicts cell by cell.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 import math
-import operator
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .expressions import Interval
-from .fractional import Family
+from .fractional import Family, FracParams
 from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
 from .grammar import to_grammar
 from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId
 
-# a row: its theorem id, the fields fixed per instance and alpha (head), the
-# sides and slacks, holds, and the fields fixed per instance (tail)
-_HEAD = ("a", "b", "p", "alpha")
+# a row: its theorem id, fields its instance fixes (head), its alpha, the
+# sides and slacks, holds, and more fields its instance fixes (tail)
+_HEAD = ("a", "b", "p")
 _SIDES = ("lhs", "mid", "rhs", "slack_left", "slack_right")
 _TAIL = ("fn_descriptor", "weight_descriptor", "seed", "instance_index")
-CSV_COLUMNS = ["theorem_id", *_HEAD, *_SIDES, "holds", *_TAIL]
+CSV_COLUMNS = ["theorem_id", *_HEAD, "alpha", *_SIDES, "holds", *_TAIL]
 
 _THEOREMS = {family: tuple(t for t in TheoremId if _REQUIRES[t].family is family)
              for family in (None, Family.RL, Family.EXP)}
@@ -129,34 +135,51 @@ def _draw(cfg: CampaignConfig, index: int):
     return u, interval, p, w
 
 
-def instance_rows(cfg: CampaignConfig, index: int) -> list:
-    """All verdict rows for one seeded instance (pure in (cfg, index)), in
-    plan order, from one :meth:`TheoremEvaluator.evaluate_plan`.  Overflow
-    shows in the rows as inf or nan, so numpy is asked not to warn of it."""
+class _Block(NamedTuple):
+    """One evaluated instance: what its rows share, and the verdict tuples
+    of :meth:`TheoremEvaluator.evaluate_plan`, one per plan row."""
+
+    index: int
+    a: float
+    b: float
+    p: float
+    fn_descriptor: str
+    weight_descriptor: str
+    verdicts: tuple
+
+
+def _instance_block(cfg: CampaignConfig, plan: list, index: int) -> _Block:
+    """The block of one seeded instance (pure in (cfg, index)) over the
+    rows of ``plan`` (``_plan(cfg)``), from one ``evaluate_plan``.  Overflow
+    shows in the verdicts as inf or nan, so numpy is asked not to warn of
+    it."""
     u, interval, p, w = _draw(cfg, index)
     ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
-    plan = _plan(cfg)
     with np.errstate(all="ignore"):
         verdicts = ev.evaluate_plan([(tid, alpha, printed)
                                      for tid, _, alpha, printed in plan])
-    a, b, p, seed = interval.a, interval.b, ev.p, cfg.seed
-    u_descr, w_descr = to_grammar(u), to_grammar(w.v)
-    return [{"theorem_id": name, "a": a, "b": b, "p": p, "alpha": alpha,
-             "lhs": lhs, "mid": mid, "rhs": rhs, "slack_left": slack_left,
-             "slack_right": slack_right, "holds": holds,
-             "fn_descriptor": u_descr, "weight_descriptor": w_descr,
-             "seed": seed, "instance_index": index}
-            for (_, name, alpha, _), (lhs, mid, rhs, slack_left, slack_right,
-                                      holds) in zip(plan, verdicts)]
+    return _Block(index, interval.a, interval.b, ev.p, to_grammar(u),
+                  to_grammar(w.v), tuple(verdicts))
+
+
+def instance_rows(cfg: CampaignConfig, index: int) -> list:
+    """All verdict rows for one seeded instance (pure in (cfg, index)), in
+    plan order, as dicts with the keys of ``CSV_COLUMNS``."""
+    plan = _plan(cfg)
+    return list(_Rows(cfg.seed, plan, [_instance_block(cfg, plan, index)]))
 
 
 def _plan(cfg: CampaignConfig) -> list:
     """(theorem, row name, alpha, strict_printed) of every row of an
     instance, in file order: theorem by theorem (plain, RL, EXP, then the
-    printed probes), each at the alphas of its kernel's family, ascending."""
+    printed probes), each at the alphas of its kernel's family, ascending.
+    An alpha out of its family's range raises here, before any instance."""
     ascending = tuple(sorted(cfg.alphas))
     alphas = {None: (None,), Family.RL: ascending,
               Family.EXP: tuple(a for a in ascending if a < 1.0)}
+    for family in (Family.RL, Family.EXP):
+        for alpha in alphas[family]:
+            FracParams(alpha, family)
     plan = [(tid, tid.value, alpha, False)
             for family, theorems in _THEOREMS.items()
             for tid in theorems for alpha in alphas[family]]
@@ -165,6 +188,52 @@ def _plan(cfg: CampaignConfig) -> list:
                  for tid in _PRINTED_THEOREMS
                  for alpha in alphas[_REQUIRES[tid].family]]
     return plan
+
+
+class _Rows(Sequence):
+    """The rows of a campaign, read-only, in file order: theorem by theorem
+    (the plan's runs of one row name), then instance by instance, then the
+    plan's order (alphas ascending).  Each row is a fresh dict with the keys
+    of ``CSV_COLUMNS``, built from the blocks when asked for."""
+
+    def __init__(self, seed: int, plan: list, blocks: list):
+        self.seed, self.plan, self.blocks = seed, plan, blocks
+        # per theorem: its row name and its slice of the plan
+        self.groups = []
+        for name, run in itertools.groupby(enumerate(plan), lambda e: e[1][1]):
+            run = [j for j, _ in run]
+            self.groups.append((name, run[0], run[-1] + 1))
+
+    def row(self, block: _Block, j: int) -> dict:
+        """The row of plan row ``j`` of an instance."""
+        _, name, alpha, _ = self.plan[j]
+        lhs, mid, rhs, slack_left, slack_right, holds = block.verdicts[j]
+        return {"theorem_id": name, "a": block.a, "b": block.b, "p": block.p,
+                "alpha": alpha, "lhs": lhs, "mid": mid, "rhs": rhs,
+                "slack_left": slack_left, "slack_right": slack_right,
+                "holds": holds, "fn_descriptor": block.fn_descriptor,
+                "weight_descriptor": block.weight_descriptor,
+                "seed": self.seed, "instance_index": block.index}
+
+    def __len__(self) -> int:
+        return len(self.blocks) * len(self.plan)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # negative indices, and IndexError past the end
+        for _, start, stop in self.groups:
+            size = (stop - start) * len(self.blocks)
+            if i < size:
+                k, j = divmod(i, stop - start)
+                return self.row(self.blocks[k], start + j)
+            i -= size
+
+    def __iter__(self):
+        for _, start, stop in self.groups:
+            for block in self.blocks:
+                for j in range(start, stop):
+                    yield self.row(block, j)
 
 
 def _resolve_workers(cfg: CampaignConfig) -> int:
@@ -184,41 +253,39 @@ def _resolve_workers(cfg: CampaignConfig) -> int:
 
 
 def run_campaign(cfg: CampaignConfig):
-    """Returns (CampaignReport, rows).  Rows come theorem by theorem in
-    plan order, then by instance index, then alpha ascending (the plan's
-    order within an instance), independent of worker scheduling."""
+    """Returns (CampaignReport, rows).  ``rows`` is a read-only sequence
+    that builds each row dict when asked for: theorem by theorem in plan
+    order, then by instance index, then alpha ascending (the plan's order
+    within an instance), independent of worker scheduling.  An alpha grid
+    out of range raises before any instance is evaluated."""
     start = time.perf_counter()
     workers = _resolve_workers(cfg)
+    plan = _plan(cfg)
     indices = range(cfg.n_instances)
     if workers > 1:
         chunk = max(1, cfg.n_instances // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(instance_rows, itertools.repeat(cfg),
-                                         indices, chunksize=chunk))
+            blocks = list(pool.map(_instance_block, itertools.repeat(cfg),
+                                   itertools.repeat(plan), indices,
+                                   chunksize=chunk))
     else:
-        per_instance = [instance_rows(cfg, i) for i in indices]
-    by_theorem = {}
-    for batch in per_instance:
-        for r in batch:
-            by_theorem.setdefault(r["theorem_id"], []).append(r)
-    rows = [r for group in by_theorem.values() for r in group]
+        blocks = [_instance_block(cfg, plan, i) for i in indices]
+    rows = _Rows(cfg.seed, plan, blocks)
 
     per_theorem = {}
     probe = {}
-    for tid, group in by_theorem.items():
-        nonfinite, fail, worst, worst_row, worst_rel = _summary(group)
-        if tid.endswith("_printed"):
-            probe[tid.split("_")[0]] = {
-                "instances": len(group), "violations": fail,
+    for name, count, nonfinite, fail, worst, worst_row, worst_rel in _summary(rows):
+        if name.endswith("_printed"):
+            probe[name.split("_")[0]] = {
+                "instances": count, "violations": fail,
                 "nonfinite": nonfinite, "worst_slack": worst,
                 "worst_rel_slack": worst_rel,
             }
         else:
-            per_theorem[tid] = {
-                "pass": len(group) - nonfinite - fail, "fail": fail,
+            per_theorem[name] = {
+                "pass": count - nonfinite - fail, "fail": fail,
                 "nonfinite": nonfinite, "worst_slack": worst,
-                "worst_rel_slack": worst_rel,
-                "worst_params": None if worst_row is None else dict(worst_row),
+                "worst_rel_slack": worst_rel, "worst_params": worst_row,
             }
     violations = sum(entry["fail"] for entry in per_theorem.values())
     nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())
@@ -242,28 +309,39 @@ def run_campaign(cfg: CampaignConfig):
     return report, rows
 
 
-def _summary(rows):
-    """(nonfinite, failing, worst slack, the first row reaching it, worst
-    relative slack) of one theorem's rows; the worst slacks are over the
-    finite rows, and None without one."""
-    nonfinite = fail = 0
-    worst = worst_row = worst_rel = None
-    for r in rows:
-        slacks = [s for s in (r["slack_left"], r["slack_right"]) if s is not None]
-        # a value that overflowed a double (mid shows in its slack) is no
-        # verdict either way, and a nan never compares below the worst slack
-        if not all(map(math.isfinite, [r["lhs"], r["rhs"], *slacks])):
-            nonfinite += 1
-            continue
-        fail += not r["holds"]
-        slack = min(slacks)
-        if worst is None or slack < worst:
-            worst, worst_row = slack, r
-        # what holds tests against -tol
-        rel = slack / max(1.0, abs(r["rhs"]))
-        if worst_rel is None or rel < worst_rel:
-            worst_rel = rel
-    return nonfinite, fail, worst, worst_row, worst_rel
+def _summary(rows: _Rows) -> list:
+    """Per theorem: (row name, rows, nonfinite, failing, worst slack, the
+    first row reaching it, worst relative slack).  The worst slacks are
+    over the finite rows, and None without one; a row's slack is the least
+    of its slacks that are not None, and its relative slack that over
+    max(1, |rhs|), what holds tests against -tol.  A value that overflowed
+    a double (mid shows in its slacks) is no verdict either way."""
+    # (instance, plan row, side); None (no MID) is nan, holds 1.0 or 0.0
+    lhs, _, rhs, left, right, holds = np.moveaxis(np.array(
+        [block.verdicts for block in rows.blocks], dtype=float), 2, 0)
+    tilt = np.array([not _REQUIRES[tid].has_mid for tid, *_ in rows.plan])
+    with np.errstate(all="ignore"):
+        slack = np.where(tilt | (right < left), right, left)
+        finite = (np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(right)
+                  & (tilt | np.isfinite(left)))
+        rel = slack / np.maximum(1.0, np.abs(rhs))
+    failing = finite & (holds == 0.0)
+    # argmin keeps the first row (file order) of a tie, -0.0 == 0.0 too
+    slack, rel = np.where(finite, slack, np.inf), np.where(finite, rel, np.inf)
+    out = []
+    for name, start, stop in rows.groups:
+        cols = np.s_[:, start:stop]  # the theorem's rows, in file order
+        count, n_finite = finite[cols].size, int(np.count_nonzero(finite[cols]))
+        worst = worst_row = worst_rel = None
+        if n_finite:
+            k, j = divmod(int(np.argmin(slack[cols])), stop - start)
+            worst = float(slack[k, start + j])
+            worst_row = rows.row(rows.blocks[k], start + j)
+            worst_rel = float(rel[cols].flat[np.argmin(rel[cols])])
+        out.append((name, count, count - n_finite,
+                    int(np.count_nonzero(failing[cols])),
+                    worst, worst_row, worst_rel))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,127 +373,67 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()
 
 
-def _row_texts(fmt, gap):
-    """The function that gives the texts of a row's theorem id, head,
-    sides, holds and tail (see ``CSV_COLUMNS``) for a writer whose values
-    are ``fmt(v)`` and where ``gap(key)`` precedes every key of a group but
-    its first.
+def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str) -> list:
+    """The text of every campaign row, in file order: ``begin``, the values
+    as ``fmt`` writes them, each key but the first preceded by ``gap(key)``,
+    then ``end``.  The fields an instance shares are formatted once per
+    instance, a plan row's name and alpha once per plan.  A plan row has
+    one %-template per holds value, where a float side is %s (a float's
+    ``str`` is its ``repr``) and a side that is None (fixed per plan row: a
+    row without a MID) is fmt(None) and %.0s, which prints none of its
+    argument.  A row whose text holds nan or inf is formatted again with
+    its sides written by fmt (JSON spells them NaN and Infinity)."""
+    gaps = {k: gap(k) for k in CSV_COLUMNS}
 
-    Head and tail are formatted once per distinct values, keyed with their
-    types (1 == 1.0 == True); values holding a float zero are formatted
-    every time (0.0 == -0.0).  Sides that are floats or None go through one
-    %-template per pattern of the two: %r for a float (``repr`` is
-    ``float.__repr__``), and for None its text and %.0s, which prints none
-    of its argument.  Sides holding a nan or an inf are formatted by fmt
-    instead (JSON spells them NaN and Infinity).
-    """
-    fields = operator.itemgetter(*_HEAD, *_TAIL)
-    sides_of = operator.itemgetter(*_SIDES)
-    n_head = len(_HEAD)
-    gaps = {keys: [gap(k) for k in keys[1:]] for keys in (_HEAD, _SIDES, _TAIL)}
-    instances, templates, ids = {}, {}, {}
+    def fields(keys, values):
+        return "".join([gaps[k] + fmt(v) for k, v in zip(keys, values)])
 
-    def joined(keys, values):
-        return fmt(values[0]) + "".join(
-            [g + fmt(v) for g, v in zip(gaps[keys], values[1:])])
-
-    def template(kinds):
-        if not set(kinds) <= {float, type(None)}:
-            return None
-        form = "".join(
-            g.replace("%", "%%")
-            + ("%r" if kind is float else fmt(None).replace("%", "%%") + "%.0s")
-            for g, kind in zip([""] + gaps[_SIDES], kinds))
-        # a non-finite float is found by its text: the rest must not hold it
-        return None if "nan" in form or "inf" in form else form
-
-    def texts(r):
-        values = fields(r)
-        key = values + tuple(map(type, values))
-        head_tail = instances.get(key)
-        if head_tail is None:
-            head_tail = (joined(_HEAD, values[:n_head]),
-                         joined(_TAIL, values[n_head:]))
-            if not any(v == 0 and type(v) is float for v in values):
-                instances[key] = head_tail
-        sides = sides_of(r)
-        kinds = tuple(map(type, sides))
-        form = templates.get(kinds, False)
-        if form is False:
-            form = templates[kinds] = template(kinds)
-        text = None if form is None else form % sides
-        if text is None or "nan" in text or "inf" in text:
-            text = joined(_SIDES, sides)
-        tid, holds = r["theorem_id"], r["holds"]
-        tid_text = ids.get(tid)
-        if tid_text is None:
-            tid_text = fmt(tid)
-            if type(tid) is str:
-                ids[tid] = tid_text
-        return (tid_text, head_tail[0], text,
-                "true" if holds is True else "false" if holds is False
-                else fmt(holds), head_tail[1])
-
-    return texts
+    shared = [(fields(_HEAD, (block.a, block.b, block.p)),
+               fields(_TAIL, (block.fn_descriptor, block.weight_descriptor,
+                              rows.seed, block.index)))
+              for block in rows.blocks]
+    null = fmt(None) + "%.0s"
+    sides = {has_mid: "".join(
+        gaps[k] + (null if not has_mid and k in ("mid", "slack_left") else "%s")
+        for k in _SIDES) for has_mid in (False, True)}
+    holds = [gaps["holds"] + fmt(h) + "%.0s%s" + end for h in (False, True)]
+    templates = []
+    for tid, name, alpha, _ in rows.plan:
+        body = (begin + fmt(name) + "%s" + gaps["alpha"] + fmt(alpha)
+                + sides[_REQUIRES[tid].has_mid])
+        templates.append((body + holds[0], body + holds[1]))
+    lines = []
+    for _, start, stop in rows.groups:
+        forms = templates[start:stop]
+        for block, (head, tail) in zip(rows.blocks, shared):
+            for form, v in zip(forms, block.verdicts[start:stop]):
+                text = form[v[5]] % (head, *v, tail)
+                if "nan" in text or "inf" in text:
+                    text = form[v[5]] % (head, *map(fmt, v), tail)
+                lines.append(text)
+    return lines
 
 
 def rows_to_csv(rows) -> str:
-    texts = _row_texts(functools.partial(_cell, fields={}), lambda k: ",")
-    lines = [",".join(CSV_COLUMNS)]
-    lines += ["%s,%s,%s,%s,%s" % texts(r) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_value(v, strings: dict) -> str:
-    """``v`` as ``json.dumps`` writes it."""
-    if isinstance(v, float):
-        text = float.__repr__(v)  # not repr: numpy scalars print their type
-        return _JSON_NON_FINITE.get(text, text)
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, str):
-        text = strings.get(v)
-        if text is None:
-            text = strings[v] = json.encoder.encode_basestring_ascii(v)
-        return text
-    raise TypeError(f"row value of type {type(v).__name__} is not JSON "
-                    "serializable")
+    """The CSV text of rows (dicts with the keys of ``CSV_COLUMNS``);
+    campaign rows are written from their blocks."""
+    fields = {}
+    cell = lambda v: _cell(v, fields)
+    if isinstance(rows, _Rows):
+        lines = _row_lines(rows, cell, lambda k: ",", "", "")
+    else:
+        lines = [",".join([cell(r[k]) for k in CSV_COLUMNS]) for r in rows]
+    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
 def rows_to_json(rows) -> str:
-    """``json.dumps(rows, indent=2) + "\\n"`` for flat row dicts, written
-    directly: ``indent`` makes ``json`` fall back to its pure-Python
-    encoder.  Each distinct key sequence becomes one %-template; rows with
-    the keys of ``CSV_COLUMNS``, in order, fill theirs from ``_row_texts``."""
-    value = functools.partial(_json_value, strings={})
-    texts = _row_texts(value, lambda k: ",\n    " + value(k) + ": ")
-    campaign = tuple(CSV_COLUMNS)
-    layouts = {}
-    objects = []
-    for r in rows:
-        keys = tuple(r)
-        layout = layouts.get(keys)
-        if layout is None:
-            shown = keys  # the keys ahead of the %s slots
-            if keys == campaign:  # the five texts of _row_texts
-                shown = ("theorem_id", _HEAD[0], _SIDES[0], "holds", _TAIL[0])
-            items = [(value(k) + ": ").replace("%", "%%") + "%s" for k in shown]
-            layout = layouts[keys] = (
-                "  {\n    " + ",\n    ".join(items) + "\n  }" if items
-                else "  {}", keys == campaign)
-        template, is_campaign = layout
-        objects.append(template % (texts(r) if is_campaign else
-                                   tuple([value(v) for v in r.values()])))
-    if not objects:
-        return "[]\n"
-    return "[\n" + ",\n".join(objects) + "\n]\n"
+    """``json.dumps(list(rows), indent=2) + "\\n"``; campaign rows are
+    written from their blocks, each value as ``json.dumps`` writes it."""
+    if not isinstance(rows, _Rows):
+        return json.dumps(list(rows), indent=2) + "\n"
+    lines = _row_lines(rows, json.dumps, lambda k: f",\n    {json.dumps(k)}: ",
+                       '  {\n    "theorem_id": ', "\n  }")
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def write_rows(rows, path: str, fmt: str = "csv") -> None:
@@ -425,7 +443,7 @@ def write_rows(rows, path: str, fmt: str = "csv") -> None:
 
 
 def report_to_json(report: CampaignReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    return json.dumps(vars(report), indent=2) + "\n"
 
 
 def write_report(report: CampaignReport, path: str) -> None:

@@ -57,6 +57,13 @@ class FracParams:
         if self.family is Family.RL:
             if not self.alpha > 0:
                 raise ValueError("alpha must be positive for family rl")
+            try:  # the kernel's norm; inf for alpha = inf
+                finite = math.isfinite(math.gamma(self.alpha))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"alpha {self.alpha!r} is out of range for "
+                                 "family rl: Gamma(alpha) overflows a double")
         elif not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1) for family exp")
 

@@ -49,9 +49,10 @@ One stacked pass
 ----------------
 :meth:`TheoremEvaluator.evaluate_plan` evaluates a plan of rows (theorem,
 alpha, strict_printed) at once, and :meth:`~TheoremEvaluator.evaluate` is
-its one-row case.  A layout built once per plan lists the plan's moments,
-the node sets of their fixed-weight parts and, per row, which moments it
-reads.  u, v, cosh(p(x-m)), sinh(p(x-m)) and x-m are each evaluated once on
+its one-row case.  A layout built once per plan checks the plan's alphas
+and lists its weighted theorems, its moments, the node sets of their
+fixed-weight parts and, per row, which moments it reads; the evaluator
+checks p and the weight once per theorem.  u, v, cosh(p(x-m)), sinh(p(x-m)) and x-m are each evaluated once on
 all the node sets the plan needs, stacked; the products and EXP kernel
 factors are formed on that stack, and every part is one row of it, in
 moment order.  :func:`~hypfrac.quadrature.fixed_rule_values` sums and tests
@@ -290,6 +291,7 @@ class _Plan(NamedTuple):
     # and the tilt moment of a row without a MID (else None)
     rows: tuple
     tilt: bool             # whether any row is a tilt bound
+    weighted: tuple        # the weighted theorems, each once
 
 
 def _constant(values, dtype=None) -> np.ndarray:
@@ -337,16 +339,25 @@ def _moment_layout(keys: tuple) -> _Moments:
 
 @functools.lru_cache(maxsize=256)
 def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
-    """The layout of a validated plan of (theorem, alpha, strict_printed)
-    rows.  It depends on u, v and the interval not at all and on p only
+    """The layout of a plan of (theorem, alpha, strict_printed) rows, whose
+    alphas it checks (a plan that fails is not cached, so it fails on every
+    call).  It depends on u, v and the interval not at all and on p only
     through ``p_zero``, so a campaign builds it once."""
     keys = {}
     index = lambda key: keys.setdefault(key, len(keys))
-    masses, rows = {}, []
+    masses, rows, weighted = {}, [], {}
     for tid, alpha, strict_printed in plan:
-        row = _REQUIRES[TheoremId(tid)]
+        tid = TheoremId(tid)
+        row = _REQUIRES[tid]
         family = row.family
-        alpha = None if family is None else alpha
+        if family is None:
+            alpha = None
+        elif alpha is None:
+            raise ValueError(f"{tid.value} requires a fractional order alpha")
+        else:
+            FracParams(alpha, family)  # range check with the family's message
+        if row.weighted:
+            weighted[tid] = None
         mid = index(("uv" if row.weighted else "u", family, alpha))
         c, mass, tilt = -1, -1, None
         if row.hyperbolic:
@@ -365,7 +376,7 @@ def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
     rows = tuple((mid, -1 if mass < 0 else n + mass, c, n + len(masses) + rc,
                   tilt) for mid, mass, c, rc, tilt in rows)
     return _Plan(_moment_layout(tuple(keys)), tuple(masses), rows,
-                 any(tilt is not None for *_, tilt in rows))
+                 any(tilt is not None for *_, tilt in rows), tuple(weighted))
 
 
 class TheoremEvaluator:
@@ -443,15 +454,19 @@ class TheoremEvaluator:
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self, tid: TheoremId, alpha):
-        needs_p, needs_weight, family, _ = _REQUIRES[tid]
-        if needs_p and self.p is None:
-            raise ValueError(f"{tid.value} requires the hyperbolic parameter p")
-        if family is not None:
-            if alpha is None:
-                raise ValueError(f"{tid.value} requires a fractional order alpha")
-            FracParams(alpha, family)  # range check with the family's message
-        if needs_weight:
+    def _validate(self, plan: tuple) -> _Plan:
+        """The layout of a plan, once its rows' requirements hold: p first,
+        then each alpha (checked by the cached layout), then the weight of
+        each weighted theorem, whose grid check runs once per evaluator.
+        A one-row plan fails in that order, with the first failing check's
+        message."""
+        if self.p is None:
+            for tid, _, _ in plan:
+                if _REQUIRES[TheoremId(tid)].hyperbolic:
+                    raise ValueError(f"{TheoremId(tid).value} requires the "
+                                     "hyperbolic parameter p")
+        layout = _plan_layout(plan, self.p == 0.0)
+        for tid in layout.weighted:
             if self.weight is None:
                 raise ValueError(f"{tid.value} requires a weight function")
             if not self._weight_checked:
@@ -464,6 +479,7 @@ class TheoremEvaluator:
                     "(asymmetric weights are admitted only for D8/D9 with "
                     "allow_asymmetric=True)"
                 )
+        return layout
 
     # -- the evaluators ------------------------------------------------------
 
@@ -477,11 +493,8 @@ class TheoremEvaluator:
         (module docstring) in that operation order, over a table of the
         moments and the per-instance scalars (sech, csch, the kernel masses,
         from ``math``)."""
-        plan = tuple(map(tuple, plan))
-        for tid, alpha in dict.fromkeys((tid, alpha) for tid, alpha, _ in plan):
-            self._validate(TheoremId(tid), alpha)
+        layout = self._validate(tuple(map(tuple, plan)))
         p, L, tol = self.p, self.interval.length, self.tol
-        layout = _plan_layout(plan, p == 0.0)
         moments = self._moment_values(layout.moments)
         ua, um, ub = (float(self.uf(x)) for x in
                       (self.interval.a, self.interval.mid, self.interval.b))

@@ -27,6 +27,11 @@ from hypfrac.inequalities import eval_theorem
 
 SMALL = CampaignConfig(seed=9, n_instances=4, workers=1)
 
+# overflow-prone ranges: some instances have inf or nan sides
+EDGE = CampaignConfig(seed=7, n_instances=12, alphas=(0.5,), pl_range=(5.0, 80.0),
+                      length_range=(0.01, 12.0), center_range=(-40.0, 40.0),
+                      workers=1)
+
 
 @pytest.fixture(scope="module")
 def small_run():
@@ -151,7 +156,7 @@ def test_rows_by_theorem_then_instance_then_alpha(workers):
     cfg = CampaignConfig(seed=42, n_instances=3, alphas=(1.5, 0.3, 0.5, 0.3, 1.0),
                          workers=workers)
     _, rows = run_campaign(cfg)
-    assert rows == sorted(rows, key=lambda r: (
+    assert list(rows) == sorted(rows, key=lambda r: (
         _THEOREM_RANK[r["theorem_id"]], r["instance_index"],
         -1.0 if r["alpha"] is None else r["alpha"]))
     assert [r["alpha"] for r in rows if r["theorem_id"] == "FHH"
@@ -197,7 +202,7 @@ def test_rows_json_format(small_run, tmp_path):
 
 def test_rows_json_is_json_dumps_byte_for_byte(small_run, tmp_path):
     _, rows = small_run
-    expected = json.dumps(rows, indent=2) + "\n"
+    expected = json.dumps(list(rows), indent=2) + "\n"
     assert rows_to_json(rows) == expected
     path = tmp_path / "rows.json"
     write_rows(rows, str(path), "json")
@@ -249,6 +254,62 @@ def test_writers_format_equal_values_of_other_text_apart():
                          for r in rows]
     assert [line.split(",")[4] for line in lines[1:4]] == ["1.0", "1", "true"]
     assert [line.split(",")[1] for line in lines[4:6]] == ["0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("cfg", [
+    CampaignConfig(seed=42, n_instances=40, workers=1),
+    CampaignConfig(seed=42, n_instances=40, workers=2),
+    EDGE,
+    CampaignConfig(seed=42, n_instances=6, alphas=(1.5, 0.3, 0.5, 0.3, 1.0),
+                   workers=1),
+    CampaignConfig(seed=42, n_instances=6, p_list=(0.5, 2.0),
+                   printed_probe=False, workers=1),
+], ids=["seed42-w1", "seed42-w2", "edge", "alphas", "p_list"])
+def test_campaign_writers_equal_the_reference_path(cfg):
+    # campaign rows are written from their blocks; a list of the same
+    # dicts goes through the per-cell reference path
+    _, rows = run_campaign(cfg)
+    reference = list(rows)
+    assert rows_to_csv(rows) == rows_to_csv(reference)
+    assert rows_to_json(rows) == rows_to_json(reference) == \
+        json.dumps(reference, indent=2) + "\n"
+
+
+def test_rows_are_a_read_only_sequence_of_fresh_dicts(tmp_path):
+    _, rows = run_campaign(CampaignConfig(seed=3, n_instances=3, workers=1))
+    listed = list(rows)
+    assert len(rows) == len(listed) == 3 * 53
+    assert [rows[i] for i in range(len(rows))] == listed
+    assert rows[-1] == listed[-1] and rows[2:7] == listed[2:7]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    before = rows_to_csv(rows)
+    taken = rows[5]
+    taken["lhs"] = -1.0
+    taken["theorem_id"] = "changed"
+    next(iter(rows))["holds"] = None
+    assert rows[5] == listed[5] != taken and rows[0] == listed[0]
+    path = tmp_path / "rows.csv"
+    write_rows(rows, str(path))
+    assert path.read_text() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alphas,message", [
+    ((0.5, -1.0), "alpha must be positive for family rl"),
+    ((0.5, 1e-320), "alpha 1e-320 is out of range for family rl: Gamma"),
+])
+def test_bad_alpha_grid_raises_before_any_instance(monkeypatch, workers, alphas,
+                                                   message):
+    import hypfrac.campaign as campaign
+
+    def evaluated(*args):
+        raise AssertionError("an instance was evaluated")
+
+    monkeypatch.setattr(campaign, "_instance_block", evaluated)
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", evaluated)
+    with pytest.raises(ValueError, match=message):
+        run_campaign(CampaignConfig(n_instances=4, alphas=alphas, workers=workers))
 
 
 def test_single_instance_config():
@@ -304,12 +365,6 @@ def test_hypfrac_threads_env_caps_workers(monkeypatch):
     assert _resolve_workers(cfg) == 8
     monkeypatch.delenv("HYPFRAC_THREADS")
     assert _resolve_workers(CampaignConfig(workers=1)) == 1
-
-
-# overflow-prone ranges: some instances have inf or nan sides
-EDGE = CampaignConfig(seed=7, n_instances=12, alphas=(0.5,), pl_range=(5.0, 80.0),
-                      length_range=(0.01, 12.0), center_range=(-40.0, 40.0),
-                      workers=1)
 
 
 def test_non_finite_rows_are_counted_apart_from_violations():
@@ -390,13 +445,14 @@ def test_overflowing_rows_raise_no_warning():
 def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
     import hypfrac.campaign as campaign
 
-    def rows(cfg, index):  # mid overflowed; lhs and rhs are finite
-        mid = math.inf if index else 2.0
-        return [{"theorem_id": "D2", "instance_index": index, "alpha": None,
-                 "lhs": 1.0, "mid": mid, "rhs": 3.0, "slack_left": mid - 1.0,
-                 "slack_right": 3.0 - mid, "holds": 3.0 - mid >= 0}]
+    def block(cfg, plan, index):  # mid overflowed; lhs and rhs are finite
+        verdicts = []
+        for tid, name, alpha, printed in plan:
+            mid = math.inf if index and name == "D2" else 2.0
+            verdicts.append((1.0, mid, 3.0, mid - 1.0, 3.0 - mid, 3.0 - mid >= 0))
+        return campaign._Block(index, 0.0, 1.0, 1.0, "x", "1", tuple(verdicts))
 
-    monkeypatch.setattr(campaign, "instance_rows", rows)
+    monkeypatch.setattr(campaign, "_instance_block", block)
     report, _ = run_campaign(CampaignConfig(n_instances=2, workers=1))
     assert (report.violations, report.nonfinite) == (0, 1)
     assert report.per_theorem["D2"]["worst_slack"] == 1.0

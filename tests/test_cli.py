@@ -295,14 +295,27 @@ def test_integrate_huge_alpha_exits_2(capsys):
                              "--side", "left", "--at", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == ("error: alpha 200.0 is out of range for family rl: "
+                   "Gamma(alpha) overflows a double\n")
 
 
 def test_verify_huge_alpha_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--thm", "FHH", "--alpha", "200",
                            "--fn", "cosh(2*x)", "--p", "1", "--a", "0", "--b", "1")
     assert code == 2
-    assert err.startswith("error:")
+    assert err == ("error: alpha 200.0 is out of range for family rl: "
+                   "Gamma(alpha) overflows a double\n")
+
+
+def test_campaign_tiny_alpha_exits_2(tmp_path, monkeypatch, capsys):
+    # Gamma(1e-320) overflows a double: the campaign fails before it runs
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "campaign", "--n", "2", "--alphas",
+                             "0.5,1e-320")
+    assert code == 2
+    assert out == "" and not os.listdir(tmp_path)
+    assert err == ("error: alpha 1e-320 is out of range for family rl: "
+                   "Gamma(alpha) overflows a double\n")
 
 
 @pytest.mark.parametrize("argv,bad", [

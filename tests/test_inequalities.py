@@ -409,6 +409,31 @@ def test_missing_parameters_raise():
         eval_theorem("FHH2", X2, I01, alpha=1.5)
 
 
+ASYMMETRIC = WeightSpec(parse_function("1+0.5*x"), symmetric=False)
+NEGATIVE = WeightSpec(parse_function("x-0.5"), symmetric=True)
+
+
+@pytest.mark.parametrize("tid,kwargs,error,message", [
+    # a one-row plan checks p, then alpha, then the weight
+    ("D4", dict(alpha=-1.0), ValueError, "D4 requires the hyperbolic parameter p"),
+    ("D2", dict(v=NEGATIVE), ValueError, "D2 requires the hyperbolic parameter p"),
+    ("D6", dict(p=1.0), ValueError, "D6 requires a fractional order alpha"),
+    ("FHHF", dict(alpha=-1.0), ValueError, "alpha must be positive for family rl"),
+    ("FHHF", dict(alpha=200.0, v=ASYMMETRIC), ValueError,
+     "alpha 200.0 is out of range for family rl: Gamma"),
+    ("D9", dict(p=1.0, v=ASYMMETRIC, alpha=1.5), ValueError,
+     r"alpha must be in \(0, 1\) for family exp"),
+    ("D8", dict(p=1.0, v=NEGATIVE, alpha=0.5), InvalidWeightError,
+     "weight must be positive"),
+    ("D7", dict(p=1.0, v=ASYMMETRIC, alpha=0.5), InvalidWeightError,
+     "D7 requires a symmetric weight"),
+])
+def test_one_row_plan_reports_its_first_failing_requirement(tid, kwargs, error,
+                                                            message):
+    with pytest.raises(error, match=f"^{message}"):
+        eval_theorem(tid, X2, I01, **kwargs)
+
+
 def test_nonpositive_weight_rejected():
     w = WeightSpec(parse_function("x-0.5"), symmetric=False)
     with pytest.raises(InvalidWeightError, match="positive"):
