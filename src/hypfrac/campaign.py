@@ -21,10 +21,10 @@ sech(p*(b-a)); they are reported but never counted as campaign violations.
 
 The plan is built and its alphas checked once per campaign.  Each instance
 becomes one block: the fields its rows share and the verdict tuples of its
-plan.  Workers return blocks; the report is array work over them, and
-``run_campaign`` returns the rows as a read-only sequence over the blocks
-that builds each row dict on request.  The writers write campaign rows
-straight from the blocks, and any other list of row dicts cell by cell.
+plan.  Workers return blocks; the report is summed over them, and
+``run_campaign`` returns the rows as a sequence over the blocks that builds
+the row dicts when a row is first asked for.  The writers write campaign
+rows straight from the blocks until then, and any other rows cell by cell.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ import numpy as np
 
 from . import __version__
 from .expressions import Interval
-from .fractional import Family, FracParams
+from .fractional import Family
 from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
 from .grammar import to_grammar
-from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId
+from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId, _plan_layout
 
 # a row: its theorem id, fields its instance fixes (head), its alpha, the
 # sides and slacks, holds, and more fields its instance fixes (tail)
@@ -173,13 +173,12 @@ def _plan(cfg: CampaignConfig) -> list:
     """(theorem, row name, alpha, strict_printed) of every row of an
     instance, in file order: theorem by theorem (plain, RL, EXP, then the
     printed probes), each at the alphas of its kernel's family, ascending.
-    An alpha out of its family's range raises here, before any instance."""
+    An alpha out of its family's range raises here, before any instance:
+    the evaluators' plan layout, which checks each alpha, is built (and
+    cached) once."""
     ascending = tuple(sorted(cfg.alphas))
     alphas = {None: (None,), Family.RL: ascending,
               Family.EXP: tuple(a for a in ascending if a < 1.0)}
-    for family in (Family.RL, Family.EXP):
-        for alpha in alphas[family]:
-            FracParams(alpha, family)
     plan = [(tid, tid.value, alpha, False)
             for family, theorems in _THEOREMS.items()
             for tid in theorems for alpha in alphas[family]]
@@ -187,17 +186,22 @@ def _plan(cfg: CampaignConfig) -> list:
         plan += [(tid, tid.value + "_printed", alpha, True)
                  for tid in _PRINTED_THEOREMS
                  for alpha in alphas[_REQUIRES[tid].family]]
+    _plan_layout(tuple((tid, alpha, printed) for tid, _, alpha, printed in plan),
+                 False)
     return plan
 
 
 class _Rows(Sequence):
-    """The rows of a campaign, read-only, in file order: theorem by theorem
-    (the plan's runs of one row name), then instance by instance, then the
-    plan's order (alphas ascending).  Each row is a fresh dict with the keys
-    of ``CSV_COLUMNS``, built from the blocks when asked for."""
+    """The rows of a campaign in file order: theorem by theorem (the plan's
+    runs of one row name), then instance by instance, then the plan's order
+    (alphas ascending).  The row dicts, with the keys of ``CSV_COLUMNS``,
+    are built from the blocks the first time a row is asked for, and kept:
+    a change to one shows in later reads and in the written files, as in a
+    list.  Until then the writers write the rows from the blocks."""
 
     def __init__(self, seed: int, plan: list, blocks: list):
         self.seed, self.plan, self.blocks = seed, plan, blocks
+        self.dicts = None  # the row dicts, once built
         # per theorem: its row name and its slice of the plan
         self.groups = []
         for name, run in itertools.groupby(enumerate(plan), lambda e: e[1][1]):
@@ -205,7 +209,7 @@ class _Rows(Sequence):
             self.groups.append((name, run[0], run[-1] + 1))
 
     def row(self, block: _Block, j: int) -> dict:
-        """The row of plan row ``j`` of an instance."""
+        """A fresh dict of plan row ``j`` of an instance."""
         _, name, alpha, _ = self.plan[j]
         lhs, mid, rhs, slack_left, slack_right, holds = block.verdicts[j]
         return {"theorem_id": name, "a": block.a, "b": block.b, "p": block.p,
@@ -215,25 +219,20 @@ class _Rows(Sequence):
                 "weight_descriptor": block.weight_descriptor,
                 "seed": self.seed, "instance_index": block.index}
 
+    def _list(self) -> list:
+        if self.dicts is None:
+            self.dicts = [self.row(block, j) for _, start, stop in self.groups
+                          for block in self.blocks for j in range(start, stop)]
+        return self.dicts
+
     def __len__(self) -> int:
         return len(self.blocks) * len(self.plan)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        i = range(len(self))[i]  # negative indices, and IndexError past the end
-        for _, start, stop in self.groups:
-            size = (stop - start) * len(self.blocks)
-            if i < size:
-                k, j = divmod(i, stop - start)
-                return self.row(self.blocks[k], start + j)
-            i -= size
+        return self._list()[i]
 
     def __iter__(self):
-        for _, start, stop in self.groups:
-            for block in self.blocks:
-                for j in range(start, stop):
-                    yield self.row(block, j)
+        return iter(self._list())
 
 
 def _resolve_workers(cfg: CampaignConfig) -> int:
@@ -253,8 +252,8 @@ def _resolve_workers(cfg: CampaignConfig) -> int:
 
 
 def run_campaign(cfg: CampaignConfig):
-    """Returns (CampaignReport, rows).  ``rows`` is a read-only sequence
-    that builds each row dict when asked for: theorem by theorem in plan
+    """Returns (CampaignReport, rows).  ``rows`` is a sequence that builds
+    its row dicts when a row is first asked for: theorem by theorem in plan
     order, then by instance index, then alpha ascending (the plan's order
     within an instance), independent of worker scheduling.  An alpha grid
     out of range raises before any instance is evaluated."""
@@ -314,33 +313,31 @@ def _summary(rows: _Rows) -> list:
     first row reaching it, worst relative slack).  The worst slacks are
     over the finite rows, and None without one; a row's slack is the least
     of its slacks that are not None, and its relative slack that over
-    max(1, |rhs|), what holds tests against -tol.  A value that overflowed
-    a double (mid shows in its slacks) is no verdict either way."""
-    # (instance, plan row, side); None (no MID) is nan, holds 1.0 or 0.0
-    lhs, _, rhs, left, right, holds = np.moveaxis(np.array(
-        [block.verdicts for block in rows.blocks], dtype=float), 2, 0)
-    tilt = np.array([not _REQUIRES[tid].has_mid for tid, *_ in rows.plan])
-    with np.errstate(all="ignore"):
-        slack = np.where(tilt | (right < left), right, left)
-        finite = (np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(right)
-                  & (tilt | np.isfinite(left)))
-        rel = slack / np.maximum(1.0, np.abs(rhs))
-    failing = finite & (holds == 0.0)
-    # argmin keeps the first row (file order) of a tie, -0.0 == 0.0 too
-    slack, rel = np.where(finite, slack, np.inf), np.where(finite, rel, np.inf)
+    max(1, |rhs|), what holds tests against -tol."""
+    isfinite = math.isfinite
     out = []
     for name, start, stop in rows.groups:
-        cols = np.s_[:, start:stop]  # the theorem's rows, in file order
-        count, n_finite = finite[cols].size, int(np.count_nonzero(finite[cols]))
-        worst = worst_row = worst_rel = None
-        if n_finite:
-            k, j = divmod(int(np.argmin(slack[cols])), stop - start)
-            worst = float(slack[k, start + j])
-            worst_row = rows.row(rows.blocks[k], start + j)
-            worst_rel = float(rel[cols].flat[np.argmin(rel[cols])])
-        out.append((name, count, count - n_finite,
-                    int(np.count_nonzero(failing[cols])),
-                    worst, worst_row, worst_rel))
+        nonfinite = fail = 0
+        worst = worst_at = worst_rel = None
+        for block in rows.blocks:
+            for j, (lhs, _, rhs, left, right, holds) in enumerate(
+                    block.verdicts[start:stop], start):
+                # a value that overflowed a double (mid shows in its slacks)
+                # is no verdict either way
+                if not (isfinite(lhs) and isfinite(rhs) and isfinite(right)
+                        and (left is None or isfinite(left))):
+                    nonfinite += 1
+                    continue
+                fail += not holds
+                slack = right if left is None or right < left else left
+                if worst is None or slack < worst:  # the first row of a tie
+                    worst, worst_at = slack, (block, j)
+                rel = slack / max(1.0, abs(rhs))
+                if worst_rel is None or rel < worst_rel:
+                    worst_rel = rel
+        out.append((name, len(rows.blocks) * (stop - start), nonfinite, fail,
+                    worst, None if worst_at is None else rows.row(*worst_at),
+                    worst_rel))
     return out
 
 
@@ -414,12 +411,19 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str) -> list:
     return lines
 
 
+def _unbuilt(rows) -> bool:
+    """Whether ``rows`` are campaign rows none of whose dicts was handed
+    out, so that none was changed and the blocks hold every value."""
+    return isinstance(rows, _Rows) and rows.dicts is None
+
+
 def rows_to_csv(rows) -> str:
     """The CSV text of rows (dicts with the keys of ``CSV_COLUMNS``);
-    campaign rows are written from their blocks."""
+    campaign rows whose dicts are not built yet are written from their
+    blocks."""
     fields = {}
     cell = lambda v: _cell(v, fields)
-    if isinstance(rows, _Rows):
+    if _unbuilt(rows):
         lines = _row_lines(rows, cell, lambda k: ",", "", "")
     else:
         lines = [",".join([cell(r[k]) for k in CSV_COLUMNS]) for r in rows]
@@ -427,9 +431,10 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
-    """``json.dumps(list(rows), indent=2) + "\\n"``; campaign rows are
-    written from their blocks, each value as ``json.dumps`` writes it."""
-    if not isinstance(rows, _Rows):
+    """``json.dumps(list(rows), indent=2) + "\\n"``; campaign rows whose
+    dicts are not built yet are written from their blocks, each value as
+    ``json.dumps`` writes it."""
+    if not _unbuilt(rows):
         return json.dumps(list(rows), indent=2) + "\n"
     lines = _row_lines(rows, json.dumps, lambda k: f",\n    {json.dumps(k)}: ",
                        '  {\n    "theorem_id": ', "\n  }")

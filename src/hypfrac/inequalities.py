@@ -52,10 +52,11 @@ alpha, strict_printed) at once, and :meth:`~TheoremEvaluator.evaluate` is
 its one-row case.  A layout built once per plan checks the plan's alphas
 and lists its weighted theorems, its moments, the node sets of their
 fixed-weight parts and, per row, which moments it reads; the evaluator
-checks p and the weight once per theorem.  u, v, cosh(p(x-m)), sinh(p(x-m)) and x-m are each evaluated once on
-all the node sets the plan needs, stacked; the products and EXP kernel
-factors are formed on that stack, and every part is one row of it, in
-moment order.  :func:`~hypfrac.quadrature.fixed_rule_values` sums and tests
+checks p and the weight once per theorem.  u, v, cosh(p(x-m)),
+sinh(p(x-m)) and x-m are each evaluated once on all the node sets the plan
+needs, stacked; the products and EXP kernel factors are formed on that
+stack, and every part is one row of it, in moment order.
+:func:`~hypfrac.quadrature.fixed_rule_values` sums and tests
 all parts at once, each with the rule of its own endpoint weight, in one
 stacked ``matmul`` that rounds every part as if it were summed alone.  A
 moment is the ``np.add.reduceat`` of its parts (two for RL, one otherwise)

@@ -200,10 +200,11 @@ def test_rows_json_format(small_run, tmp_path):
     assert parsed[0]["theorem_id"] == rows[0]["theorem_id"]
 
 
-def test_rows_json_is_json_dumps_byte_for_byte(small_run, tmp_path):
-    _, rows = small_run
+def test_rows_json_is_json_dumps_byte_for_byte(tmp_path):
+    _, rows = run_campaign(SMALL)
+    text = rows_to_json(rows)  # from the blocks: no row dict is built yet
     expected = json.dumps(list(rows), indent=2) + "\n"
-    assert rows_to_json(rows) == expected
+    assert text == expected
     path = tmp_path / "rows.json"
     write_rows(rows, str(path), "json")
     assert path.read_bytes() == expected.encode()
@@ -269,29 +270,30 @@ def test_campaign_writers_equal_the_reference_path(cfg):
     # campaign rows are written from their blocks; a list of the same
     # dicts goes through the per-cell reference path
     _, rows = run_campaign(cfg)
+    from_blocks = rows_to_csv(rows), rows_to_json(rows)
     reference = list(rows)
-    assert rows_to_csv(rows) == rows_to_csv(reference)
-    assert rows_to_json(rows) == rows_to_json(reference) == \
+    assert from_blocks[0] == rows_to_csv(reference)
+    assert from_blocks[1] == rows_to_json(reference) == \
         json.dumps(reference, indent=2) + "\n"
 
 
-def test_rows_are_a_read_only_sequence_of_fresh_dicts(tmp_path):
+def test_rows_read_and_change_like_a_list_of_dicts(tmp_path):
     _, rows = run_campaign(CampaignConfig(seed=3, n_instances=3, workers=1))
+    unread = rows_to_csv(rows)
+    assert len(rows) == 3 * 53 and rows.dicts is None  # no dict built yet
     listed = list(rows)
-    assert len(rows) == len(listed) == 3 * 53
+    assert rows_to_csv(rows) == rows_to_csv(listed) == unread
     assert [rows[i] for i in range(len(rows))] == listed
-    assert rows[-1] == listed[-1] and rows[2:7] == listed[2:7]
+    assert rows[-1] is listed[-1] and rows[2:7] == listed[2:7]
     with pytest.raises(IndexError):
         rows[len(rows)]
-    before = rows_to_csv(rows)
-    taken = rows[5]
-    taken["lhs"] = -1.0
-    taken["theorem_id"] = "changed"
-    next(iter(rows))["holds"] = None
-    assert rows[5] == listed[5] != taken and rows[0] == listed[0]
+    # a changed row shows in later reads and in the written file
+    rows[5]["lhs"] = -1.0
+    next(iter(rows))["holds"] = False
+    assert rows[5]["lhs"] == -1.0 and rows[0]["holds"] is False
     path = tmp_path / "rows.csv"
     write_rows(rows, str(path))
-    assert path.read_text() == before
+    assert path.read_text() == rows_to_csv(listed) != unread
 
 
 @pytest.mark.parametrize("workers", [1, 2])
