@@ -217,9 +217,10 @@ def check_second_order(f, interval: Interval, p: float,
     p = abs(float(p))
     xs = interval.grid(grid_n)
     val, _, d2 = _c2_callables(f)
-    g = d2(xs) - p * p * val(xs)
-    scale = 1.0 + max(float(np.max(np.abs(d2(xs)))),
-                      p * p * float(np.max(np.abs(val(xs)))))
+    fv, d2v = val(xs), d2(xs)
+    g = d2v - p * p * fv
+    scale = 1.0 + max(float(np.max(np.abs(d2v))),
+                      p * p * float(np.max(np.abs(fv))))
     conv_v = float(np.max(-g)) / scale
     conc_v = float(np.max(g)) / scale
     return _settle(conv_v, conc_v, tol,

@@ -5,14 +5,17 @@ Two families:
 
 * ``rl`` - Riemann-Liouville: kernel ``(t-s)**(alpha-1) / Gamma(alpha)``
   (left) and the mirrored ``(s-t)**(alpha-1) / Gamma(alpha)`` (right),
-  order ``alpha > 0``; singular at the evaluation point for ``alpha < 1``.
+  order ``alpha > 0`` with Gamma(alpha) and Gamma(alpha+1) finite (so
+  ``alpha <= 170.62``); singular at the evaluation point for ``alpha < 1``.
 * ``exp`` - bounded exponential kernel
   ``exp(-(1-alpha)/alpha * distance) / alpha``, order ``alpha`` in (0, 1).
 
-The module owns the kernel table: :func:`kernel_parts` alone writes a
-kernel down, as endpoint-weight integrals with an optional kernel factor
-and the norm they are divided by.  The operators, the two-sided
-:func:`kernel_moment` and the moment bank of the inequalities all read it;
+A kernel is one value: a :class:`FracParams`, whose alpha is checked once,
+when it is made, or ``None`` for K = 1.  :func:`kernel_parts` alone writes a
+kernel down, as endpoint-weight integrals with an optional kernel factor and
+the norm they are divided by; the parts do not depend on the interval (an
+EXP factor is called as ``factor(x, a, b)``).  The operators, the two-sided
+:func:`kernel_moment` and the moment bank of the inequalities all read them;
 :func:`kernel_mass` is the closed form of the moment of 1.
 
 The closed forms used as test oracles: for ``f(s) = (s-a)**k`` the left
@@ -57,28 +60,33 @@ class FracParams:
         if self.family is Family.RL:
             if not self.alpha > 0:
                 raise ValueError("alpha must be positive for family rl")
-            try:  # the kernel's norm; inf for alpha = inf
-                finite = math.isfinite(math.gamma(self.alpha))
-            except OverflowError:
-                finite = False
-            if not finite:
+            # Gamma(alpha), the kernel's norm, and Gamma(alpha+1), its mass's
+            for shift, name in ((0.0, "alpha"), (1.0, "alpha+1")):
+                try:  # inf for alpha = inf
+                    if math.isfinite(math.gamma(self.alpha + shift)):
+                        continue
+                except OverflowError:
+                    pass
                 raise ValueError(f"alpha {self.alpha!r} is out of range for "
-                                 "family rl: Gamma(alpha) overflows a double")
+                                 f"family rl: Gamma({name}) overflows a double")
+        elif self.family is not Family.EXP:
+            raise ValueError(f"unknown kernel family {self.family!r}")
         elif not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1) for family exp")
 
 
-def kernel_parts(kernel: FracParams | None, interval: Interval,
-                 side: Side | None = None):
-    """The operator of ``kernel`` on [a, b] as fixed-weight integrals, and
-    its norm: a tuple of (alpha of the endpoint weight, endpoint, kernel
-    factor or None) whose integrals of g times the factor add up to the
-    operator of g times ``norm``.
+def kernel_parts(kernel: FracParams | None, side: Side | None = None):
+    """The operator of ``kernel`` as fixed-weight integrals, and its norm: a
+    tuple of (alpha of the endpoint weight, endpoint, kernel factor or None)
+    whose integrals over [a, b] of g times the factor add up to the operator
+    of g times ``norm``.  The parts do not depend on the interval: a factor
+    is called as ``factor(x, a, b)``.
 
     ``side`` LEFT is the left operator at b, RIGHT the right operator at a,
     and None the symmetric two-sided kernel, their sum; for EXP that stays
     one integral of the summed factor, so that a moment bank needs one dot
-    product per node set.  ``kernel=None`` is K = 1 (norm 1)."""
+    product per node set.  ``kernel`` is a :class:`FracParams`, whose alpha
+    was checked once, when it was made, or None for K = 1 (norm 1)."""
     if kernel is None:
         return ((1.0, Endpoint.LEFT, None),), 1.0
     alpha = kernel.alpha
@@ -89,21 +97,21 @@ def kernel_parts(kernel: FracParams | None, interval: Interval,
         if side is not Side.RIGHT:  # (b-x)**(alpha-1): the left operator at b
             parts += ((alpha, Endpoint.RIGHT, None),)
         return parts, math.gamma(alpha)
-    a, b = interval.a, interval.b
     lam = (1.0 - alpha) / alpha
     if side is Side.LEFT:
-        factor = lambda x: np.exp(-lam * (b - x))
+        factor = lambda x, a, b: np.exp(-lam * (b - x))
     elif side is Side.RIGHT:
-        factor = lambda x: np.exp(-lam * (x - a))
+        factor = lambda x, a, b: np.exp(-lam * (x - a))
     else:
-        factor = lambda x: np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))
+        factor = lambda x, a, b: np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))
     return ((1.0, Endpoint.LEFT, factor),), alpha
 
 
 def _integrate_parts(g, interval: Interval, parts, norm: float) -> QuadResult:
     """The integrals of g over the parts of :func:`kernel_parts`, summed
     and divided by the norm."""
-    res = [integrate_singular(g if k is None else (lambda x, k=k: g(x) * k(x)),
+    a, b = interval.a, interval.b
+    res = [integrate_singular(g if k is None else (lambda x, k=k: g(x) * k(x, a, b)),
                               interval, weight_alpha, endpoint, OPERATOR_QUAD)
            for weight_alpha, endpoint, k in parts]
     value = sum([r.value for r in res[1:]], res[0].value)
@@ -124,17 +132,16 @@ def fractional_integral(f, interval: Interval, params: FracParams, side: Side,
                              else "right operator needs t < b")
         return QuadResult(0.0, 0.0, 0)  # a bounded kernel on an empty interval
     sub = Interval(a, t) if side is Side.LEFT else Interval(t, b)
-    return _integrate_parts(f, sub, *kernel_parts(params, sub, side))
+    return _integrate_parts(f, sub, *kernel_parts(params, side))
 
 
-def kernel_moment(g, interval: Interval, family: Family | None, alpha) -> float:
-    """integral of g(x) * K(x) over [a, b] for the symmetric two-sided kernel
-    K of the family: 1 for ``family=None``, ((b-x)**(alpha-1) +
-    (x-a)**(alpha-1)) / Gamma(alpha) for RL, (exp(-lam*(b-x)) +
-    exp(-lam*(x-a))) / alpha with lam = (1-alpha)/alpha for EXP.  This is
-    the left operator of g at b plus the right operator at a."""
-    kernel = None if family is None else FracParams(alpha, family)
-    return _integrate_parts(g, interval, *kernel_parts(kernel, interval)).value
+def kernel_moment(g, interval: Interval, kernel: FracParams | None) -> float:
+    """integral of g(x) * K(x) over [a, b] for the symmetric two-sided
+    kernel: 1 for ``kernel=None``, ((b-x)**(alpha-1) + (x-a)**(alpha-1)) /
+    Gamma(alpha) for RL, (exp(-lam*(b-x)) + exp(-lam*(x-a))) / alpha with
+    lam = (1-alpha)/alpha for EXP.  This is the left operator of g at b
+    plus the right operator at a."""
+    return _integrate_parts(g, interval, *kernel_parts(kernel)).value
 
 
 def rl_left(f, interval: Interval, alpha: float, t: float) -> float:
@@ -168,14 +175,15 @@ def exp_unit_left(a: float, alpha: float, t: float) -> float:
     return -math.expm1(-rho) / (1.0 - alpha)
 
 
-def kernel_mass(interval: Interval, family: Family | None, alpha) -> float:
+def kernel_mass(interval: Interval, kernel: FracParams | None) -> float:
     """Closed form of the kernel moment of g == 1 (:func:`kernel_moment`),
     the p -> 0 value of the unit-weight cosh moment."""
-    if family is None:
+    if kernel is None:
         return interval.length
-    if family is Family.RL:
-        return 2.0 * interval.length ** alpha / math.gamma(alpha + 1.0)
-    return 2.0 * exp_unit_left(interval.a, alpha, interval.b)
+    if kernel.family is Family.RL:
+        return 2.0 * interval.length ** kernel.alpha / math.gamma(
+            kernel.alpha + 1.0)
+    return 2.0 * exp_unit_left(interval.a, kernel.alpha, interval.b)
 
 
 def exp_flat_limit_alternative(interval: Interval, alpha: float) -> float:

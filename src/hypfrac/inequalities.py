@@ -229,7 +229,7 @@ def kernel_cosh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float
     where kernel is the symmetric two-sided fractional kernel of the family."""
     m, vf = interval.mid, as_callable(v.v)
     return kernel_moment(lambda x: np.cosh(p * (x - m)) * vf(x), interval,
-                         family, alpha)
+                         FracParams(alpha, family))
 
 
 def kernel_sinh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float,
@@ -238,7 +238,7 @@ def kernel_sinh_moment(v: WeightSpec, interval: Interval, alpha: float, p: float
     symmetric v because the integrand is odd about the midpoint."""
     m, vf = interval.mid, as_callable(v.v)
     return kernel_moment(lambda x: np.sinh(p * (x - m)) * vf(x), interval,
-                         family, alpha)
+                         FracParams(alpha, family))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +266,12 @@ class _Moments(NamedTuple):
     """The moments of a batch and the fixed-rule integrals (columns) that
     make them up, built once per batch by :func:`_moment_layout`."""
 
-    keys: tuple            # the moments, as (integrand, family, alpha)
+    keys: tuple            # the moments, as (integrand, kernel)
     sets: tuple            # node sets, as (alpha of the endpoint weight, endpoint)
     bases: tuple           # integrands evaluated on every node set
     products: tuple        # integrands formed as products of two bases
     names: tuple           # the integrands of the columns
-    factors: tuple         # (family, alpha, node set) of kernels with a factor
+    factors: tuple         # (factor(x, a, b), node set) of each EXP kernel
     column_name: np.ndarray    # per column: index into names
     column_set: np.ndarray     # per column: index into sets
     column_alpha: tuple    # per column: the alpha of its endpoint weight
@@ -287,7 +287,7 @@ class _Plan(NamedTuple):
     :func:`_plan_layout`."""
 
     moments: _Moments
-    masses: tuple          # (family, alpha) of the kernel masses divided out
+    masses: tuple          # the kernels whose masses are divided out
     # per row: M(u v) or M(u), mass, C, sech factor (-1: the constant 1.0),
     # and the tilt moment of a row without a MID (else None)
     rows: tuple
@@ -302,24 +302,18 @@ def _constant(values, dtype=None) -> np.ndarray:
     return array
 
 
-# kernel_parts' weights, endpoints and norm do not depend on the interval
-# (its EXP factor does): the layouts read them on the unit interval
-_UNIT = Interval(0.0, 1.0)
-
-
 @functools.lru_cache(maxsize=256)
 def _moment_layout(keys: tuple) -> _Moments:
-    """The layout of a batch of moment keys (which, family, alpha): one
-    column per fixed-weight part of each moment, in moment order."""
+    """The layout of a batch of moment keys (which, kernel): one column per
+    fixed-weight part of each moment, in moment order."""
     sets, factors, columns, first, norms = {}, {}, [], [], []
-    for which, family, alpha in keys:
-        kernel = None if family is None else FracParams(alpha, family)
-        parts, norm = kernel_parts(kernel, _UNIT)
+    for which, kernel in keys:
+        parts, norm = kernel_parts(kernel)
         first.append(len(columns))
         for weight_alpha, endpoint, factor in parts:
             at = sets.setdefault((weight_alpha, endpoint), len(sets))
             if factor is not None:
-                factor = factors.setdefault((family, alpha), (len(factors), at))[0]
+                factor = factors.setdefault(kernel, (len(factors), factor, at))[0]
             columns.append((weight_alpha, which, at, factor))
         norms.append(norm)
     names = tuple(dict.fromkeys(col[1] for col in columns))
@@ -328,7 +322,7 @@ def _moment_layout(keys: tuple) -> _Moments:
         keys, tuple(sets),
         tuple(dict.fromkeys(b for n in names for b in _PRODUCTS.get(n, (n,)))),
         tuple(n for n in names if n in _PRODUCTS), names,
-        tuple((family, alpha, at) for (family, alpha), (_, at) in factors.items()),
+        tuple((factor, at) for _, factor, at in factors.values()),
         _constant([names.index(col[1]) for col in columns], int),
         _constant([col[2] for col in columns], int),
         tuple(col[0] for col in columns),
@@ -350,25 +344,24 @@ def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
     for tid, alpha, strict_printed in plan:
         tid = TheoremId(tid)
         row = _REQUIRES[tid]
-        family = row.family
-        if family is None:
-            alpha = None
+        if row.family is None:
+            kernel = None
         elif alpha is None:
             raise ValueError(f"{tid.value} requires a fractional order alpha")
-        else:
-            FracParams(alpha, family)  # range check with the family's message
+        else:  # the range check, with the family's message
+            kernel = FracParams(alpha, row.family)
         if row.weighted:
             weighted[tid] = None
-        mid = index(("uv" if row.weighted else "u", family, alpha))
+        mid = index(("uv" if row.weighted else "u", kernel))
         c, mass, tilt = -1, -1, None
         if row.hyperbolic:
-            c = index(("cosh_v" if row.weighted else "cosh", family, alpha))
+            c = index(("cosh_v" if row.weighted else "cosh", kernel))
         elif row.weighted:
-            c = index(("v", family, alpha))
+            c = index(("v", kernel))
         else:  # C = M(1) is the kernel mass: divide it out of every side
-            mass = masses.setdefault((family, alpha), len(masses))
+            mass = masses.setdefault(kernel, len(masses))
         if not row.has_mid:  # the tilt bound; at p = 0, csch * sinh -> 2/L * (x - m)
-            tilt = index(("xm_v" if p_zero else "sinh_v", family, alpha))
+            tilt = index(("xm_v" if p_zero else "sinh_v", kernel))
         rc = 0 if not row.hyperbolic else (
             2 if strict_printed and row.printed_constant else 1)
         rows.append((mid, mass, c, rc, tilt))
@@ -423,20 +416,16 @@ class TheoremEvaluator:
         ys = np.array([stack[name] for name in layout.names])[
             layout.column_name, layout.column_set]
         if layout.factors:  # EXP kernels: the factor of their one part
-            factors = []
-            for family, alpha, at in layout.factors:
-                ((_, _, factor),), _ = kernel_parts(FracParams(alpha, family),
-                                                    interval)
-                factors.append(factor(x[at]))
+            factors = [factor(x[at], interval.a, interval.b)
+                       for factor, at in layout.factors]
             ys[layout.factored] *= np.array(factors)[layout.factor_of]
         q, _, ok = fixed_rule_values(ys, scale[layout.column_set],
                                      layout.column_alpha, OPERATOR_QUAD)
         values = np.add.reduceat(q, layout.first) / layout.norms
         good = np.logical_and.reduceat(ok, layout.first)
         for k in () if good.all() else np.flatnonzero(~good):
-            which, family, alpha = layout.keys[k]
-            values[k] = kernel_moment(self._integrand(which), interval,
-                                      family, alpha)
+            which, kernel = layout.keys[k]
+            values[k] = kernel_moment(self._integrand(which), interval, kernel)
         return values
 
     def _integrand(self, name):
@@ -501,8 +490,8 @@ class TheoremEvaluator:
                       (self.interval.a, self.interval.mid, self.interval.b))
         avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
         q = 0.0 if p is None else p  # rows without p take sech(0)
-        table = moments.tolist() + [kernel_mass(self.interval, family, alpha)
-                                    for family, alpha in layout.masses]
+        table = moments.tolist() + [kernel_mass(self.interval, kernel)
+                                    for kernel in layout.masses]
         table += [sech(0.0), sech(0.5 * q * L), sech(q * L), 1.0]
         if layout.tilt:  # at p = 0 the limit of csch(p*L/2) * sinh
             coef = 2.0 / L if p == 0.0 else csch(0.5 * p * L)
@@ -635,8 +624,9 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     # the alpha of the baseline row: D3 has none
     scales, notes = {None: 2.0}, []
     for alpha in alphas if axis == "p" else ():
-        scales[alpha] = 1.0 if base_row.weighted else kernel_mass(
-            interval, base_row.family, alpha)
+        kernel = FracParams(alpha, base_row.family)  # the range check
+        scales[alpha] = (1.0 if base_row.weighted else
+                         kernel_mass(interval, kernel))
         if base_row.family is Family.EXP and not base_row.weighted:
             alt = exp_flat_limit_alternative(interval, alpha)
             notes.append(

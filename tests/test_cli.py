@@ -307,6 +307,28 @@ def test_verify_huge_alpha_exits_2(capsys):
                    "Gamma(alpha) overflows a double\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["limits", "--thm", "D4", "--to", "FHH", "--alpha", "200"],
+     "alpha 200.0 is out of range for family rl: Gamma(alpha) overflows a double"),
+    (["limits", "--thm", "D4", "--to", "FHH", "--alpha", "-1"],
+     "alpha must be positive for family rl"),
+    (["limits", "--thm", "D5", "--to", "FHH2", "--alpha", "1.5"],
+     "alpha must be in (0, 1) for family exp"),
+    # Gamma(171) is finite, but Gamma(172) of the kernel mass is not
+    (["verify", "--thm", "FHH", "--alpha", "171"],
+     "alpha 171.0 is out of range for family rl: Gamma(alpha+1) overflows a "
+     "double"),
+], ids=["limits-D4-200", "limits-D4-negative", "limits-D5-1.5", "verify-171"])
+def test_out_of_range_alpha_exits_2_with_the_family_message(capsys, argv,
+                                                            message):
+    code, out, err = run_cli(capsys, *argv, "--fn", "cosh(x)", "--a", "0",
+                             "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "math " not in err
+
+
 def test_campaign_tiny_alpha_exits_2(tmp_path, monkeypatch, capsys):
     # Gamma(1e-320) overflows a double: the campaign fails before it runs
     monkeypatch.chdir(tmp_path)

@@ -22,6 +22,7 @@ from hypfrac.fractional import (
     exp_right,
     exp_unit_left,
     fractional_integral,
+    kernel_mass,
     rl_left,
     rl_monomial_left,
     rl_right,
@@ -171,3 +172,19 @@ def test_validation_errors():
         rl_left(ONE, I, 0.5, 1.5)  # outside the interval
     with pytest.raises(ValueError):
         fractional_integral(ONE, I, FracParams(0.5, Family.EXP), Side.LEFT, -0.1)
+
+
+def test_rl_alpha_range_ends_where_gamma_of_alpha_plus_one_overflows():
+    # Gamma(alpha+1) of the kernel mass overflows a double above 170.6244
+    kernel = FracParams(170.62, Family.RL)
+    assert math.isfinite(kernel_mass(Interval(0.0, 1.0), kernel))
+    with pytest.raises(ValueError, match=r"^alpha 170\.63 is out of range for "
+                       r"family rl: Gamma\(alpha\+1\) overflows a double$"):
+        FracParams(170.63, Family.RL)
+
+
+def test_family_must_be_a_family():
+    # not a Family: kernel_parts would integrate it as the exponential kernel
+    for family in ("rl", None):
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            FracParams(0.5, family)

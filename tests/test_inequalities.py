@@ -72,9 +72,10 @@ def test_hyperbolic_helpers_are_stable():
     (Family.RL, 2.5), (Family.EXP, 0.3), (Family.EXP, 0.8),
 ])
 def test_kernel_moment_of_one_is_kernel_mass(family, alpha):
+    kernel = None if family is None else FracParams(alpha, family)
     for I in (I01, Interval(-0.4, 1.1), Interval(0.5, 3.7)):
-        got = kernel_moment(np.ones_like, I, family, alpha)
-        assert got == pytest.approx(kernel_mass(I, family, alpha), rel=1e-13)
+        got = kernel_moment(np.ones_like, I, kernel)
+        assert got == pytest.approx(kernel_mass(I, kernel), rel=1e-13)
 
 
 def test_kernel_moment_is_the_two_sided_operator_pair():
@@ -93,7 +94,7 @@ def test_kernel_moment_is_the_two_sided_operator_pair():
                 params = FracParams(alpha, family)
                 pair = (fractional_integral(uv, I, params, Side.LEFT, I.b).value
                         + fractional_integral(uv, I, params, Side.RIGHT, I.a).value)
-                got = kernel_moment(uv, I, family, alpha)
+                got = kernel_moment(uv, I, params)
                 assert got == pytest.approx(pair, rel=1e-13), (index, family, alpha)
 
 
@@ -124,15 +125,15 @@ def test_banked_moments_equal_kernel_moment():
             "sinh_v": lambda x: np.sinh(p * (x - m)) * vf(x),
             "xm_v": lambda x: (x - m) * vf(x),
         }
-        keys = [(which, family, alpha) for family, alpha in _CAMPAIGN_KERNELS
-                for which in integrands]
+        keys = [(which, None if family is None else FracParams(alpha, family))
+                for family, alpha in _CAMPAIGN_KERNELS for which in integrands]
         # every moment of the instance in one stacked pass
         got = TheoremEvaluator(u, I, p=p, weight=w)._moment_values(
             _moment_layout(tuple(keys)))
-        for (which, family, alpha), value in zip(keys, got):
-            ref = kernel_moment(integrands[which], I, family, alpha)
+        for (which, kernel), value in zip(keys, got):
+            ref = kernel_moment(integrands[which], I, kernel)
             assert abs(value - ref) <= 4e-16 * abs(ref), \
-                (index, which, family, alpha, value, ref)
+                (index, which, kernel, value, ref)
 
 
 def test_rejected_bank_moment_falls_back_alone():
@@ -142,13 +143,13 @@ def test_rejected_bank_moment_falls_back_alone():
     uf = u.eval
     assert integrate_singular(uf, I, 0.3, Endpoint.LEFT,
                               OPERATOR_QUAD).subdivisions_used > 0
-    keys = [("u", Family.RL, 0.3), ("v", Family.RL, 0.3)] + [
-        (which, family, alpha) for which in ("cosh", "uv")
-        for family, alpha in ((Family.RL, 0.3), (None, None))]
+    rl = FracParams(0.3, Family.RL)
+    keys = [("u", rl), ("v", rl)] + [
+        (which, kernel) for which in ("cosh", "uv") for kernel in (rl, None)]
     got = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())._moment_values(
         _moment_layout(tuple(keys))).tolist()
-    assert got[0] == kernel_moment(uf, I, Family.RL, 0.3)
-    assert got[1] == kernel_moment(lambda x: np.ones_like(x), I, Family.RL, 0.3)
+    assert got[0] == kernel_moment(uf, I, rl)
+    assert got[1] == kernel_moment(lambda x: np.ones_like(x), I, rl)
     # every moment of the batch equals the same moment computed alone
     for key, value in zip(keys, got):
         alone = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())._moment_values(
@@ -184,18 +185,18 @@ def test_cosh_moment_rl_alpha_one():
 def test_cosh_moment_rl_small_p_limit():
     got = kernel_cosh_moment(unit_weight(), I01, 0.5, 1e-8, Family.RL)
     assert got == pytest.approx(4.0 / math.sqrt(math.pi), rel=1e-10)
-    assert kernel_mass(I01, Family.RL, 0.5) == pytest.approx(
+    assert kernel_mass(I01, FracParams(0.5, Family.RL)) == pytest.approx(
         4.0 / math.sqrt(math.pi), rel=1e-15)
 
 
 def test_cosh_moment_exp_p_zero():
     got = kernel_cosh_moment(unit_weight(), I01, 0.5, 0.0, Family.EXP)
     assert got == pytest.approx(4.0 * (1.0 - math.exp(-1.0)), rel=1e-11)
-    assert kernel_mass(I01, Family.EXP, 0.5) == pytest.approx(
+    assert kernel_mass(I01, FracParams(0.5, Family.EXP)) == pytest.approx(
         4.0 * (1.0 - math.exp(-1.0)), rel=1e-15)
     # the alternative closed form disagrees: surfaced, never used
     assert exp_flat_limit_alternative(I01, 0.5) != pytest.approx(
-        kernel_mass(I01, Family.EXP, 0.5), rel=1e-3)
+        kernel_mass(I01, FracParams(0.5, Family.EXP)), rel=1e-3)
 
 
 def test_sinh_moment_vanishes_for_symmetric_weight():
@@ -348,7 +349,8 @@ def test_unweighted_theorems_without_p_are_p_zero_members_over_the_mass():
     for index, family, alpha, ev, ev0 in _sandwich_cases():
         without_p, with_p = _FAMILY_THEOREMS[family][2:4]
         got = ev.evaluate(TheoremId(without_p), alpha=alpha).sides()
-        mass = kernel_mass(ev.interval, family, alpha)
+        mass = kernel_mass(ev.interval, None if family is None else
+                           FracParams(alpha, family))
         ref = [s / mass for s in
                ev0.evaluate(TheoremId(with_p), alpha=alpha).sides()]
         assert _rel_gap(got, ref) <= 1e-14, (index, without_p, alpha)
@@ -562,7 +564,7 @@ def test_limit_sweep_rows_equal_one_row_verdicts(tid, bid):
         else:
             scale, base = 1.0, eval_theorem(bid, u, I, v=w, p=ps[0], alpha=alpha)
             if not _REQUIRES[bid].weighted:
-                scale = kernel_mass(I, _REQUIRES[bid].family, alpha)
+                scale = kernel_mass(I, FracParams(alpha, _REQUIRES[bid].family))
         if bid is TheoremId.FHH2 and p == ps[0]:
             notes.append(
                 f"alpha={alpha:g}: p->0 kernel constant computes to "
