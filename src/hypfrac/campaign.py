@@ -24,7 +24,10 @@ becomes one block: the fields its rows share and the verdict tuples of its
 plan.  Workers return blocks; the report is summed over them, and
 ``run_campaign`` returns the rows as a sequence over the blocks that builds
 the row dicts when a row is first asked for.  The writers write campaign
-rows straight from the blocks until then, and any other rows cell by cell.
+rows straight from the blocks until then: each side value is formatted
+once, by the first write, and its text kept for the later ones (a CSV and
+a JSON file of one run format no float twice), and ``write_rows`` streams
+the file one theorem at a time.  Any other rows are written cell by cell.
 """
 
 from __future__ import annotations
@@ -197,16 +200,38 @@ class _Rows(Sequence):
     (alphas ascending).  The row dicts, with the keys of ``CSV_COLUMNS``,
     are built from the blocks the first time a row is asked for, and kept:
     a change to one shows in later reads and in the written files, as in a
-    list.  Until then the writers write the rows from the blocks."""
+    list.  Until then the writers write the rows from the blocks, one
+    theorem at a time, with the texts of their sides (``texts``) made by
+    the first write and kept for the later ones."""
 
     def __init__(self, seed: int, plan: list, blocks: list):
         self.seed, self.plan, self.blocks = seed, plan, blocks
         self.dicts = None  # the row dicts, once built
+        self.texts = None  # the side texts, once made (``side_texts``)
         # per theorem: its row name and its slice of the plan
         self.groups = []
         for name, run in itertools.groupby(enumerate(plan), lambda e: e[1][1]):
             run = [j for j, _ in run]
             self.groups.append((name, run[0], run[-1] + 1))
+
+    def side_texts(self) -> list:
+        """Per block, per plan row: the reprs of the row's verdict tuple
+        (a float side's ``repr`` is what both writers write for it; the
+        templates write holds themselves), or None for a row with an inf or
+        nan side.  Made on the first call and kept.  Each value gets its
+        own text, never one shared by equal values: 0.0 and -0.0 are equal
+        but print apart."""
+        if self.texts is None:
+            self.texts = []
+            for block in self.blocks:
+                values = list(map(repr, itertools.chain.from_iterable(
+                    block.verdicts)))
+                # back into rows of six: five sides and holds
+                texts = list(zip(*[iter(values)] * 6))
+                if not _finite(values):
+                    texts = [t if _finite(t) else None for t in texts]
+                self.texts.append(texts)
+        return self.texts
 
     def row(self, block: _Block, j: int) -> dict:
         """A fresh dict of plan row ``j`` of an instance."""
@@ -344,6 +369,13 @@ def _summary(rows: _Rows) -> list:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _finite(texts) -> bool:
+    """Whether the reprs of verdict values (floats, None, bools) show no
+    inf or nan: only those reprs hold either word."""
+    text = " ".join(texts)
+    return "inf" not in text and "nan" not in text
+
+
 def _cell(v, fields: dict) -> str:
     if isinstance(v, float):  # the most common cell: test it first
         return repr(v)
@@ -370,16 +402,17 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()
 
 
-def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str) -> list:
-    """The text of every campaign row, in file order: ``begin``, the values
-    as ``fmt`` writes them, each key but the first preceded by ``gap(key)``,
-    then ``end``.  The fields an instance shares are formatted once per
-    instance, a plan row's name and alpha once per plan.  A plan row has
-    one %-template per holds value, where a float side is %s (a float's
-    ``str`` is its ``repr``) and a side that is None (fixed per plan row: a
-    row without a MID) is fmt(None) and %.0s, which prints none of its
-    argument.  A row whose text holds nan or inf is formatted again with
-    its sides written by fmt (JSON spells them NaN and Infinity)."""
+def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str):
+    """The text of every campaign row in file order, one list of lines per
+    theorem: ``begin``, the values as ``fmt`` writes them, each key but the
+    first preceded by ``gap(key)``, then ``end``.  The fields an instance
+    shares are formatted once per instance, a plan row's name and alpha
+    once per plan, and the verdict values are the texts of
+    ``rows.side_texts()``.  A plan row has one %-template per holds value,
+    where a side is %s and a side that is None (fixed per plan row: a row
+    without a MID) is fmt(None) and %.0s, which prints none of its
+    argument, as is holds.  A row with an inf or nan side is written with
+    its values formatted by fmt (JSON spells them NaN and Infinity)."""
     gaps = {k: gap(k) for k in CSV_COLUMNS}
 
     def fields(keys, values):
@@ -399,16 +432,15 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str) -> list:
         body = (begin + fmt(name) + "%s" + gaps["alpha"] + fmt(alpha)
                 + sides[_REQUIRES[tid].has_mid])
         templates.append((body + holds[0], body + holds[1]))
-    lines = []
+    texts = rows.side_texts()
     for _, start, stop in rows.groups:
         forms = templates[start:stop]
-        for block, (head, tail) in zip(rows.blocks, shared):
-            for form, v in zip(forms, block.verdicts[start:stop]):
-                text = form[v[5]] % (head, *v, tail)
-                if "nan" in text or "inf" in text:
-                    text = form[v[5]] % (head, *map(fmt, v), tail)
-                lines.append(text)
-    return lines
+        lines = []
+        for block, (head, tail), block_texts in zip(rows.blocks, shared, texts):
+            lines += [form[v[5]] % (head, *(t or map(fmt, v)), tail)
+                      for form, v, t in zip(forms, block.verdicts[start:stop],
+                                            block_texts[start:stop])]
+        yield lines
 
 
 def _unbuilt(rows) -> bool:
@@ -417,34 +449,60 @@ def _unbuilt(rows) -> bool:
     return isinstance(rows, _Rows) and rows.dicts is None
 
 
+def _csv_chunks(rows):
+    """The CSV text of rows in pieces: the header line, then one piece per
+    theorem for campaign rows whose dicts are not built yet (written from
+    their blocks), else one piece written cell by cell."""
+    fields = {}
+    cell = lambda v: _cell(v, fields)
+    yield ",".join(CSV_COLUMNS) + "\n"
+    if _unbuilt(rows):
+        for lines in _row_lines(rows, cell, lambda k: ",", "", "\n"):
+            yield "".join(lines)
+    else:
+        yield "".join([",".join([cell(r[k]) for k in CSV_COLUMNS]) + "\n"
+                       for r in rows])
+
+
+def _json_chunks(rows):
+    """``json.dumps(list(rows), indent=2) + "\\n"`` in pieces: one piece per
+    theorem (and the brackets and separators between them) for campaign
+    rows whose dicts are not built yet, each value as ``json.dumps`` writes
+    it, else one piece."""
+    if not _unbuilt(rows):
+        yield json.dumps(list(rows), indent=2) + "\n"
+        return
+    yield "[\n"
+    for i, lines in enumerate(_row_lines(
+            rows, json.dumps, lambda k: f",\n    {json.dumps(k)}: ",
+            '  {\n    "theorem_id": ', "\n  }")):
+        if i:
+            yield ",\n"
+        yield ",\n".join(lines)
+    yield "\n]\n"
+
+
 def rows_to_csv(rows) -> str:
     """The CSV text of rows (dicts with the keys of ``CSV_COLUMNS``);
     campaign rows whose dicts are not built yet are written from their
     blocks."""
-    fields = {}
-    cell = lambda v: _cell(v, fields)
-    if _unbuilt(rows):
-        lines = _row_lines(rows, cell, lambda k: ",", "", "")
-    else:
-        lines = [",".join([cell(r[k]) for k in CSV_COLUMNS]) for r in rows]
-    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
+    return "".join(_csv_chunks(rows))
 
 
 def rows_to_json(rows) -> str:
     """``json.dumps(list(rows), indent=2) + "\\n"``; campaign rows whose
     dicts are not built yet are written from their blocks, each value as
     ``json.dumps`` writes it."""
-    if not _unbuilt(rows):
-        return json.dumps(list(rows), indent=2) + "\n"
-    lines = _row_lines(rows, json.dumps, lambda k: f",\n    {json.dumps(k)}: ",
-                       '  {\n    "theorem_id": ', "\n  }")
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+    return "".join(_json_chunks(rows))
 
 
 def write_rows(rows, path: str, fmt: str = "csv") -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+    """Write the text of ``rows_to_csv`` (``fmt`` "csv") or ``rows_to_json``
+    to ``path``; campaign rows whose dicts are not built yet go out one
+    theorem at a time, so the whole text is never held at once."""
+    chunks = _csv_chunks(rows) if fmt == "csv" else _json_chunks(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def report_to_json(report: CampaignReport) -> str:

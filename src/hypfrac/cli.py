@@ -297,10 +297,14 @@ def _cmd_limits(args) -> int:
     weight = WeightSpec(parse_function(args.weight)) if args.weight else None
     sweep = limit_sweep(args.thm.upper(), args.baseline.upper(), f, interval,
                         weight=weight, alphas=args.alpha, ps=args.p)
-    print(f"{sweep.theorem_id.value} -> {sweep.baseline_id.value} "
-          f"(sweeping {sweep.axis})")
     side_names = ("lhs", "mid", "rhs") if len(sweep.rows[0].deltas) == 3 \
         else ("lhs", "rhs")
+    for row in sweep.rows:
+        for tid, sides in ((sweep.theorem_id, row.sides),
+                           (sweep.baseline_id, row.baseline_sides)):
+            _require_finite(f"{tid.value} side", **dict(zip(side_names, sides)))
+    print(f"{sweep.theorem_id.value} -> {sweep.baseline_id.value} "
+          f"(sweeping {sweep.axis})")
     header = f"{'p':>12s} {'alpha':>8s} " + " ".join(
         f"{'|delta_' + s + '|':>14s}" for s in side_names)
     print(header)

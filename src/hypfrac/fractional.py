@@ -177,12 +177,18 @@ def exp_unit_left(a: float, alpha: float, t: float) -> float:
 
 def kernel_mass(interval: Interval, kernel: FracParams | None) -> float:
     """Closed form of the kernel moment of g == 1 (:func:`kernel_moment`),
-    the p -> 0 value of the unit-weight cosh moment."""
+    the p -> 0 value of the unit-weight cosh moment.  An RL mass whose
+    2 * L**alpha overflows a double is nan: as inf, a finite moment over
+    it would read as 0."""
     if kernel is None:
         return interval.length
     if kernel.family is Family.RL:
-        return 2.0 * interval.length ** kernel.alpha / math.gamma(
-            kernel.alpha + 1.0)
+        try:
+            mass = 2.0 * interval.length ** kernel.alpha / math.gamma(
+                kernel.alpha + 1.0)
+        except OverflowError:  # L**alpha
+            return math.nan
+        return mass if mass < math.inf else math.nan
     return 2.0 * exp_unit_left(interval.a, kernel.alpha, interval.b)
 
 

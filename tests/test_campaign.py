@@ -277,6 +277,79 @@ def test_campaign_writers_equal_the_reference_path(cfg):
         json.dumps(reference, indent=2) + "\n"
 
 
+def _reference_texts(rows):
+    """The CSV and JSON of a list of the same row dicts (per cell, json.dumps)."""
+    listed = list(rows)
+    return rows_to_csv(listed), json.dumps(listed, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("order", ["csv-json", "json-csv"])
+@pytest.mark.parametrize("cfg", [CampaignConfig(seed=42, n_instances=20, workers=1),
+                                 EDGE], ids=["seed42", "edge"])
+def test_one_rows_object_writes_both_formats_from_one_set_of_texts(cfg, order):
+    # the side texts are made by the first write and kept for the second
+    _, rows = run_campaign(cfg)
+    writers = {"csv": rows_to_csv, "json": rows_to_json}
+    got = {}
+    for fmt in order.split("-"):
+        got[fmt] = writers[fmt](rows)
+        assert rows.texts is not None and rows.dicts is None
+    assert (got["csv"], got["json"]) == _reference_texts(rows)
+
+
+def test_rows_edited_after_a_write_show_the_edit_in_both_formats():
+    _, rows = run_campaign(CampaignConfig(seed=42, n_instances=3, workers=1))
+    before = rows_to_csv(rows)
+    rows[7]["rhs"] = -0.0
+    rows[7]["holds"] = False
+    json_text, csv_text = rows_to_json(rows), rows_to_csv(rows)
+    assert (csv_text, json_text) == _reference_texts(rows)
+    assert csv_text != before
+    assert json.loads(json_text)[7]["rhs"] == 0.0 and "-0.0" in csv_text.splitlines()[8]
+
+
+def test_signed_zero_and_non_finite_sides_are_written_as_the_dict_path_writes_them():
+    import hypfrac.campaign as campaign
+
+    plan = _plan(CampaignConfig(alphas=(0.5,)))
+    sides = (-0.0, math.nan, math.inf, -math.inf, 0.0)
+    verdicts = []
+    for j, (tid, name, alpha, printed) in enumerate(plan):
+        mid = sides[(j + 1) % 5] if campaign._REQUIRES[tid].has_mid else None
+        left = sides[(j + 3) % 5] if mid is not None else None
+        verdicts.append((sides[j % 5], mid, sides[(j + 2) % 5], left,
+                         sides[(j + 4) % 5], j % 2 == 0))
+    verdicts[0] = (0.0, -0.0, 1.0, -0.0, 1.0, True)  # a finite row in the block
+    blocks = [campaign._Block(0, -0.0, 0.0, 1.0, "x", "1", tuple(verdicts)),
+              campaign._Block(1, 0.0, 1.0, -0.0, "pow((x-0.5),2.0)", "1",
+                              tuple((0.5, None if v[1] is None else 0.25, -0.0,
+                                     None if v[3] is None else -0.0, 0.0, True)
+                                    for v in verdicts))]
+    rows = campaign._Rows(5, plan, blocks)
+    texts = rows_to_csv(rows), rows_to_json(rows)
+    assert rows.texts[0][0] == ("0.0", "-0.0", "1.0", "-0.0", "1.0", "True")
+    assert rows.texts[0][1] is None and None not in rows.texts[1]
+    assert texts == _reference_texts(rows)
+    assert "NaN" in texts[1] and "-Infinity" in texts[1] and "-0.0" in texts[0]
+
+
+@pytest.mark.parametrize("cfg", [CampaignConfig(seed=42, n_instances=20, workers=1),
+                                 EDGE], ids=["seed42", "edge"])
+def test_written_files_are_the_writers_texts(cfg, tmp_path):
+    # write_rows streams the rows a theorem at a time
+    _, rows = run_campaign(cfg)
+    write_rows(rows, str(tmp_path / "rows.csv"), "csv")
+    write_rows(rows, str(tmp_path / "rows.json"), "json")
+    assert (tmp_path / "rows.csv").read_bytes() == rows_to_csv(rows).encode()
+    assert (tmp_path / "rows.json").read_bytes() == rows_to_json(rows).encode()
+    assert rows.dicts is None
+    listed = list(rows)
+    write_rows(listed, str(tmp_path / "listed.csv"), "csv")
+    write_rows(listed, str(tmp_path / "listed.json"), "json")
+    assert (tmp_path / "listed.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "listed.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
+
+
 def test_rows_read_and_change_like_a_list_of_dicts(tmp_path):
     _, rows = run_campaign(CampaignConfig(seed=3, n_instances=3, workers=1))
     unread = rows_to_csv(rows)

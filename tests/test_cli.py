@@ -329,6 +329,21 @@ def test_out_of_range_alpha_exits_2_with_the_family_message(capsys, argv,
     assert "math " not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # L**alpha of the kernel mass overflows a double
+    ["verify", "--thm", "FHH", "--alpha", "170", "--b", "100"],
+    ["limits", "--thm", "D4", "--to", "FHH", "--alpha", "170", "--b", "100"],
+    # the sides overflow: the deltas would print as nan
+    ["limits", "--thm", "D4", "--to", "FHH", "--alpha", "0.5", "--b", "800"],
+], ids=["verify-FHH-170", "limits-D4-170", "limits-D4-b800"])
+def test_overflowing_sides_exit_2_as_non_finite(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--fn", "cosh(x)", "--a", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: non-finite ")
+    assert "Numerical result" not in err
+
+
 def test_campaign_tiny_alpha_exits_2(tmp_path, monkeypatch, capsys):
     # Gamma(1e-320) overflows a double: the campaign fails before it runs
     monkeypatch.chdir(tmp_path)

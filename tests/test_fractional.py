@@ -183,6 +183,16 @@ def test_rl_alpha_range_ends_where_gamma_of_alpha_plus_one_overflows():
         FracParams(170.63, Family.RL)
 
 
+@pytest.mark.parametrize("length,alpha", [
+    (100.0, 170.0),   # L**alpha overflows a double
+    (2.0 ** 1023, 1.0),  # L**alpha is finite, 2 * L**alpha is not
+])
+def test_rl_mass_that_overflows_is_nan(length, alpha):
+    # as inf, a finite moment over the mass would read as a MID of 0
+    assert math.isnan(kernel_mass(Interval(0.0, length), FracParams(alpha, Family.RL)))
+    assert math.isfinite(kernel_mass(Interval(0.0, 1.0), FracParams(alpha, Family.RL)))
+
+
 def test_family_must_be_a_family():
     # not a Family: kernel_parts would integrate it as the exponential kernel
     for family in ("rl", None):
