@@ -19,9 +19,10 @@ Fractional orders >= 1 apply to the Riemann-Liouville family only.  The
 probe rows re-evaluate D4/D5 with the as-printed right-hand constant
 sech(p*(b-a)); they are reported but never counted as campaign violations.
 
-The plan is built and its alphas checked once per campaign.  Each instance
-becomes one block: the fields its rows share and the verdict tuples of its
-plan.  Workers return blocks; the report is summed over them, and
+The plan, the rows ``TheoremEvaluator.evaluate_plan`` takes, is built and
+its alphas checked once per campaign.  Each instance passes it on as it is
+and becomes one block: the fields its rows share and the verdict tuples of
+its plan.  Workers return blocks; the report reads each verdict once, and
 ``run_campaign`` returns the rows as a sequence over the blocks that builds
 the row dicts when a row is first asked for.  The writers write campaign
 rows straight from the blocks until then: each side value is formatted
@@ -151,7 +152,7 @@ class _Block(NamedTuple):
     verdicts: tuple
 
 
-def _instance_block(cfg: CampaignConfig, plan: list, index: int) -> _Block:
+def _instance_block(cfg: CampaignConfig, plan: tuple, index: int) -> _Block:
     """The block of one seeded instance (pure in (cfg, index)) over the
     rows of ``plan`` (``_plan(cfg)``), from one ``evaluate_plan``.  Overflow
     shows in the verdicts as inf or nan, so numpy is asked not to warn of
@@ -159,8 +160,7 @@ def _instance_block(cfg: CampaignConfig, plan: list, index: int) -> _Block:
     u, interval, p, w = _draw(cfg, index)
     ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
     with np.errstate(all="ignore"):
-        verdicts = ev.evaluate_plan([(tid, alpha, printed)
-                                     for tid, _, alpha, printed in plan])
+        verdicts = ev.evaluate_plan(plan)
     return _Block(index, interval.a, interval.b, ev.p, to_grammar(u),
                   to_grammar(w.v), tuple(verdicts))
 
@@ -172,45 +172,45 @@ def instance_rows(cfg: CampaignConfig, index: int) -> list:
     return list(_Rows(cfg.seed, plan, [_instance_block(cfg, plan, index)]))
 
 
-def _plan(cfg: CampaignConfig) -> list:
-    """(theorem, row name, alpha, strict_printed) of every row of an
-    instance, in file order: theorem by theorem (plain, RL, EXP, then the
-    printed probes), each at the alphas of its kernel's family, ascending.
-    An alpha out of its family's range raises here, before any instance:
-    the evaluators' plan layout, which checks each alpha, is built (and
-    cached) once."""
+def _plan(cfg: CampaignConfig) -> tuple:
+    """The rows (theorem, alpha, strict_printed) of an instance, as
+    :meth:`TheoremEvaluator.evaluate_plan` takes them, in file order:
+    theorem by theorem (plain, RL, EXP, then the printed probes), each at
+    the alphas of its kernel's family, ascending.  An alpha out of its
+    family's range raises here, before any instance: the evaluators' plan
+    layout, which checks each alpha, is built (and cached) once."""
     ascending = tuple(sorted(cfg.alphas))
     alphas = {None: (None,), Family.RL: ascending,
               Family.EXP: tuple(a for a in ascending if a < 1.0)}
-    plan = [(tid, tid.value, alpha, False)
-            for family, theorems in _THEOREMS.items()
-            for tid in theorems for alpha in alphas[family]]
+    plan = tuple((tid, alpha, False) for family, theorems in _THEOREMS.items()
+                 for tid in theorems for alpha in alphas[family])
     if cfg.printed_probe:
-        plan += [(tid, tid.value + "_printed", alpha, True)
-                 for tid in _PRINTED_THEOREMS
-                 for alpha in alphas[_REQUIRES[tid].family]]
-    _plan_layout(tuple((tid, alpha, printed) for tid, _, alpha, printed in plan),
-                 False)
+        plan += tuple((tid, alpha, True) for tid in _PRINTED_THEOREMS
+                      for alpha in alphas[_REQUIRES[tid].family])
+    _plan_layout(plan, False)
     return plan
 
 
 class _Rows(Sequence):
     """The rows of a campaign in file order: theorem by theorem (the plan's
     runs of one row name), then instance by instance, then the plan's order
-    (alphas ascending).  The row dicts, with the keys of ``CSV_COLUMNS``,
-    are built from the blocks the first time a row is asked for, and kept:
-    a change to one shows in later reads and in the written files, as in a
-    list.  Until then the writers write the rows from the blocks, one
-    theorem at a time, with the texts of their sides (``texts``) made by
-    the first write and kept for the later ones."""
+    (alphas ascending).  A row's name (its ``theorem_id``) is its theorem's
+    id, with ``_printed`` appended for a probe.  The row dicts, with the
+    keys of ``CSV_COLUMNS``, are built from the blocks the first time a row
+    is asked for, and kept: a change to one shows in later reads and in the
+    written files, as in a list.  Until then the writers write the rows
+    from the blocks, one theorem at a time, with the texts of their sides
+    (``texts``) made by the first write and kept for the later ones."""
 
-    def __init__(self, seed: int, plan: list, blocks: list):
+    def __init__(self, seed: int, plan: tuple, blocks: list):
         self.seed, self.plan, self.blocks = seed, plan, blocks
         self.dicts = None  # the row dicts, once built
         self.texts = None  # the side texts, once made (``side_texts``)
+        self.names = [tid.value + "_printed" if printed else tid.value
+                      for tid, _, printed in plan]
         # per theorem: its row name and its slice of the plan
         self.groups = []
-        for name, run in itertools.groupby(enumerate(plan), lambda e: e[1][1]):
+        for name, run in itertools.groupby(enumerate(self.names), lambda e: e[1]):
             run = [j for j, _ in run]
             self.groups.append((name, run[0], run[-1] + 1))
 
@@ -235,11 +235,10 @@ class _Rows(Sequence):
 
     def row(self, block: _Block, j: int) -> dict:
         """A fresh dict of plan row ``j`` of an instance."""
-        _, name, alpha, _ = self.plan[j]
         lhs, mid, rhs, slack_left, slack_right, holds = block.verdicts[j]
-        return {"theorem_id": name, "a": block.a, "b": block.b, "p": block.p,
-                "alpha": alpha, "lhs": lhs, "mid": mid, "rhs": rhs,
-                "slack_left": slack_left, "slack_right": slack_right,
+        return {"theorem_id": self.names[j], "a": block.a, "b": block.b,
+                "p": block.p, "alpha": self.plan[j][1], "lhs": lhs, "mid": mid,
+                "rhs": rhs, "slack_left": slack_left, "slack_right": slack_right,
                 "holds": holds, "fn_descriptor": block.fn_descriptor,
                 "weight_descriptor": block.weight_descriptor,
                 "seed": self.seed, "instance_index": block.index}
@@ -295,22 +294,7 @@ def run_campaign(cfg: CampaignConfig):
     else:
         blocks = [_instance_block(cfg, plan, i) for i in indices]
     rows = _Rows(cfg.seed, plan, blocks)
-
-    per_theorem = {}
-    probe = {}
-    for name, count, nonfinite, fail, worst, worst_row, worst_rel in _summary(rows):
-        if name.endswith("_printed"):
-            probe[name.split("_")[0]] = {
-                "instances": count, "violations": fail,
-                "nonfinite": nonfinite, "worst_slack": worst,
-                "worst_rel_slack": worst_rel,
-            }
-        else:
-            per_theorem[name] = {
-                "pass": count - nonfinite - fail, "fail": fail,
-                "nonfinite": nonfinite, "worst_slack": worst,
-                "worst_rel_slack": worst_rel, "worst_params": worst_row,
-            }
+    per_theorem, probe = _summary(rows)
     violations = sum(entry["fail"] for entry in per_theorem.values())
     nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())
 
@@ -333,14 +317,16 @@ def run_campaign(cfg: CampaignConfig):
     return report, rows
 
 
-def _summary(rows: _Rows) -> list:
-    """Per theorem: (row name, rows, nonfinite, failing, worst slack, the
-    first row reaching it, worst relative slack).  The worst slacks are
-    over the finite rows, and None without one; a row's slack is the least
-    of its slacks that are not None, and its relative slack that over
-    max(1, |rhs|), what holds tests against -tol."""
+def _summary(rows: _Rows) -> tuple:
+    """The report's ``per_theorem`` and ``printed_constant_probe`` dicts,
+    keyed by theorem id in file order: per theorem its rows (passing,
+    failing, nonfinite), worst slack, worst relative slack and, for a
+    theorem but not a probe, the first row reaching the worst slack.  The
+    worst slacks are over the finite rows, and None without one; a row's
+    slack is the least of its slacks that are not None, and its relative
+    slack that over max(1, |rhs|), what holds tests against -tol."""
     isfinite = math.isfinite
-    out = []
+    per_theorem, probe = {}, {}
     for name, start, stop in rows.groups:
         nonfinite = fail = 0
         worst = worst_at = worst_rel = None
@@ -360,10 +346,17 @@ def _summary(rows: _Rows) -> list:
                 rel = slack / max(1.0, abs(rhs))
                 if worst_rel is None or rel < worst_rel:
                     worst_rel = rel
-        out.append((name, len(rows.blocks) * (stop - start), nonfinite, fail,
-                    worst, None if worst_at is None else rows.row(*worst_at),
-                    worst_rel))
-    return out
+        count = len(rows.blocks) * (stop - start)
+        tid, _, printed = rows.plan[start]
+        seen = {"nonfinite": nonfinite, "worst_slack": worst,
+                "worst_rel_slack": worst_rel}
+        if printed:
+            probe[tid.value] = {"instances": count, "violations": fail, **seen}
+        else:
+            per_theorem[name] = {
+                "pass": count - nonfinite - fail, "fail": fail, **seen,
+                "worst_params": None if worst_at is None else rows.row(*worst_at)}
+    return per_theorem, probe
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +421,7 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str):
         for k in _SIDES) for has_mid in (False, True)}
     holds = [gaps["holds"] + fmt(h) + "%.0s%s" + end for h in (False, True)]
     templates = []
-    for tid, name, alpha, _ in rows.plan:
+    for (tid, alpha, _), name in zip(rows.plan, rows.names):
         body = (begin + fmt(name) + "%s" + gaps["alpha"] + fmt(alpha)
                 + sides[_REQUIRES[tid].has_mid])
         templates.append((body + holds[0], body + holds[1]))

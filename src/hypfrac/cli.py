@@ -32,7 +32,7 @@ from .campaign import (
     write_report,
     write_rows,
 )
-from .convexity import Method, check_all, methods_agree
+from .convexity import Method, check_all
 from .expressions import DomainError, Interval
 from .fractional import Family, FracParams, Side, fractional_integral
 from .grammar import GrammarError, parse_function

@@ -11,8 +11,10 @@ The CLI accepts function strings such as::
 Grammar: the single variable is ``x``; numeric literals are ints or floats;
 operators are ``+ - * /`` (division only by a constant) and ``**`` with a
 constant exponent; functions are ``exp``, ``cosh``, ``sinh`` and
-``pow(expr, constant)``; parentheses group.  Parsing goes through Python's
-``ast`` module, so no code is ever executed.
+``pow(expr, constant)``; parentheses group.  A constant is any expression
+without ``x`` (``2**2``, ``exp(1)``), evaluated once as it is parsed; it
+must be finite.  Parsing goes through Python's ``ast`` module, so no code
+is ever executed.
 
 A string holds at most ``MAX_NODES`` syntax nodes (as ``ast.walk`` counts
 them), counted as they are converted: the second derivative grows cubically
@@ -27,10 +29,13 @@ from __future__ import annotations
 
 import ast
 
+import numpy as np
+
 from .expressions import (
     Affine,
     Constant,
     Cosh,
+    DomainError,
     Exp,
     FuncExpr,
     Identity,
@@ -103,15 +108,14 @@ def _convert(node, text: str, budget: list) -> FuncExpr:
         if isinstance(node.op, ast.Mult):
             return product(left, right)
         if isinstance(node.op, ast.Div):
-            if not isinstance(right, Constant):
-                raise GrammarError("division is only supported by a constant")
-            if right.value == 0.0:
+            divisor = _constant_value(right, node.right,
+                                      "division is only supported by a constant")
+            if divisor == 0.0:
                 raise GrammarError("division by zero")
-            return scaled(1.0 / right.value, left)
+            return scaled(1.0 / divisor, left)
         if isinstance(node.op, ast.Pow):
-            if not isinstance(right, Constant):
-                raise GrammarError("exponent must be a constant")
-            return power_of(left, right.value)
+            return power_of(left, _constant_value(
+                right, node.right, "exponent must be a constant"))
         raise GrammarError("unsupported operator")
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.keywords:
@@ -126,13 +130,30 @@ def _convert(node, text: str, budget: list) -> FuncExpr:
                 raise GrammarError("pow() takes exactly two arguments")
             base = _convert(node.args[0], text, budget)
             expo = _convert(node.args[1], text, budget)
-            if not isinstance(expo, Constant):
-                raise GrammarError("pow() exponent must be a constant")
-            return power_of(base, expo.value)
+            return power_of(base, _constant_value(
+                expo, node.args[1], "pow() exponent must be a constant"))
         raise GrammarError(
             f"unknown function {name!r} (supported: exp, cosh, sinh, pow)"
         )
     raise GrammarError(f"unsupported syntax in function string {text!r}")
+
+
+def _constant_value(tree: FuncExpr, node, error: str) -> float:
+    """The value of ``tree``, converted from ``node``, where the grammar
+    wants a constant: a constant, or a subtree without ``x`` evaluated once
+    (which must be finite).  A subtree with ``x`` raises ``error``."""
+    if isinstance(tree, Constant):
+        return tree.value
+    if any(isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(node)):
+        raise GrammarError(error)
+    try:
+        with np.errstate(all="ignore"):
+            value = tree.eval(0.0)
+    except DomainError as exc:
+        raise GrammarError(f"{ast.unparse(node)}: {exc}") from None
+    if not np.isfinite(value):
+        raise GrammarError(f"{ast.unparse(node)} = {value!r} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------

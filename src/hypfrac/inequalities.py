@@ -590,8 +590,7 @@ class LimitSweepResult:
 
 def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
                 weight: WeightSpec | None = None,
-                alphas=(0.5,), ps=(1e-2, 1e-4, 1e-6),
-                tol: float = DEFAULT_SLACK_TOL) -> LimitSweepResult:
+                alphas=(0.5,), ps=(1e-2, 1e-4, 1e-6)) -> LimitSweepResult:
     """Evaluate a theorem along its documented limit toward a baseline and
     report componentwise gaps.
 
@@ -599,7 +598,10 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     each alpha in ``alphas``), and D8->D3, D9->D3 (alpha -> 1 for each p in
     ``ps``, each against its own D3 baseline).  Baseline sides are rescaled
     to the theorem's normalization; the scale is the theorem's limiting
-    kernel constant.
+    kernel constant.  Each p is one plan: each alpha's baseline row (an
+    alpha sweep's one D3, without alpha), then the theorem's; a p sweep's
+    baselines take no p, so they have the same bits at every p.  The rows
+    run alpha by alpha (p sweep) or p by p (alpha sweep).
     """
     tid, bid = TheoremId(theorem_id), TheoremId(to_id)
     if (tid, bid) not in _LIMIT_PAIRINGS:
@@ -634,28 +636,21 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
                 f"2*(1-exp(-rho))/(1-alpha) = {scales[alpha]:.9g}; the "
                 f"alternative closed form 2*exp(-rho)/(1-alpha) = "
                 f"{alt:.9g} does not match the integral and is not used")
-    # one plan per p: the baselines it needs there (an alpha sweep's D3 at
-    # every p; a p sweep's, which have no p, at the first p), then the
-    # theorem at every alpha
-    baselines, sides = {}, {}
+    bases = alphas if axis == "p" else (None,)
+    rows = []
     for p in ps:
-        bases = [None] if axis == "alpha" else alphas if p == ps[0] else ()
         plan = [(bid, alpha, False) for alpha in bases] + \
             [(tid, alpha, False) for alpha in alphas]
-        verdicts = TheoremEvaluator(u, interval, p=p, weight=weight,
-                                    tol=tol).evaluate_plan(plan)
-        for (t, alpha, _), (lhs, mid, rhs, *_) in zip(plan, verdicts):
-            found = (lhs, rhs) if mid is None else (lhs, mid, rhs)
-            if t is tid:
-                sides[p, alpha] = found
-            else:
-                baselines[p if axis == "alpha" else alpha] = tuple(
-                    scales[alpha] * s for s in found)
-    rows = []
-    for p, alpha in (itertools.product(ps, alphas) if axis == "alpha" else
-                     ((p, alpha) for alpha in alphas for p in ps)):
-        base = baselines[p if axis == "alpha" else alpha]
-        deltas = tuple(abs(s - t) for s, t in zip(sides[p, alpha], base))
-        rows.append(LimitRow(p, alpha, sides[p, alpha], base, deltas,
-                             max(deltas)))
+        verdicts = TheoremEvaluator(u, interval, p=p,
+                                    weight=weight).evaluate_plan(plan)
+        sides = [(lhs, rhs) if mid is None else (lhs, mid, rhs)
+                 for lhs, mid, rhs, *_ in verdicts]
+        for k, alpha in enumerate(alphas):
+            j = k if axis == "p" else 0  # the plan row of its baseline
+            base = tuple(scales[plan[j][1]] * s for s in sides[j])
+            found = sides[len(bases) + k]
+            deltas = tuple(abs(s - t) for s, t in zip(found, base))
+            rows.append(LimitRow(p, alpha, found, base, deltas, max(deltas)))
+    if axis == "p":  # alpha by alpha, each run in the order of ps
+        rows.sort(key=lambda r: list(alphas).index(r.alpha))
     return LimitSweepResult(tid, bid, axis, rows, notes)

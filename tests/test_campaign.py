@@ -23,7 +23,7 @@ from hypfrac.campaign import (
     write_report,
     write_rows,
 )
-from hypfrac.inequalities import eval_theorem
+from hypfrac.inequalities import TheoremEvaluator, eval_theorem
 
 SMALL = CampaignConfig(seed=9, n_instances=4, workers=1)
 
@@ -314,7 +314,7 @@ def test_signed_zero_and_non_finite_sides_are_written_as_the_dict_path_writes_th
     plan = _plan(CampaignConfig(alphas=(0.5,)))
     sides = (-0.0, math.nan, math.inf, -math.inf, 0.0)
     verdicts = []
-    for j, (tid, name, alpha, printed) in enumerate(plan):
+    for j, (tid, alpha, printed) in enumerate(plan):
         mid = sides[(j + 1) % 5] if campaign._REQUIRES[tid].has_mid else None
         left = sides[(j + 3) % 5] if mid is not None else None
         verdicts.append((sides[j % 5], mid, sides[(j + 2) % 5], left,
@@ -477,12 +477,34 @@ def test_instance_rows_are_one_row_evaluations(cfg, indices):
         for index in indices:
             u, interval, p, w = _draw(cfg, index)
             rows = instance_rows(cfg, index)
-            for row, (tid, name, alpha, printed) in zip(rows, _plan(cfg)):
+            for row, (tid, alpha, printed) in zip(rows, _plan(cfg)):
+                name = tid.value + "_printed" if printed else tid.value
                 assert row["theorem_id"] == name
                 v = eval_theorem(tid, u, interval, v=w, alpha=alpha, p=p,
                                  tol=cfg.tol, strict_printed=printed)
                 assert [repr(row[k]) for k in sides] == \
                     [repr(getattr(v, k)) for k in sides], (index, name, alpha)
+
+
+def test_instance_block_is_one_evaluate_plan_of_the_plan(small_run):
+    import hypfrac.campaign as campaign
+
+    # the block holds the verdicts of the campaign's plan as it is, and the
+    # report reads them by theorem in file order, the probes by their theorem
+    report, rows = small_run
+    plan = _plan(SMALL)
+    with np.errstate(all="ignore"):
+        for index in range(SMALL.n_instances):
+            u, interval, p, w = _draw(SMALL, index)
+            want = TheoremEvaluator(u, interval, p=p, weight=w,
+                                    tol=SMALL.tol).evaluate_plan(plan)
+            block = campaign._instance_block(SMALL, plan, index)
+            assert repr(block.verdicts) == repr(tuple(want)), index
+    names = list(dict.fromkeys(r["theorem_id"] for r in rows))
+    assert list(report.per_theorem) == [n for n in names
+                                        if not n.endswith("_printed")]
+    assert list(report.printed_constant_probe) == ["D4", "D5"]
+    assert names[-2:] == ["D4_printed", "D5_printed"]
 
 
 def _relative_worst(rows):
@@ -522,8 +544,8 @@ def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
 
     def block(cfg, plan, index):  # mid overflowed; lhs and rhs are finite
         verdicts = []
-        for tid, name, alpha, printed in plan:
-            mid = math.inf if index and name == "D2" else 2.0
+        for tid, alpha, printed in plan:
+            mid = math.inf if index and tid == "D2" else 2.0
             verdicts.append((1.0, mid, 3.0, mid - 1.0, 3.0 - mid, 3.0 - mid >= 0))
         return campaign._Block(index, 0.0, 1.0, 1.0, "x", "1", tuple(verdicts))
 

@@ -116,6 +116,15 @@ def test_verify_missing_weight_exits_2(capsys):
     assert "weight" in err
 
 
+def test_verify_reads_a_constant_sub_expression_as_its_value(capsys):
+    verify = ("verify", "--thm", "HH_1_1", "--a", "0", "--b", "1", "--fn")
+    folded = run_cli(capsys, *verify, "pow(x,2**2)")
+    assert folded == run_cli(capsys, *verify, "pow(x,4)")
+    assert folded[0] == 0
+    code, out, err = run_cli(capsys, *verify, "x/(1-1)")
+    assert (code, out) == (2, "") and "division by zero" in err
+
+
 def test_campaign_roundtrip(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     report = tmp_path / "report.json"

@@ -543,19 +543,28 @@ def test_limit_sweep_p_axis_decay_rate_is_the_slowest_alpha():
     assert sweep.decay_rate == rates[1]
 
 
-@pytest.mark.parametrize("tid,bid", _LIMIT_PAIRINGS)
-def test_limit_sweep_rows_equal_one_row_verdicts(tid, bid):
+@pytest.mark.parametrize("tid,bid,ps", [
+    *(pytest.param(tid, bid, None, id=f"{tid.value}-{bid.value}")
+      for tid, bid in _LIMIT_PAIRINGS),
+    # through p = 0, where the weighted baselines (D6, D7) sit in every
+    # p's plan beside the theorem's tilt-free rows
+    *(pytest.param(tid, bid, (1e-1, 1e-2, 0.0),
+                   id=f"{tid.value}-{bid.value}-through-p0")
+      for tid, bid in _LIMIT_PAIRINGS if bid is not TheoremId.D3),
+])
+def test_limit_sweep_rows_equal_one_row_verdicts(tid, bid, ps):
     # a sweep evaluates one plan per p; each of its sides must be the side
-    # of a fresh one-row evaluation at that (p, alpha), times the scale
+    # of a fresh one-row evaluation at that (p, alpha), times the scale,
+    # and a p sweep's baseline, which has no p, the same at every p
     I = Interval(-0.4, 1.1)
     u = gen_p_convex(GenConfig(seed=5), 1.2, I, index=2)
     w = gen_symmetric_weight(GenConfig(seed=5), I, index=3)
     if bid is TheoremId.D3:
         alphas, ps = (0.9, 0.99), (1.2, 0.4)
     elif _REQUIRES[tid].family is Family.EXP:
-        alphas, ps = (0.3, 0.8), (1e-1, 1e-2)
+        alphas, ps = (0.3, 0.8), ps or (1e-1, 1e-2)
     else:
-        alphas, ps = (0.5, 1.5), (1e-1, 1e-2)
+        alphas, ps = (0.5, 1.5), ps or (1e-1, 1e-2)
     sweep = limit_sweep(tid, bid, u, I, weight=w, alphas=alphas, ps=ps)
     notes, points = [], []
     for p, alpha in [(p, alpha) for p in ps for alpha in alphas]:
@@ -575,7 +584,8 @@ def test_limit_sweep_rows_equal_one_row_verdicts(tid, bid):
         sides = eval_theorem(tid, u, I, v=w, p=p, alpha=alpha).sides()
         points.append(((p, alpha), sides, tuple(scale * s for s in base.sides())))
     rows = {(r.p, r.alpha): r for r in sweep.rows}
-    assert len(rows) == len(points)
+    assert list(rows) == ([(p, alpha) for alpha in alphas for p in ps]
+                          if sweep.axis == "p" else [point for point, *_ in points])
     for point, sides, scaled_base in points:
         assert repr(rows[point].sides) == repr(sides), point
         assert repr(rows[point].baseline_sides) == repr(scaled_base), point
