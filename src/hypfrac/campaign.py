@@ -24,9 +24,10 @@ its alphas checked once per campaign.  Each instance passes it on as it is
 and becomes one block: the fields its rows share and the verdict tuples of
 its plan.  Workers return blocks; the report reads each verdict once, and
 ``run_campaign`` returns the rows as a sequence over the blocks that builds
-the row dicts when a row is first asked for.  The writers write campaign
-rows straight from the blocks until then: each side value is formatted
-once, by the first write, and its text kept for the later ones (a CSV and
+the row dicts when a row is first asked for.  The writers always write
+campaign rows straight from the blocks, so the files hold the verdicts as
+they were evaluated: each side value is formatted once, into the rows'
+``texts``, which also tell the report which rows are non-finite (a CSV and
 a JSON file of one run format no float twice), and ``write_rows`` streams
 the file one theorem at a time.  Any other rows are written cell by cell.
 """
@@ -34,6 +35,7 @@ the file one theorem at a time.  Any other rows are written cell by cell.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -44,8 +46,6 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .expressions import Interval
@@ -154,15 +154,11 @@ class _Block(NamedTuple):
 
 def _instance_block(cfg: CampaignConfig, plan: tuple, index: int) -> _Block:
     """The block of one seeded instance (pure in (cfg, index)) over the
-    rows of ``plan`` (``_plan(cfg)``), from one ``evaluate_plan``.  Overflow
-    shows in the verdicts as inf or nan, so numpy is asked not to warn of
-    it."""
+    rows of ``plan`` (``_plan(cfg)``), from one ``evaluate_plan``."""
     u, interval, p, w = _draw(cfg, index)
     ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
-    with np.errstate(all="ignore"):
-        verdicts = ev.evaluate_plan(plan)
     return _Block(index, interval.a, interval.b, ev.p, to_grammar(u),
-                  to_grammar(w.v), tuple(verdicts))
+                  to_grammar(w.v), tuple(ev.evaluate_plan(plan)))
 
 
 def instance_rows(cfg: CampaignConfig, index: int) -> list:
@@ -197,15 +193,14 @@ class _Rows(Sequence):
     (alphas ascending).  A row's name (its ``theorem_id``) is its theorem's
     id, with ``_printed`` appended for a probe.  The row dicts, with the
     keys of ``CSV_COLUMNS``, are built from the blocks the first time a row
-    is asked for, and kept: a change to one shows in later reads and in the
-    written files, as in a list.  Until then the writers write the rows
-    from the blocks, one theorem at a time, with the texts of their sides
-    (``texts``) made by the first write and kept for the later ones."""
+    is asked for, and kept: a change to one shows in later reads, as in a
+    list, but not in the written files.  The writers write the rows from
+    the blocks, one theorem at a time, with the texts of their sides
+    (``texts``), made once."""
 
     def __init__(self, seed: int, plan: tuple, blocks: list):
         self.seed, self.plan, self.blocks = seed, plan, blocks
         self.dicts = None  # the row dicts, once built
-        self.texts = None  # the side texts, once made (``side_texts``)
         self.names = [tid.value + "_printed" if printed else tid.value
                       for tid, _, printed in plan]
         # per theorem: its row name and its slice of the plan
@@ -214,24 +209,11 @@ class _Rows(Sequence):
             run = [j for j, _ in run]
             self.groups.append((name, run[0], run[-1] + 1))
 
-    def side_texts(self) -> list:
-        """Per block, per plan row: the reprs of the row's verdict tuple
-        (a float side's ``repr`` is what both writers write for it; the
-        templates write holds themselves), or None for a row with an inf or
-        nan side.  Made on the first call and kept.  Each value gets its
-        own text, never one shared by equal values: 0.0 and -0.0 are equal
-        but print apart."""
-        if self.texts is None:
-            self.texts = []
-            for block in self.blocks:
-                values = list(map(repr, itertools.chain.from_iterable(
-                    block.verdicts)))
-                # back into rows of six: five sides and holds
-                texts = list(zip(*[iter(values)] * 6))
-                if not _finite(values):
-                    texts = [t if _finite(t) else None for t in texts]
-                self.texts.append(texts)
-        return self.texts
+    @functools.cached_property
+    def texts(self) -> list:
+        """Per block, the ``_side_texts`` of its verdict tuples: None marks
+        a non-finite row for the report and the writers alike."""
+        return [_side_texts(block.verdicts) for block in self.blocks]
 
     def row(self, block: _Block, j: int) -> dict:
         """A fresh dict of plan row ``j`` of an instance."""
@@ -279,8 +261,10 @@ def run_campaign(cfg: CampaignConfig):
     """Returns (CampaignReport, rows).  ``rows`` is a sequence that builds
     its row dicts when a row is first asked for: theorem by theorem in plan
     order, then by instance index, then alpha ascending (the plan's order
-    within an instance), independent of worker scheduling.  An alpha grid
-    out of range raises before any instance is evaluated."""
+    within an instance), independent of worker scheduling.  A change to a
+    row dict shows in later reads, not in what the writers write: they
+    write the verdicts as evaluated.  An alpha grid out of range raises
+    before any instance is evaluated."""
     start = time.perf_counter()
     workers = _resolve_workers(cfg)
     plan = _plan(cfg)
@@ -299,14 +283,9 @@ def run_campaign(cfg: CampaignConfig):
     nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())
 
     wall = time.perf_counter() - start
-    config_echo = asdict(cfg)
-    config_echo["alphas"] = list(cfg.alphas)
-    config_echo["p_list"] = list(cfg.p_list) if cfg.p_list else None
-    for key in ("pl_range", "length_range", "center_range"):
-        config_echo[key] = list(config_echo[key])
     report = CampaignReport(
         artifact_version=__version__,
-        config=config_echo,
+        config=dict(asdict(cfg), p_list=cfg.p_list or None),
         n_rows=len(rows),
         violations=violations,
         nonfinite=nonfinite,
@@ -324,21 +303,19 @@ def _summary(rows: _Rows) -> tuple:
     theorem but not a probe, the first row reaching the worst slack.  The
     worst slacks are over the finite rows, and None without one; a row's
     slack is the least of its slacks that are not None, and its relative
-    slack that over max(1, |rhs|), what holds tests against -tol."""
-    isfinite = math.isfinite
+    slack that over max(1, |rhs|), what holds tests against -tol.  A row
+    is non-finite where the writers find it so, by ``rows.texts``."""
     per_theorem, probe = {}, {}
     for name, start, stop in rows.groups:
         nonfinite = fail = 0
         worst = worst_at = worst_rel = None
-        for block in rows.blocks:
-            for j, (lhs, _, rhs, left, right, holds) in enumerate(
-                    block.verdicts[start:stop], start):
-                # a value that overflowed a double (mid shows in its slacks)
-                # is no verdict either way
-                if not (isfinite(lhs) and isfinite(rhs) and isfinite(right)
-                        and (left is None or isfinite(left))):
+        for block, texts in zip(rows.blocks, rows.texts):
+            for j in range(start, stop):
+                # a value that overflowed a double is no verdict either way
+                if texts[j] is None:
                     nonfinite += 1
                     continue
+                lhs, _, rhs, left, right, holds = block.verdicts[j]
                 fail += not holds
                 slack = right if left is None or right < left else left
                 if worst is None or slack < worst:  # the first row of a tie
@@ -367,6 +344,20 @@ def _finite(texts) -> bool:
     inf or nan: only those reprs hold either word."""
     text = " ".join(texts)
     return "inf" not in text and "nan" not in text
+
+
+def _side_texts(verdicts) -> list:
+    """Per verdict tuple: the reprs of its values (a float side's ``repr``
+    is what both writers write for it; the templates write holds
+    themselves), or None for a tuple with an inf or nan value.  Each value
+    gets its own text, never one shared by equal values: 0.0 and -0.0 are
+    equal but print apart."""
+    values = list(map(repr, itertools.chain.from_iterable(verdicts)))
+    # back into tuples of six: five sides and holds
+    texts = list(zip(*[iter(values)] * 6))
+    if not _finite(values):
+        texts = [t if _finite(t) else None for t in texts]
+    return texts
 
 
 def _cell(v, fields: dict) -> str:
@@ -401,7 +392,7 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str):
     first preceded by ``gap(key)``, then ``end``.  The fields an instance
     shares are formatted once per instance, a plan row's name and alpha
     once per plan, and the verdict values are the texts of
-    ``rows.side_texts()``.  A plan row has one %-template per holds value,
+    ``rows.texts``.  A plan row has one %-template per holds value,
     where a side is %s and a side that is None (fixed per plan row: a row
     without a MID) is fmt(None) and %.0s, which prints none of its
     argument, as is holds.  A row with an inf or nan side is written with
@@ -425,31 +416,25 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str):
         body = (begin + fmt(name) + "%s" + gaps["alpha"] + fmt(alpha)
                 + sides[_REQUIRES[tid].has_mid])
         templates.append((body + holds[0], body + holds[1]))
-    texts = rows.side_texts()
     for _, start, stop in rows.groups:
         forms = templates[start:stop]
         lines = []
-        for block, (head, tail), block_texts in zip(rows.blocks, shared, texts):
+        for block, (head, tail), block_texts in zip(rows.blocks, shared,
+                                                    rows.texts):
             lines += [form[v[5]] % (head, *(t or map(fmt, v)), tail)
                       for form, v, t in zip(forms, block.verdicts[start:stop],
                                             block_texts[start:stop])]
         yield lines
 
 
-def _unbuilt(rows) -> bool:
-    """Whether ``rows`` are campaign rows none of whose dicts was handed
-    out, so that none was changed and the blocks hold every value."""
-    return isinstance(rows, _Rows) and rows.dicts is None
-
-
 def _csv_chunks(rows):
     """The CSV text of rows in pieces: the header line, then one piece per
-    theorem for campaign rows whose dicts are not built yet (written from
-    their blocks), else one piece written cell by cell."""
+    theorem for campaign rows (written from their blocks), else one piece
+    written cell by cell."""
     fields = {}
     cell = lambda v: _cell(v, fields)
     yield ",".join(CSV_COLUMNS) + "\n"
-    if _unbuilt(rows):
+    if isinstance(rows, _Rows):
         for lines in _row_lines(rows, cell, lambda k: ",", "", "\n"):
             yield "".join(lines)
     else:
@@ -458,11 +443,10 @@ def _csv_chunks(rows):
 
 
 def _json_chunks(rows):
-    """``json.dumps(list(rows), indent=2) + "\\n"`` in pieces: one piece per
-    theorem (and the brackets and separators between them) for campaign
-    rows whose dicts are not built yet, each value as ``json.dumps`` writes
-    it, else one piece."""
-    if not _unbuilt(rows):
+    """The text of ``rows_to_json`` in pieces: one piece per theorem (and
+    the brackets and separators between them) for campaign rows, else one
+    piece."""
+    if not isinstance(rows, _Rows):
         yield json.dumps(list(rows), indent=2) + "\n"
         return
     yield "[\n"
@@ -477,22 +461,21 @@ def _json_chunks(rows):
 
 def rows_to_csv(rows) -> str:
     """The CSV text of rows (dicts with the keys of ``CSV_COLUMNS``);
-    campaign rows whose dicts are not built yet are written from their
-    blocks."""
+    campaign rows are written from their blocks, as evaluated."""
     return "".join(_csv_chunks(rows))
 
 
 def rows_to_json(rows) -> str:
-    """``json.dumps(list(rows), indent=2) + "\\n"``; campaign rows whose
-    dicts are not built yet are written from their blocks, each value as
-    ``json.dumps`` writes it."""
+    """``json.dumps(list(rows), indent=2) + "\\n"``; campaign rows are
+    written from their blocks, as evaluated, each value as ``json.dumps``
+    writes it."""
     return "".join(_json_chunks(rows))
 
 
 def write_rows(rows, path: str, fmt: str = "csv") -> None:
     """Write the text of ``rows_to_csv`` (``fmt`` "csv") or ``rows_to_json``
-    to ``path``; campaign rows whose dicts are not built yet go out one
-    theorem at a time, so the whole text is never held at once."""
+    to ``path``; campaign rows go out one theorem at a time, so the whole
+    text is never held at once."""
     chunks = _csv_chunks(rows) if fmt == "csv" else _json_chunks(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(chunks)

@@ -482,34 +482,37 @@ class TheoremEvaluator:
         sides and slacks of each row are then the sandwich or the tilt bound
         (module docstring) in that operation order, over a table of the
         moments and the per-instance scalars (sech, csch, the kernel masses,
-        from ``math``)."""
-        layout = self._validate(tuple(map(tuple, plan)))
-        p, L, tol = self.p, self.interval.length, self.tol
-        moments = self._moment_values(layout.moments)
-        ua, um, ub = (float(self.uf(x)) for x in
-                      (self.interval.a, self.interval.mid, self.interval.b))
-        avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
-        q = 0.0 if p is None else p  # rows without p take sech(0)
-        table = moments.tolist() + [kernel_mass(self.interval, kernel)
-                                    for kernel in layout.masses]
-        table += [sech(0.0), sech(0.5 * q * L), sech(q * L), 1.0]
-        if layout.tilt:  # at p = 0 the limit of csch(p*L/2) * sinh
-            coef = 2.0 / L if p == 0.0 else csch(0.5 * p * L)
-        verdicts = []
-        for m, mass, c, rc, tilt in layout.rows:
-            M, C = table[m], table[c]
-            lhs, rhs = um * C, avg * table[rc] * C
-            if tilt is None:
-                mid = M / table[mass]
-                slack_left, slack_right = mid - lhs, rhs - mid
-                holds = slack_left >= -tol * max(1.0, abs(rhs))  # nan: false
-            else:  # the tilt bound: lhs is M(u v), and there is no MID
-                lhs, mid, slack_left = M, None, None
-                rhs += half_diff * (coef * table[tilt])
-                slack_right, holds = rhs - lhs, True
-            holds = holds and slack_right >= -tol * max(1.0, abs(rhs))
-            verdicts.append((lhs, mid, rhs, slack_left, slack_right, holds))
-        return verdicts
+        from ``math``).  Overflow shows in the verdicts as inf or nan, so
+        the whole evaluation, the weight check included, runs with numpy's
+        floating-point warnings off: every caller gets one policy."""
+        with np.errstate(all="ignore"):
+            layout = self._validate(tuple(map(tuple, plan)))
+            p, L, tol = self.p, self.interval.length, self.tol
+            moments = self._moment_values(layout.moments)
+            ua, um, ub = (float(self.uf(x)) for x in
+                          (self.interval.a, self.interval.mid, self.interval.b))
+            avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
+            q = 0.0 if p is None else p  # rows without p take sech(0)
+            table = moments.tolist() + [kernel_mass(self.interval, kernel)
+                                        for kernel in layout.masses]
+            table += [sech(0.0), sech(0.5 * q * L), sech(q * L), 1.0]
+            if layout.tilt:  # at p = 0 the limit of csch(p*L/2) * sinh
+                coef = 2.0 / L if p == 0.0 else csch(0.5 * p * L)
+            verdicts = []
+            for m, mass, c, rc, tilt in layout.rows:
+                M, C = table[m], table[c]
+                lhs, rhs = um * C, avg * table[rc] * C
+                if tilt is None:
+                    mid = M / table[mass]
+                    slack_left, slack_right = mid - lhs, rhs - mid
+                    holds = slack_left >= -tol * max(1.0, abs(rhs))  # nan: false
+                else:  # the tilt bound: lhs is M(u v), and there is no MID
+                    lhs, mid, slack_left = M, None, None
+                    rhs += half_diff * (coef * table[tilt])
+                    slack_right, holds = rhs - lhs, True
+                holds = holds and slack_right >= -tol * max(1.0, abs(rhs))
+                verdicts.append((lhs, mid, rhs, slack_left, slack_right, holds))
+            return verdicts
 
     def evaluate(self, tid: TheoremId, alpha: float | None = None,
                  strict_printed: bool = False) -> InequalityVerdict:

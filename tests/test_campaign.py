@@ -23,7 +23,9 @@ from hypfrac.campaign import (
     write_report,
     write_rows,
 )
-from hypfrac.inequalities import TheoremEvaluator, eval_theorem
+from hypfrac.expressions import Interval
+from hypfrac.grammar import parse_function
+from hypfrac.inequalities import TheoremEvaluator, eval_theorem, limit_sweep
 
 SMALL = CampaignConfig(seed=9, n_instances=4, workers=1)
 
@@ -297,15 +299,21 @@ def test_one_rows_object_writes_both_formats_from_one_set_of_texts(cfg, order):
     assert (got["csv"], got["json"]) == _reference_texts(rows)
 
 
-def test_rows_edited_after_a_write_show_the_edit_in_both_formats():
+def test_rows_edited_after_a_write_leave_the_written_files_as_evaluated(tmp_path):
+    # a changed dict shows in later reads; the files hold the verdicts as
+    # they were evaluated
     _, rows = run_campaign(CampaignConfig(seed=42, n_instances=3, workers=1))
-    before = rows_to_csv(rows)
+    before = rows_to_csv(rows), rows_to_json(rows)
     rows[7]["rhs"] = -0.0
     rows[7]["holds"] = False
-    json_text, csv_text = rows_to_json(rows), rows_to_csv(rows)
-    assert (csv_text, json_text) == _reference_texts(rows)
-    assert csv_text != before
-    assert json.loads(json_text)[7]["rhs"] == 0.0 and "-0.0" in csv_text.splitlines()[8]
+    assert repr(rows[7]["rhs"]) == "-0.0" and rows[7]["holds"] is False
+    assert (rows_to_csv(rows), rows_to_json(rows)) == before
+    for fmt, text in zip(("csv", "json"), before):
+        write_rows(rows, str(tmp_path / f"rows.{fmt}"), fmt)
+        assert (tmp_path / f"rows.{fmt}").read_bytes() == text.encode()
+    # a list of the same dicts is written cell by cell, with the edit
+    edited = _reference_texts(rows)
+    assert "-0.0" in edited[0].splitlines()[8] and edited != before
 
 
 def test_signed_zero_and_non_finite_sides_are_written_as_the_dict_path_writes_them():
@@ -360,13 +368,13 @@ def test_rows_read_and_change_like_a_list_of_dicts(tmp_path):
     assert rows[-1] is listed[-1] and rows[2:7] == listed[2:7]
     with pytest.raises(IndexError):
         rows[len(rows)]
-    # a changed row shows in later reads and in the written file
+    # a changed row shows in later reads, not in the written file
     rows[5]["lhs"] = -1.0
     next(iter(rows))["holds"] = False
     assert rows[5]["lhs"] == -1.0 and rows[0]["holds"] is False
     path = tmp_path / "rows.csv"
     write_rows(rows, str(path))
-    assert path.read_text() == rows_to_csv(listed) != unread
+    assert path.read_text() == rows_to_csv(rows) == unread != rows_to_csv(listed)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -388,11 +396,15 @@ def test_bad_alpha_grid_raises_before_any_instance(monkeypatch, workers, alphas,
 
 
 def test_single_instance_config():
-    cfg = CampaignConfig(seed=4, n_instances=1, alphas=(0.5,), workers=1)
+    cfg = CampaignConfig(seed=4, n_instances=1, alphas=(0.5,), p_list=(),
+                         workers=1)
     report, rows = run_campaign(cfg)
     # 5 plain + 5 RL + 5 EXP + 2 probe rows for the single alpha cell
     assert report.n_rows == 17
     assert report.violations == 0
+    # an empty p grid samples p, and the report echoes it as None
+    assert report.config["p_list"] is None
+    assert json.loads(report_to_json(report))["config"]["alphas"] == [0.5]
 
 
 def test_p_list_override():
@@ -449,6 +461,13 @@ def test_non_finite_rows_are_counted_apart_from_violations():
                                    r["slack_right"]) if v is not None)]
     plain = [r for r in bad if not r["theorem_id"].endswith("_printed")]
     assert len(plain) == report.nonfinite == 15 and len(bad) == 17
+    # the report and the writers flag the same rows: those without texts
+    texts = [t[j] for _, start, stop in rows.groups for t in rows.texts
+             for j in range(start, stop)]
+    assert [i for i, t in enumerate(texts) if t is None] == \
+        [i for i, r in enumerate(rows) if any(r is b for b in bad)]
+    lines = rows_to_csv(rows).splitlines()[1:]
+    assert sum("inf" in line or "nan" in line for line in lines) == 17
     # a nan slack (HH_1_1 with mid = rhs = inf) never holds
     assert not any(r["holds"] for r in bad)
     assert any(r["slack_right"] != r["slack_right"] and r["slack_left"] is not None
@@ -531,12 +550,19 @@ def test_report_relative_worst_slack_is_what_holds_tests():
         assert entry["worst_rel_slack"] == worst[tid + "_printed"]
 
 
-def test_overflowing_rows_raise_no_warning():
-    # overflow shows as a nonfinite row, not as a numpy RuntimeWarning
+@pytest.mark.parametrize("call", [
+    lambda: run_campaign(EDGE)[0].nonfinite == 15,
+    lambda: limit_sweep("D4", "FHH", parse_function("cosh(x)"),
+                        Interval(0.0, 800.0), alphas=(0.5,)).rows[0].sides
+    == (1.732848392815529e+176, math.inf, math.inf),
+    lambda: math.isinf(eval_theorem("D4", parse_function("cosh(x)"),
+                                    Interval(0.0, 800.0), alpha=0.5, p=1.0).lhs),
+], ids=["campaign", "limit_sweep", "eval_theorem"])
+def test_overflowing_rows_raise_no_warning(call):
+    # overflow shows as an inf or nan side, not as a numpy RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report, _ = run_campaign(EDGE)
-    assert report.nonfinite == 15
+        assert call()
 
 
 def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
