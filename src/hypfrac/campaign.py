@@ -43,7 +43,6 @@ import math
 import os
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -270,6 +269,9 @@ def run_campaign(cfg: CampaignConfig):
     plan = _plan(cfg)
     indices = range(cfg.n_instances)
     if workers > 1:
+        # the pool's import costs a one-shot call 13-20 ms: load it here
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.n_instances // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_instance_block, itertools.repeat(cfg),

@@ -10,10 +10,16 @@ list of floats (``-1.5,1.5``) is read as a value.  Numeric options must be
 finite (``nan`` or ``inf`` exits 2 naming the option) and ``--tol`` must
 also be >= 0.  The env var HYPFRAC_THREADS caps the campaign worker count.
 
-The argparse tree is built once per process, on the first ``main`` call,
-and reused by later ones, so ``main`` may be called repeatedly in-process
-(tests, notebooks, benchmarks).  Only the parser is kept: every call parses
-its functions and evaluates its integrals afresh.
+The argparse tree is the only declaration of the options.  It is built
+once per process, on the first ``main`` call, and reused by later ones, so
+``main`` may be called repeatedly in-process (tests, notebooks,
+benchmarks).  So is a table read off its actions: a command line of the
+form ``<subcommand> (--option value | --flag)*`` is read straight from it,
+with each option's own type and choices, to the namespace ``parse_args``
+would make, at a tenth of its cost.  Every other form, and every line the
+table would reject, goes to ``parse_args``, so help, errors and their exit
+codes are argparse's own.  Only the parser and the table are kept: every
+call parses its functions and evaluates its integrals afresh.
 """
 
 from __future__ import annotations
@@ -101,6 +107,15 @@ def _is_float(text: str) -> bool:
     return True
 
 
+def _is_value(token: str) -> bool:
+    """Whether a token is read as a value, never as an option: it does not
+    start with ``-``, or it parses as a negative float or a comma-separated
+    list of floats."""
+    # "--name" is never a number: skip the float parse for options
+    return token[:1] != "-" or (token[1:2] != "-"
+                                and all(map(_is_float, token.split(","))))
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads every token that parses as a negative float, or as a
     comma-separated list of floats, as a value: the negative-number pattern
@@ -110,9 +125,8 @@ class _Parser(argparse.ArgumentParser):
     so that the option's type check rejects them."""
 
     def _parse_optional(self, arg_string):
-        # "--name" is never a number: skip the float parse for options
-        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
-                and all(map(_is_float, arg_string.split(",")))):
+        # argparse too reads a token that does not start with "-" as a value
+        if _is_value(arg_string):
             return None
         return super()._parse_optional(arg_string)
 
@@ -196,6 +210,86 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--p", type=_floats_arg, default=(1e-2, 1e-4, 1e-6))
     pl.add_argument("--alpha", type=_floats_arg, default=(0.5,))
     return parser
+
+
+def _readable(action) -> bool:
+    """Whether ``_read_argv`` reads an action exactly as argparse does: a
+    store of one value or a store_true flag, with a default argparse keeps
+    as it is (a string default would go through the action's type)."""
+    if isinstance(action.default, str):
+        return False
+    kind = type(action)
+    return kind is argparse._StoreTrueAction or (
+        kind is argparse._StoreAction and action.nargs is None)
+
+
+# subcommand -> (option string -> (action, type), the namespace before any
+# option is read, the required actions), built once from the parser's own
+# actions; a subcommand with an action of any other kind is left out, and
+# so read by argparse
+@functools.cache
+def _command_table() -> dict:
+    parser = _build_parser()
+    top = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    if parser._defaults or [type(a) for a in top] != [argparse._SubParsersAction]:
+        return {}  # a top-level option or default: argparse reads every call
+    table = {}
+    for name, subparser in top[0].choices.items():
+        actions = [a for a in subparser._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        if not all(map(_readable, actions)):
+            continue
+        options = {
+            s: (a, subparser._registry_get("type", a.type, a.type))
+            for a in actions for s in a.option_strings}
+        # argparse sets the subcommand first, then the subparser's action
+        # defaults, then the set_defaults values no action has taken
+        defaults = {top[0].dest: name} | {a.dest: a.default for a in actions}
+        for dest, value in subparser._defaults.items():
+            defaults.setdefault(dest, value)
+        table[name] = (options, defaults,
+                       [a for a in actions if a.required])
+    return table
+
+
+def _read_argv(argv: list):
+    """The namespace ``parse_args`` makes of ``argv``, read straight from
+    the parser's actions when ``argv`` is a subcommand followed by
+    ``--option value`` pairs and ``--flag`` tokens, each option spelled in
+    full; None for any other form (help, an unknown, abbreviated or
+    ``--opt=value`` option, ``--``, a missing value or required option, a
+    value its type or choices reject), which is left to argparse and its
+    messages."""
+    entry = _command_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, defaults, required = entry
+    values = dict(defaults)
+    seen = set()
+    i, n = 1, len(argv)
+    while i < n:
+        try:
+            action, convert = options[argv[i]]
+        except KeyError:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+        else:
+            if i + 1 == n or not _is_value(argv[i + 1]):
+                return None
+            try:
+                value = convert(argv[i + 1])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            i += 2
+        seen.add(action)
+    if any(a not in seen for a in required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _cmd_integrate(args) -> int:
@@ -325,10 +419,13 @@ def _cmd_limits(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         # overflow shows as an inf or nan result and exits 2 with one
         # error line, not as numpy warnings

@@ -125,6 +125,11 @@ class TheoremId(str, enum.Enum):
     D8 = "D8"
     D9 = "D9"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown theorem id {value!r}; expected one of "
+                         + ", ".join(t.value for t in cls))
+
 
 class _Row(NamedTuple):
     """One theorem; alpha is needed iff family is set (None: K = 1)."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -390,7 +391,7 @@ def test_bad_alpha_grid_raises_before_any_instance(monkeypatch, workers, alphas,
         raise AssertionError("an instance was evaluated")
 
     monkeypatch.setattr(campaign, "_instance_block", evaluated)
-    monkeypatch.setattr(campaign, "ProcessPoolExecutor", evaluated)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", evaluated)
     with pytest.raises(ValueError, match=message):
         run_campaign(CampaignConfig(n_instances=4, alphas=alphas, workers=workers))
 

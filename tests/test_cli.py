@@ -1,15 +1,43 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hypfrac
 from hypfrac import cli, inequalities
 from hypfrac.cli import main
+from hypfrac.generators import (
+    GenConfig,
+    draw_interval,
+    gen_p_convex,
+    gen_symmetric_weight,
+    rng_for,
+)
+from hypfrac.grammar import to_grammar
+
+
+@pytest.fixture(autouse=True)
+def reader_matches_argparse(monkeypatch):
+    """Every argv these tests hand ``main`` that the reader reads, it reads
+    to the namespace ``parse_args`` makes of it."""
+    read = cli._read_argv
+
+    def checked(argv):
+        args = read(argv)
+        if args is not None:
+            assert args == cli._build_parser().parse_args(argv), argv
+        return args
+
+    monkeypatch.setattr(cli, "_read_argv", checked)
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +135,38 @@ def test_verify_violated_exits_3(capsys):
                            "--a", "0", "--b", "1", "--strict-printed")
     assert code == 3
     assert "holds: False" in out
+
+
+_ALL_IDS = ("expected one of HH_1_1, FEJER_1_2, FHH, FHHF, FHH2, FHHF2, D1, "
+            "D2, D3, D4, D5, D6, D7, D8, D9")
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["verify", "--thm", "XX", "--alpha", "0.5"], "XX"),
+    (["limits", "--thm", "xx", "--to", "FHH"], "XX"),
+    (["limits", "--thm", "D5", "--to", "FHH2X"], "FHH2X"),
+])
+def test_unknown_theorem_id_exits_2_naming_the_valid_ones(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv, "--fn", "cosh(x)", "--a", "0",
+                             "--b", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown theorem id {bad!r}; {_ALL_IDS}\n"
+
+
+def test_unknown_theorem_id_from_python_names_the_valid_ones():
+    with pytest.raises(ValueError, match=f"^unknown theorem id 'd4'; {_ALL_IDS}$"):
+        inequalities.eval_theorem("d4", hypfrac.parse_function("x"),
+                                  hypfrac.Interval(0.0, 1.0))
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hypfrac.__file__)))
+    probe = ("import sys, hypfrac.cli; print(sorted(m for m in sys.modules if "
+             "m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert (loaded.returncode, loaded.stdout) == (0, "[]\n")
 
 
 def test_verify_missing_weight_exits_2(capsys):
@@ -551,10 +611,13 @@ def test_repeated_main_calls_build_the_parser_once(capsys, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    tables = cli._command_table.cache_info()
     assert main(_FHH) == 0
     assert main(_CLASSIFY + ["--p", "1"]) == 0
     assert main(["verify", "--thm"]) == 2
     assert built == []
+    assert tables.currsize == 1
+    assert cli._command_table.cache_info().misses == tables.misses
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -622,3 +685,158 @@ def test_in_process_calls_stay_cold(capsys, monkeypatch):
     assert first == second and first[0] == 0
     assert len(evaluators) == 2 and evaluators[0] is not evaluators[1]
     assert parsed == ["cosh(x)", "cosh(x)"]
+
+
+def outcome(argv, reader=True):
+    """(exit code, stdout, stderr) of ``main(argv)``; with ``reader`` off,
+    every argv goes to ``parse_args``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if not reader:
+            stack.enter_context(
+                mock.patch.object(cli, "_read_argv", lambda argv: None))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parsed(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+def generated_argvs(index):
+    """Canonical verify, integrate, classify and limits argvs of one
+    generated instance, as a campaign draws it."""
+    rng = rng_for(11, index)
+    cfg = GenConfig(seed=11)
+    interval = draw_interval(cfg, rng)
+    p = float(rng.uniform(0.05, 5.0)) / interval.length
+    fn = to_grammar(gen_p_convex(cfg, p, interval, rng=rng))
+    wt = to_grammar(gen_symmetric_weight(cfg, interval, rng=rng).v)
+    ab = ["--a", repr(interval.a), "--b", repr(interval.b)]
+    argvs = [["verify", "--thm", tid.value, "--fn", fn, *ab, "--p", repr(p),
+              "--alpha", "0.5", "--weight", wt]
+             for tid in inequalities.TheoremId]
+    argvs += [["integrate", "--family", family, "--alpha", "0.5", "--fn", fn,
+               *ab, "--side", side, "--at", repr(at)]
+              for family in ("rl", "exp")
+              for side, at in (("left", interval.b), ("right", interval.a))]
+    argvs.append(["classify", "--fn", fn, "--p", repr(p), *ab,
+                  "--grid-n", "101", "--tol", "1e-9"])
+    argvs.append(["limits", "--thm", "D8", "--to", "D3", "--fn", fn,
+                  "--weight", wt, "--p", repr(p), "--alpha", "0.9,0.99", *ab])
+    argvs.append(["limits", "--thm", "D4", "--to", "FHH", "--fn", fn, *ab])
+    return argvs
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_reader_reads_generated_argvs_as_argparse_does(index):
+    for argv in generated_argvs(index):
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        want = parsed(argv)
+        assert args == want and list(vars(args)) == list(vars(want))
+
+
+def test_reader_reads_campaign_options_and_flags_as_argparse_does():
+    argv = ["campaign", "--seed", "3", "--n", "2", "--alphas", "0.5,1",
+            "--center-range", "-1.5,-0.5", "--format", "json", "--no-probe",
+            "--rows", "r.json", "--workers", "1"]
+    assert cli._read_argv(argv) == parsed(argv)
+    assert cli._read_argv(["campaign"]) == parsed(["campaign"])
+
+
+def test_reader_keeps_the_last_of_a_repeated_option():
+    argv = _FHH + ["--alpha", "0.25", "--fn", "x", "--strict-printed",
+                   "--strict-printed"]
+    args = cli._read_argv(argv)
+    assert (args.alpha, args.fn, args.strict_printed) == (0.25, "x", True)
+    assert args == parsed(argv)
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["verify", "--thm=FHH"] + _FHH[3:], 0, ""),
+    (_FHH[:-2] + ["--alph", "0.5"], 0, ""),
+    (["verify", "-h"], 0, ""),
+    (["verify", "--thm", "D4", "--fn", "-x", "--a", "0", "--b", "1"], 2,
+     "argument --fn: expected one argument"),
+    (_CLASSIFY + ["--p", "1", "--grid-n", "1e3"], 2,
+     "argument --grid-n: invalid int value: '1e3'"),
+    (_INTEGRATE[:2] + ["bogus"] + _INTEGRATE[3:] + ["--a", "0", "--b", "1",
+                                                    "--at", "1"], 2,
+     "argument --family: invalid choice: 'bogus'"),
+    (_FHH + ["--a", "-inf"], 2,
+     "argument --a: expected a finite number, got '-inf'"),
+    (_FHH[:1] + _FHH[3:], 2, "the following arguments are required: --thm"),
+    (["verify", "--thm", "HH_1_1", "--fn", "exp(x)", "--a", "-1", "--b", "1",
+      "-e5"], 2, "unrecognized arguments: -e5"),
+], ids=["opt=value", "abbreviated", "help", "fn-dash-x", "grid-n-1e3",
+        "bad-choice", "a-minus-inf", "missing-thm", "trailing-e5"])
+def test_declined_forms_are_read_by_argparse(argv, code, message):
+    assert cli._read_argv(argv) is None
+    got = outcome(argv)
+    assert got == outcome(argv, reader=False)
+    assert got[0] == code
+    assert message in got[2]
+
+
+def test_no_subcommand_or_an_unknown_one_is_declined():
+    for argv in ([], ["--help"], ["bogus", "--fn", "x"], ["-h", "verify"]):
+        assert cli._read_argv(argv) is None
+
+
+_INTERVALS = [("-1", "1"), ("-2.5e-1", "2.5e-1"), ("-1.5", "1.5")]
+_LIMITS_PAIRS = [("D4", "FHH"), ("D6", "FHHF"), ("D8", "D3")]
+_WILD = ["XX", "d4", "-x", "", "inf", "-inf", "nan", "-0.5,0.5", "1,1",
+         "1e3", "--", "-h", "--fn=x", "--alph"]
+_FLAGS = ["--asymmetric-weight", "--strict-printed"]
+
+
+@st.composite
+def verify_or_limits_argv(draw):
+    """A verify or limits argv: every option once and a few more, each with
+    a value of its own kind (a symmetric interval and weight, a documented
+    limit pair) or, one time in eight, any other token; shuffled, with a
+    stray token or one option sometimes left out."""
+    command = draw(st.sampled_from(["verify", "limits"]))
+    a, b = draw(st.sampled_from(_INTERVALS))
+    typed = {"--fn": ["cosh(x)", "x*x", "exp(2*x)", "1+x*x"],
+             "--a": [a], "--b": [b], "--weight": ["1+x*x", "cosh(x)", "2"]}
+    if command == "verify":
+        typed.update({"--thm": [t.value for t in inequalities.TheoremId],
+                      "--p": ["1", "0.5", "-2.5e-1"],
+                      "--alpha": ["0.5", "0.3", "1"],
+                      "--tol": ["1e-8", "0", "-1"]})
+    else:
+        thm, to = draw(st.sampled_from(_LIMITS_PAIRS))
+        typed.update({"--thm": [thm], "--to": [to],
+                      "--p": ["1e-2,1e-4", "1", "1,2"],
+                      "--alpha": (["0.9,0.99", "0.99,0.999"] if to == "D3"
+                                  else ["0.5", "0.3,0.5"])})
+
+    def one_in(n):  # False is the simplest draw, so examples shrink to it
+        return draw(st.sampled_from([False] * (n - 1) + [True]))
+
+    def value(option):
+        return draw(st.sampled_from(_WILD if one_in(8) else typed[option]))
+
+    options = sorted(typed) + draw(
+        st.lists(st.sampled_from(sorted(typed)), max_size=2))
+    pieces = [[option, value(option)] for option in options]
+    if command == "verify":
+        pieces += [[flag] for flag in draw(st.lists(st.sampled_from(_FLAGS),
+                                                    max_size=2))]
+    if one_in(5):
+        pieces.append([draw(st.sampled_from(_WILD))])
+    pieces = draw(st.permutations(pieces))
+    if one_in(5):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(verify_or_limits_argv())
+def test_main_gives_the_same_result_with_the_reader_off(argv):
+    assert outcome(argv) == outcome(argv, reader=False)
