@@ -21,21 +21,19 @@ sech(p*(b-a)); they are reported but never counted as campaign violations.
 
 The plan, the rows ``TheoremEvaluator.evaluate_plan`` takes, is built and
 its alphas checked once per campaign.  Each instance passes it on as it is
-and becomes one block: the fields its rows share and the verdict tuples of
-its plan.  Workers return blocks; the report reads each verdict once, and
-``run_campaign`` returns the rows as a sequence over the blocks that builds
-the row dicts when a row is first asked for.  The writers always write
-campaign rows straight from the blocks, so the files hold the verdicts as
-they were evaluated: each side value is formatted once, into the rows'
-``texts``, which also tell the report which rows are non-finite (a CSV and
-a JSON file of one run format no float twice), and ``write_rows`` streams
-the file one theorem at a time.  Any other rows are written cell by cell.
+and becomes one block: the fields its rows share, the verdict tuples of its
+plan and their texts, each value formatted once where the block is
+evaluated (in a worker, on a pool); a row with an inf or nan value has no
+texts, and the report counts it apart.  ``run_campaign`` returns the rows
+as a sequence over the blocks that builds the row dicts when a row is first
+asked for.  The writers always write campaign rows from the blocks' texts,
+as evaluated (a CSV and a JSON file of one run format no float twice), one
+theorem at a time.  Any other rows are written cell by cell.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -139,8 +137,9 @@ def _draw(cfg: CampaignConfig, index: int):
 
 
 class _Block(NamedTuple):
-    """One evaluated instance: what its rows share, and the verdict tuples
-    of :meth:`TheoremEvaluator.evaluate_plan`, one per plan row."""
+    """One evaluated instance: what its rows share, the verdict tuples of
+    :meth:`TheoremEvaluator.evaluate_plan`, one per plan row, and their
+    ``_side_texts``."""
 
     index: int
     a: float
@@ -149,6 +148,7 @@ class _Block(NamedTuple):
     fn_descriptor: str
     weight_descriptor: str
     verdicts: tuple
+    texts: list
 
 
 def _instance_block(cfg: CampaignConfig, plan: tuple, index: int) -> _Block:
@@ -156,8 +156,9 @@ def _instance_block(cfg: CampaignConfig, plan: tuple, index: int) -> _Block:
     rows of ``plan`` (``_plan(cfg)``), from one ``evaluate_plan``."""
     u, interval, p, w = _draw(cfg, index)
     ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
+    verdicts = tuple(ev.evaluate_plan(plan))
     return _Block(index, interval.a, interval.b, ev.p, to_grammar(u),
-                  to_grammar(w.v), tuple(ev.evaluate_plan(plan)))
+                  to_grammar(w.v), verdicts, _side_texts(verdicts))
 
 
 def instance_rows(cfg: CampaignConfig, index: int) -> list:
@@ -194,8 +195,7 @@ class _Rows(Sequence):
     keys of ``CSV_COLUMNS``, are built from the blocks the first time a row
     is asked for, and kept: a change to one shows in later reads, as in a
     list, but not in the written files.  The writers write the rows from
-    the blocks, one theorem at a time, with the texts of their sides
-    (``texts``), made once."""
+    the blocks, one theorem at a time, with the texts each block carries."""
 
     def __init__(self, seed: int, plan: tuple, blocks: list):
         self.seed, self.plan, self.blocks = seed, plan, blocks
@@ -207,12 +207,6 @@ class _Rows(Sequence):
         for name, run in itertools.groupby(enumerate(self.names), lambda e: e[1]):
             run = [j for j, _ in run]
             self.groups.append((name, run[0], run[-1] + 1))
-
-    @functools.cached_property
-    def texts(self) -> list:
-        """Per block, the ``_side_texts`` of its verdict tuples: None marks
-        a non-finite row for the report and the writers alike."""
-        return [_side_texts(block.verdicts) for block in self.blocks]
 
     def row(self, block: _Block, j: int) -> dict:
         """A fresh dict of plan row ``j`` of an instance."""
@@ -306,15 +300,15 @@ def _summary(rows: _Rows) -> tuple:
     worst slacks are over the finite rows, and None without one; a row's
     slack is the least of its slacks that are not None, and its relative
     slack that over max(1, |rhs|), what holds tests against -tol.  A row
-    is non-finite where the writers find it so, by ``rows.texts``."""
+    is non-finite where the writers find it so, by its block's texts."""
     per_theorem, probe = {}, {}
     for name, start, stop in rows.groups:
         nonfinite = fail = 0
         worst = worst_at = worst_rel = None
-        for block, texts in zip(rows.blocks, rows.texts):
+        for block in rows.blocks:
             for j in range(start, stop):
                 # a value that overflowed a double is no verdict either way
-                if texts[j] is None:
+                if block.texts[j] is None:
                     nonfinite += 1
                     continue
                 lhs, _, rhs, left, right, holds = block.verdicts[j]
@@ -393,8 +387,8 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str):
     theorem: ``begin``, the values as ``fmt`` writes them, each key but the
     first preceded by ``gap(key)``, then ``end``.  The fields an instance
     shares are formatted once per instance, a plan row's name and alpha
-    once per plan, and the verdict values are the texts of
-    ``rows.texts``.  A plan row has one %-template per holds value,
+    once per plan, and the verdict values are the texts each block
+    carries.  A plan row has one %-template per holds value,
     where a side is %s and a side that is None (fixed per plan row: a row
     without a MID) is fmt(None) and %.0s, which prints none of its
     argument, as is holds.  A row with an inf or nan side is written with
@@ -421,11 +415,10 @@ def _row_lines(rows: _Rows, fmt, gap, begin: str, end: str):
     for _, start, stop in rows.groups:
         forms = templates[start:stop]
         lines = []
-        for block, (head, tail), block_texts in zip(rows.blocks, shared,
-                                                    rows.texts):
+        for block, (head, tail) in zip(rows.blocks, shared):
             lines += [form[v[5]] % (head, *(t or map(fmt, v)), tail)
                       for form, v, t in zip(forms, block.verdicts[start:stop],
-                                            block_texts[start:stop])]
+                                            block.texts[start:stop])]
         yield lines
 
 

@@ -212,43 +212,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _readable(action) -> bool:
-    """Whether ``_read_argv`` reads an action exactly as argparse does: a
-    store of one value or a store_true flag, with a default argparse keeps
-    as it is (a string default would go through the action's type)."""
-    if isinstance(action.default, str):
-        return False
-    kind = type(action)
-    return kind is argparse._StoreTrueAction or (
-        kind is argparse._StoreAction and action.nargs is None)
-
-
 # subcommand -> (option string -> (action, type), the namespace before any
 # option is read, the required actions), built once from the parser's own
-# actions; a subcommand with an action of any other kind is left out, and
-# so read by argparse
+# actions: stores of one value and store_true flags, none with a string
+# default (argparse would convert it), under a top level of help and the
+# subcommands alone, the shape tests/test_cli.py pins
 @functools.cache
 def _command_table() -> dict:
     parser = _build_parser()
-    top = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-    if parser._defaults or [type(a) for a in top] != [argparse._SubParsersAction]:
-        return {}  # a top-level option or default: argparse reads every call
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
     table = {}
-    for name, subparser in top[0].choices.items():
+    for name, subparser in sub.choices.items():
         actions = [a for a in subparser._actions
                    if not isinstance(a, argparse._HelpAction)]
-        if not all(map(_readable, actions)):
-            continue
         options = {
             s: (a, subparser._registry_get("type", a.type, a.type))
             for a in actions for s in a.option_strings}
         # argparse sets the subcommand first, then the subparser's action
         # defaults, then the set_defaults values no action has taken
-        defaults = {top[0].dest: name} | {a.dest: a.default for a in actions}
+        defaults = {sub.dest: name} | {a.dest: a.default for a in actions}
         for dest, value in subparser._defaults.items():
             defaults.setdefault(dest, value)
-        table[name] = (options, defaults,
-                       [a for a in actions if a.required])
+        table[name] = (options, defaults, [a for a in actions if a.required])
     return table
 
 

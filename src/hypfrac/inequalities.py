@@ -269,7 +269,8 @@ class InequalityVerdict:
 
 class _Moments(NamedTuple):
     """The moments of a batch and the fixed-rule integrals (columns) that
-    make them up, built once per batch by :func:`_moment_layout`."""
+    make them up, built by :func:`_moment_layout` once per plan (the
+    cached :func:`_plan_layout`)."""
 
     keys: tuple            # the moments, as (integrand, kernel)
     sets: tuple            # node sets, as (alpha of the endpoint weight, endpoint)
@@ -307,7 +308,6 @@ def _constant(values, dtype=None) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=256)
 def _moment_layout(keys: tuple) -> _Moments:
     """The layout of a batch of moment keys (which, kernel): one column per
     fixed-weight part of each moment, in moment order."""

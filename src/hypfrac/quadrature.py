@@ -10,8 +10,8 @@ of an n-point and a 2n-point Gauss-Jacobi rule (n = 20) for the weight
 weight ``(x-a)**(alpha-1)`` (or its mirror ``(b-x)**(alpha-1)``) of
 :func:`integrate_singular` exactly; ``beta = 0`` is Gauss-Legendre for
 :func:`integrate`.  Nodes and weights come from the Golub-Welsch
-eigenvalue problem on the Jacobi matrix and are cached per (n, beta).  The
-2n-point value is accepted when both sums are finite and
+eigenvalue problem on the Jacobi matrix, and each pair of rules is cached
+per beta.  The 2n-point value is accepted when both sums are finite and
 ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
 adaptive loop uses; the difference, floored at the adaptive loop's round-off
 level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
@@ -137,7 +137,6 @@ def _panels(f, lo, hi):
     return k, np.abs(k - g), l1
 
 
-@functools.lru_cache(maxsize=64)
 def _gauss_jacobi(n: int, beta: float):
     """Nodes (ascending) and weights of the n-point Gauss rule for the weight
     ``(1+t)**beta`` on [-1, 1], ``beta > -1``.

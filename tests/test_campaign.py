@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hypfrac.campaign as campaign
 from hypfrac.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
@@ -290,13 +291,16 @@ def _reference_texts(rows):
 @pytest.mark.parametrize("cfg", [CampaignConfig(seed=42, n_instances=20, workers=1),
                                  EDGE], ids=["seed42", "edge"])
 def test_one_rows_object_writes_both_formats_from_one_set_of_texts(cfg, order):
-    # the side texts are made by the first write and kept for the second
+    # each block carries its side texts, made where it was evaluated, and
+    # both writers read them
     _, rows = run_campaign(cfg)
+    assert [block.texts for block in rows.blocks] == \
+        [campaign._side_texts(block.verdicts) for block in rows.blocks]
     writers = {"csv": rows_to_csv, "json": rows_to_json}
     got = {}
     for fmt in order.split("-"):
         got[fmt] = writers[fmt](rows)
-        assert rows.texts is not None and rows.dicts is None
+        assert rows.dicts is None
     assert (got["csv"], got["json"]) == _reference_texts(rows)
 
 
@@ -317,9 +321,15 @@ def test_rows_edited_after_a_write_leave_the_written_files_as_evaluated(tmp_path
     assert "-0.0" in edited[0].splitlines()[8] and edited != before
 
 
-def test_signed_zero_and_non_finite_sides_are_written_as_the_dict_path_writes_them():
-    import hypfrac.campaign as campaign
+def _block(index, a, b, p, fn, verdicts):
+    """A hand-made block with weight "1", its texts made as a worker makes
+    them."""
+    verdicts = tuple(verdicts)
+    return campaign._Block(index, a, b, p, fn, "1", verdicts,
+                           campaign._side_texts(verdicts))
 
+
+def test_signed_zero_and_non_finite_sides_are_written_as_the_dict_path_writes_them():
     plan = _plan(CampaignConfig(alphas=(0.5,)))
     sides = (-0.0, math.nan, math.inf, -math.inf, 0.0)
     verdicts = []
@@ -329,15 +339,15 @@ def test_signed_zero_and_non_finite_sides_are_written_as_the_dict_path_writes_th
         verdicts.append((sides[j % 5], mid, sides[(j + 2) % 5], left,
                          sides[(j + 4) % 5], j % 2 == 0))
     verdicts[0] = (0.0, -0.0, 1.0, -0.0, 1.0, True)  # a finite row in the block
-    blocks = [campaign._Block(0, -0.0, 0.0, 1.0, "x", "1", tuple(verdicts)),
-              campaign._Block(1, 0.0, 1.0, -0.0, "pow((x-0.5),2.0)", "1",
-                              tuple((0.5, None if v[1] is None else 0.25, -0.0,
-                                     None if v[3] is None else -0.0, 0.0, True)
-                                    for v in verdicts))]
+    blocks = [_block(0, -0.0, 0.0, 1.0, "x", verdicts),
+              _block(1, 0.0, 1.0, -0.0, "pow((x-0.5),2.0)",
+                     [(0.5, None if v[1] is None else 0.25, -0.0,
+                       None if v[3] is None else -0.0, 0.0, True)
+                      for v in verdicts])]
     rows = campaign._Rows(5, plan, blocks)
     texts = rows_to_csv(rows), rows_to_json(rows)
-    assert rows.texts[0][0] == ("0.0", "-0.0", "1.0", "-0.0", "1.0", "True")
-    assert rows.texts[0][1] is None and None not in rows.texts[1]
+    assert blocks[0].texts[0] == ("0.0", "-0.0", "1.0", "-0.0", "1.0", "True")
+    assert blocks[0].texts[1] is None and None not in blocks[1].texts
     assert texts == _reference_texts(rows)
     assert "NaN" in texts[1] and "-Infinity" in texts[1] and "-0.0" in texts[0]
 
@@ -385,8 +395,6 @@ def test_rows_read_and_change_like_a_list_of_dicts(tmp_path):
 ])
 def test_bad_alpha_grid_raises_before_any_instance(monkeypatch, workers, alphas,
                                                    message):
-    import hypfrac.campaign as campaign
-
     def evaluated(*args):
         raise AssertionError("an instance was evaluated")
 
@@ -463,8 +471,8 @@ def test_non_finite_rows_are_counted_apart_from_violations():
     plain = [r for r in bad if not r["theorem_id"].endswith("_printed")]
     assert len(plain) == report.nonfinite == 15 and len(bad) == 17
     # the report and the writers flag the same rows: those without texts
-    texts = [t[j] for _, start, stop in rows.groups for t in rows.texts
-             for j in range(start, stop)]
+    texts = [block.texts[j] for _, start, stop in rows.groups
+             for block in rows.blocks for j in range(start, stop)]
     assert [i for i, t in enumerate(texts) if t is None] == \
         [i for i, r in enumerate(rows) if any(r is b for b in bad)]
     lines = rows_to_csv(rows).splitlines()[1:]
@@ -507,8 +515,6 @@ def test_instance_rows_are_one_row_evaluations(cfg, indices):
 
 
 def test_instance_block_is_one_evaluate_plan_of_the_plan(small_run):
-    import hypfrac.campaign as campaign
-
     # the block holds the verdicts of the campaign's plan as it is, and the
     # report reads them by theorem in file order, the probes by their theorem
     report, rows = small_run
@@ -567,14 +573,12 @@ def test_overflowing_rows_raise_no_warning(call):
 
 
 def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
-    import hypfrac.campaign as campaign
-
     def block(cfg, plan, index):  # mid overflowed; lhs and rhs are finite
         verdicts = []
         for tid, alpha, printed in plan:
             mid = math.inf if index and tid == "D2" else 2.0
             verdicts.append((1.0, mid, 3.0, mid - 1.0, 3.0 - mid, 3.0 - mid >= 0))
-        return campaign._Block(index, 0.0, 1.0, 1.0, "x", "1", tuple(verdicts))
+        return _block(index, 0.0, 1.0, 1.0, "x", verdicts)
 
     monkeypatch.setattr(campaign, "_instance_block", block)
     report, _ = run_campaign(CampaignConfig(n_instances=2, workers=1))

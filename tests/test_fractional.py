@@ -93,6 +93,30 @@ def test_exp_unit_closed_form_matches():
     assert got == pytest.approx(exp_unit_left(a, alpha, t), rel=1e-12)
 
 
+def _small_alpha(alpha):
+    """A small alpha whose integral is known to come out wrong while its
+    error estimate stays near round-off (ROADMAP item 10)."""
+    return pytest.param(alpha, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: a small alpha fails silently")))
+
+
+@pytest.mark.parametrize("alpha", [1e-3, _small_alpha(1e-5), _small_alpha(1e-8),
+                                   _small_alpha(1e-12)])
+def test_rl_unit_integral_at_a_small_alpha(alpha):
+    # the Gauss-Jacobi rule is handed beta = alpha - 1 and forms 1 + beta,
+    # which loses alpha's relative precision
+    got = rl_left(ONE, Interval(0.0, 1.0), alpha, 1.0)
+    assert got == pytest.approx(rl_monomial_left(0, 0.0, alpha, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, _small_alpha(1e-4), _small_alpha(1e-5)])
+def test_exp_unit_integral_at_a_small_alpha(alpha):
+    # at lambda * L of about 1e4 and above, both Legendre rules miss the
+    # kernel's boundary layer, agree within abs_tol and accept a value near 0
+    got = exp_left(ONE, Interval(0.0, 1.0), alpha, 1.0)
+    assert got == pytest.approx(exp_unit_left(0.0, alpha, 1.0), rel=1e-12)
+
+
 def test_linearity():
     I = Interval(0.0, 1.5)
     f = cosh_centered(1.2, 0.4)
