@@ -49,7 +49,13 @@ from .expressions import Interval
 from .fractional import Family
 from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
 from .grammar import to_grammar
-from .inequalities import _REQUIRES, TheoremEvaluator, TheoremId, _plan_layout
+from .inequalities import (
+    _REQUIRES,
+    DEFAULT_SLACK_TOL,
+    TheoremEvaluator,
+    TheoremId,
+    _plan_layout,
+)
 
 # a row: its theorem id, fields its instance fixes (head), its alpha, the
 # sides and slacks, holds, and more fields its instance fixes (tail)
@@ -72,7 +78,7 @@ class CampaignConfig:
     pl_range: tuple = (0.05, 5.0)        # sampled p * (b - a)
     length_range: tuple = (0.2, 4.0)
     center_range: tuple = (-1.5, 1.5)
-    tol: float = 1e-8
+    tol: float = DEFAULT_SLACK_TOL
     output_format: str = "csv"           # rows file format: csv | json
     rows_path: str = "campaign_rows.csv"
     report_path: str = "campaign_report.json"

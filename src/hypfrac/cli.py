@@ -38,11 +38,12 @@ from .campaign import (
     write_report,
     write_rows,
 )
-from .convexity import Method, check_all
+from .convexity import DEFAULT_GRID_N, DEFAULT_TOL, Method, check_all
 from .expressions import DomainError, Interval
 from .fractional import Family, FracParams, Side, fractional_integral
 from .grammar import GrammarError, parse_function
 from .inequalities import (
+    DEFAULT_SLACK_TOL,
     InvalidWeightError,
     TheoremId,
     WeightSpec,
@@ -160,8 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", type=_finite_float, required=True)
     pc.add_argument("--a", type=_finite_float, required=True)
     pc.add_argument("--b", type=_finite_float, required=True)
-    pc.add_argument("--grid-n", type=int, default=101)
-    pc.add_argument("--tol", type=_tolerance, default=1e-9)
+    pc.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
+    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     pv = sub.add_parser("verify", help="evaluate one inequality")
     pv.set_defaults(run=_cmd_verify)
@@ -175,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--weight", default=None, help="weight function string")
     pv.add_argument("--asymmetric-weight", action="store_true",
                     help="declare the weight asymmetric (D8/D9 exploration)")
-    pv.add_argument("--tol", type=_tolerance, default=1e-8)
+    pv.add_argument("--tol", type=_tolerance, default=DEFAULT_SLACK_TOL)
     pv.add_argument("--strict-printed", action="store_true",
                     help="use the as-printed D4/D5 right-hand constant")
 

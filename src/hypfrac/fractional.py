@@ -1,22 +1,22 @@
 """Fractional integral operators on finite intervals, and the kernel table
 behind every fractional integral of the package.
 
-Two families:
+Every kernel is k(s) = s**(beta-1) * exp(-lam*s) / N of the distance s
+from the end it is anchored at, in one of two families:
 
-* ``rl`` - Riemann-Liouville: kernel ``(t-s)**(alpha-1) / Gamma(alpha)``
-  (left) and the mirrored ``(s-t)**(alpha-1) / Gamma(alpha)`` (right),
+* ``rl`` - Riemann-Liouville, (beta, lam, N) = (alpha, 0, Gamma(alpha)),
   order ``alpha > 0`` with Gamma(alpha) and Gamma(alpha+1) finite (so
   ``alpha <= 170.62``); singular at the evaluation point for ``alpha < 1``.
-* ``exp`` - bounded exponential kernel
-  ``exp(-(1-alpha)/alpha * distance) / alpha``, order ``alpha`` in (0, 1).
+* ``exp`` - the bounded exponential kernel, (1, (1-alpha)/alpha, alpha),
+  order ``alpha`` in (0, 1).
 
 A kernel is one value: a :class:`FracParams`, whose alpha is checked once,
 when it is made, or ``None`` for K = 1.  :func:`kernel_parts` alone writes a
-kernel down, as endpoint-weight integrals with an optional kernel factor and
-the norm they are divided by; the parts do not depend on the interval (an
-EXP factor is called as ``factor(x, a, b)``).  The operators, the two-sided
-:func:`kernel_moment` and the moment bank of the inequalities all read them;
-:func:`kernel_mass` is the closed form of the moment of 1.
+kernel down, as plain data: the fixed-weight parts that make up an operator
+or the two-sided kernel, which the operators, :func:`kernel_moment` and the
+moment bank of the inequalities all read; :func:`kernel_factor` evaluates a
+part's exponential factor, and :func:`kernel_mass` is the closed form of the
+moment of 1.
 
 The closed forms used as test oracles: for ``f(s) = (s-a)**k`` the left
 Riemann-Liouville integral at ``t`` is
@@ -75,45 +75,41 @@ class FracParams:
             raise ValueError("alpha must be in (0, 1) for family exp")
 
 
-def kernel_parts(kernel: FracParams | None, side: Side | None = None):
-    """The operator of ``kernel`` as fixed-weight integrals, and its norm: a
-    tuple of (alpha of the endpoint weight, endpoint, kernel factor or None)
-    whose integrals over [a, b] of g times the factor add up to the operator
-    of g times ``norm``.  The parts do not depend on the interval: a factor
-    is called as ``factor(x, a, b)``.
+# each end of [a, b] and the operator whose kernel measures distance from it
+_OPERATOR_AT = {Endpoint.LEFT: Side.RIGHT, Endpoint.RIGHT: Side.LEFT}
 
-    ``side`` LEFT is the left operator at b, RIGHT the right operator at a,
-    and None the symmetric two-sided kernel, their sum; for EXP that stays
-    one integral of the summed factor, so that a moment bank needs one dot
-    product per node set.  ``kernel`` is a :class:`FracParams`, whose alpha
-    was checked once, when it was made, or None for K = 1 (norm 1)."""
+
+def kernel_parts(kernel: FracParams | None, side: Side | None = None):
+    """The parts of the operator of ``kernel`` (None: K = 1), and its norm N:
+    each part, (node set (beta, endpoint), lam, ends), integrates g times
+    :func:`kernel_factor` against that endpoint weight, and the parts sum to
+    N times the operator.  ``side`` LEFT is the left operator at b, RIGHT the
+    right operator at a, None their sum."""
     if kernel is None:
-        return ((1.0, Endpoint.LEFT, None),), 1.0
+        return (((1.0, Endpoint.LEFT), 0.0, ()),), 1.0
     alpha = kernel.alpha
-    if kernel.family is Family.RL:
-        parts = ()
-        if side is not Side.LEFT:  # (x-a)**(alpha-1): the right operator at a
-            parts += ((alpha, Endpoint.LEFT, None),)
-        if side is not Side.RIGHT:  # (b-x)**(alpha-1): the left operator at b
-            parts += ((alpha, Endpoint.RIGHT, None),)
-        return parts, math.gamma(alpha)
-    lam = (1.0 - alpha) / alpha
-    if side is Side.LEFT:
-        factor = lambda x, a, b: np.exp(-lam * (b - x))
-    elif side is Side.RIGHT:
-        factor = lambda x, a, b: np.exp(-lam * (x - a))
-    else:
-        factor = lambda x, a, b: np.exp(-lam * (b - x)) + np.exp(-lam * (x - a))
-    return ((1.0, Endpoint.LEFT, factor),), alpha
+    beta, lam, norm = ((alpha, 0.0, math.gamma(alpha)) if kernel.family is Family.RL
+                       else (1.0, (1.0 - alpha) / alpha, alpha))
+    ends = tuple(end for end, op in _OPERATOR_AT.items() if side in (None, op))
+    if lam:  # a bounded kernel: one Legendre part sums its ends' factors
+        return (((beta, Endpoint.LEFT), lam, ends),), norm
+    return tuple(((beta, end), lam, ()) for end in ends), norm
+
+
+def kernel_factor(x, a: float, b: float, lam: float, ends: tuple):
+    """exp(-lam * distance) from each of ``ends``, summed: a part's factor."""
+    return sum(np.exp(-lam * (x - a if end is Endpoint.LEFT else b - x))
+               for end in ends)
 
 
 def _integrate_parts(g, interval: Interval, parts, norm: float) -> QuadResult:
     """The integrals of g over the parts of :func:`kernel_parts`, summed
     and divided by the norm."""
     a, b = interval.a, interval.b
-    res = [integrate_singular(g if k is None else (lambda x, k=k: g(x) * k(x, a, b)),
-                              interval, weight_alpha, endpoint, OPERATOR_QUAD)
-           for weight_alpha, endpoint, k in parts]
+    res = []
+    for (beta, endpoint), lam, ends in parts:
+        f = (lambda x: g(x) * kernel_factor(x, a, b, lam, ends)) if ends else g
+        res.append(integrate_singular(f, interval, beta, endpoint, OPERATOR_QUAD))
     value = sum([r.value for r in res[1:]], res[0].value)
     return QuadResult(value / norm, sum(r.error_estimate for r in res) / norm,
                       sum(r.subdivisions_used for r in res),
@@ -136,10 +132,8 @@ def fractional_integral(f, interval: Interval, params: FracParams, side: Side,
 
 
 def kernel_moment(g, interval: Interval, kernel: FracParams | None) -> float:
-    """integral of g(x) * K(x) over [a, b] for the symmetric two-sided
-    kernel: 1 for ``kernel=None``, ((b-x)**(alpha-1) + (x-a)**(alpha-1)) /
-    Gamma(alpha) for RL, (exp(-lam*(b-x)) + exp(-lam*(x-a))) / alpha with
-    lam = (1-alpha)/alpha for EXP.  This is the left operator of g at b
+    """integral of g(x) * K(x) over [a, b] for the two-sided kernel K(x) =
+    k(x-a) + k(b-x) (1 for ``kernel=None``): the left operator of g at b
     plus the right operator at a."""
     return _integrate_parts(g, interval, *kernel_parts(kernel)).value
 

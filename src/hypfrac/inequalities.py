@@ -40,10 +40,10 @@ mass M(1).  The three rows without a MID (D3, D8, D9) are the tilt bound
 where D8 and D9 admit an asymmetric v on request.
 
 The kernels, their norms and masses live in :mod:`hypfrac.fractional`,
-whose :func:`~hypfrac.fractional.kernel_parts` writes each moment as one or
-two fixed-weight integrals: the plain and EXP moments one Gauss-Legendre
-integral (EXP with its kernel as a factor of g), the RL moments one
-Gauss-Jacobi integral at each end, all at ``OPERATOR_QUAD``.
+whose :func:`~hypfrac.fractional.kernel_parts` writes each moment as one
+or two fixed-weight parts, each a node set, a rate lam and the ends whose
+exp(-lam * distance) multiplies g: one Gauss-Legendre part for the plain
+and EXP moments, one Gauss-Jacobi part at each end for RL.
 
 One stacked pass
 ----------------
@@ -54,10 +54,10 @@ and lists its weighted theorems, its moments, the node sets of their
 fixed-weight parts and, per row, which moments it reads; the evaluator
 checks p and the weight once per theorem.  u, v, cosh(p(x-m)),
 sinh(p(x-m)) and x-m are each evaluated once on all the node sets the plan
-needs, stacked; the products and EXP kernel factors are formed on that
-stack, and every part is one row of it, in moment order.
-:func:`~hypfrac.quadrature.fixed_rule_values` sums and tests
-all parts at once, each with the rule of its own endpoint weight, in one
+needs, stacked; the products and kernel factors, one per (lam, ends, node
+set), are formed on that stack, and every part is one row of it, in moment
+order.  :func:`~hypfrac.quadrature.fixed_rule_values` sums and tests all
+parts at once, each with the rule of its own endpoint weight, in one
 stacked ``matmul`` that rounds every part as if it were summed alone.  A
 moment is the ``np.add.reduceat`` of its parts (two for RL, one otherwise)
 over its norm, accepted when all its parts are; a moment the fixed rule
@@ -93,6 +93,7 @@ from .fractional import (
     Family,
     FracParams,
     exp_flat_limit_alternative,
+    kernel_factor,
     kernel_mass,
     kernel_moment,
     kernel_parts,
@@ -277,7 +278,7 @@ class _Moments(NamedTuple):
     bases: tuple           # integrands evaluated on every node set
     products: tuple        # integrands formed as products of two bases
     names: tuple           # the integrands of the columns
-    factors: tuple         # (factor(x, a, b), node set) of each EXP kernel
+    factors: tuple         # (lam, ends, node set index) of each kernel factor
     column_name: np.ndarray    # per column: index into names
     column_set: np.ndarray     # per column: index into sets
     column_alpha: tuple    # per column: the alpha of its endpoint weight
@@ -315,11 +316,10 @@ def _moment_layout(keys: tuple) -> _Moments:
     for which, kernel in keys:
         parts, norm = kernel_parts(kernel)
         first.append(len(columns))
-        for weight_alpha, endpoint, factor in parts:
-            at = sets.setdefault((weight_alpha, endpoint), len(sets))
-            if factor is not None:
-                factor = factors.setdefault(kernel, (len(factors), factor, at))[0]
-            columns.append((weight_alpha, which, at, factor))
+        for nodes, lam, ends in parts:
+            at = sets.setdefault(nodes, len(sets))
+            factor = factors.setdefault((lam, ends, at), len(factors)) if ends else None
+            columns.append((nodes[0], which, at, factor))
         norms.append(norm)
     names = tuple(dict.fromkeys(col[1] for col in columns))
     factored = [i for i, col in enumerate(columns) if col[3] is not None]
@@ -327,7 +327,7 @@ def _moment_layout(keys: tuple) -> _Moments:
         keys, tuple(sets),
         tuple(dict.fromkeys(b for n in names for b in _PRODUCTS.get(n, (n,)))),
         tuple(n for n in names if n in _PRODUCTS), names,
-        tuple((factor, at) for _, factor, at in factors.values()),
+        tuple(factors),
         _constant([names.index(col[1]) for col in columns], int),
         _constant([col[2] for col in columns], int),
         tuple(col[0] for col in columns),
@@ -400,11 +400,7 @@ class TheoremEvaluator:
     def _moment_values(self, layout: _Moments) -> np.ndarray:
         """The kernel moments of a layout (which is u, v, uv, cosh, or
         cosh_v, sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times
-        v), in one stacked pass.  The base integrands are evaluated once on
-        the stacked node sets of all the layout's fixed-weight parts
-        (:func:`kernel_parts`); products are formed on the stack; every part
-        is one row of it, summed by :func:`fixed_rule_values` with the
-        acceptance test applied to all rows at once.  A moment whose fixed
+        v), in one stacked pass (module docstring).  A moment whose fixed
         rule is rejected is recomputed alone by :func:`kernel_moment`, so no
         value depends on which other moments were requested."""
         interval = self.interval
@@ -420,9 +416,9 @@ class TheoremEvaluator:
             stack[name] = stack[first] * stack[second]
         ys = np.array([stack[name] for name in layout.names])[
             layout.column_name, layout.column_set]
-        if layout.factors:  # EXP kernels: the factor of their one part
-            factors = [factor(x[at], interval.a, interval.b)
-                       for factor, at in layout.factors]
+        if layout.factors:
+            factors = [kernel_factor(x[at], interval.a, interval.b, lam, ends)
+                       for lam, ends, at in layout.factors]
             ys[layout.factored] *= np.array(factors)[layout.factor_of]
         q, _, ok = fixed_rule_values(ys, scale[layout.column_set],
                                      layout.column_alpha, OPERATOR_QUAD)
