@@ -20,15 +20,20 @@ probe rows re-evaluate D4/D5 with the as-printed right-hand constant
 sech(p*(b-a)); they are reported but never counted as campaign violations.
 
 The plan, the rows ``TheoremEvaluator.evaluate_plan`` takes, is built and
-its alphas checked once per campaign.  Each instance passes it on as it is
-and becomes one block: the fields its rows share, the verdict tuples of its
-plan and their texts, each value formatted once where the block is
-evaluated (in a worker, on a pool); a row with an inf or nan value has no
-texts, and the report counts it apart.  ``run_campaign`` returns the rows
-as a sequence over the blocks that builds the row dicts when a row is first
-asked for.  The writers always write campaign rows from the blocks' texts,
-as evaluated (a CSV and a JSON file of one run format no float twice), one
-theorem at a time.  Any other rows are written cell by cell.
+its alphas checked once per campaign.  The instances are evaluated a chunk
+at a time, in index order: runs of at most ``CHUNK_INSTANCES`` consecutive
+indices, each one ``evaluate_chunk`` of the plan as it is (one stacked
+moment pass), made in a worker on a pool, whose tasks are chunks.  Each
+instance becomes one block: the fields its rows share, the verdict tuples
+of its plan and their texts, each value formatted once where the block is
+evaluated; a row with an inf or nan value has no texts, and the report
+counts it apart.  A verdict does not depend on the chunk it is evaluated
+in, so the rows do not depend on the chunk size or the worker count.
+``run_campaign`` returns the rows as a sequence over the blocks that builds
+the row dicts when a row is first asked for.  The writers always write
+campaign rows from the blocks' texts, as evaluated (a CSV and a JSON file
+of one run format no float twice), one theorem at a time.  Any other rows
+are written cell by cell.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .inequalities import (
     TheoremEvaluator,
     TheoremId,
     _plan_layout,
+    evaluate_chunk,
 )
 
 # a row: its theorem id, fields its instance fixes (head), its alpha, the
@@ -67,6 +73,11 @@ CSV_COLUMNS = ["theorem_id", *_HEAD, "alpha", *_SIDES, "holds", *_TAIL]
 _THEOREMS = {family: tuple(t for t in TheoremId if _REQUIRES[t].family is family)
              for family in (None, Family.RL, Family.EXP)}
 _PRINTED_THEOREMS = tuple(t for t in TheoremId if _REQUIRES[t].printed_constant)
+
+# the most instances evaluated in one stacked moment pass (a chunk): the
+# least on the plateau of cost per instance, which holds from 4 to 48, as
+# the peak memory grows with the chunk (BENCH_27.json)
+CHUNK_INSTANCES = 4
 
 
 @dataclass(frozen=True)
@@ -157,21 +168,32 @@ class _Block(NamedTuple):
     texts: list
 
 
-def _instance_block(cfg: CampaignConfig, plan: tuple, index: int) -> _Block:
-    """The block of one seeded instance (pure in (cfg, index)) over the
-    rows of ``plan`` (``_plan(cfg)``), from one ``evaluate_plan``."""
-    u, interval, p, w = _draw(cfg, index)
-    ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
-    verdicts = tuple(ev.evaluate_plan(plan))
-    return _Block(index, interval.a, interval.b, ev.p, to_grammar(u),
-                  to_grammar(w.v), verdicts, _side_texts(verdicts))
+def _chunk_blocks(cfg: CampaignConfig, plan: tuple, indices: range) -> list:
+    """The blocks of a chunk of seeded instances (each pure in (cfg,
+    index)) over the rows of ``plan`` (``_plan(cfg)``), in index order,
+    from one ``evaluate_chunk``: each instance is drawn just before it is
+    evaluated."""
+    drawn = []
+
+    def evaluators():
+        for index in indices:
+            u, interval, p, w = _draw(cfg, index)
+            ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
+            drawn.append((index, u, w, ev))
+            yield ev
+
+    chunk = evaluate_chunk(evaluators(), plan)
+    return [_Block(index, ev.interval.a, ev.interval.b, ev.p, to_grammar(u),
+                   to_grammar(w.v), tuple(verdicts), _side_texts(verdicts))
+            for (index, u, w, ev), verdicts in zip(drawn, chunk)]
 
 
 def instance_rows(cfg: CampaignConfig, index: int) -> list:
     """All verdict rows for one seeded instance (pure in (cfg, index)), in
     plan order, as dicts with the keys of ``CSV_COLUMNS``."""
     plan = _plan(cfg)
-    return list(_Rows(cfg.seed, plan, [_instance_block(cfg, plan, index)]))
+    return list(_Rows(cfg.seed, plan,
+                      _chunk_blocks(cfg, plan, range(index, index + 1))))
 
 
 def _plan(cfg: CampaignConfig) -> tuple:
@@ -267,19 +289,22 @@ def run_campaign(cfg: CampaignConfig):
     start = time.perf_counter()
     workers = _resolve_workers(cfg)
     plan = _plan(cfg)
-    indices = range(cfg.n_instances)
+    n = cfg.n_instances
+    size = CHUNK_INSTANCES if workers == 1 else min(
+        CHUNK_INSTANCES, max(1, n // (workers * 8)))
+    chunks = [range(i, min(n, i + size)) for i in range(0, n, size)]
+    args = itertools.repeat(cfg), itertools.repeat(plan), chunks
     if workers > 1:
         # the pool's import costs a one-shot call 13-20 ms: load it here
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, cfg.n_instances // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_instance_block, itertools.repeat(cfg),
-                                   itertools.repeat(plan), indices,
-                                   chunksize=chunk))
+            # about workers * 8 messages, as many chunks each
+            parts = list(pool.map(_chunk_blocks, *args, chunksize=max(
+                1, len(chunks) // (workers * 8))))
     else:
-        blocks = [_instance_block(cfg, plan, i) for i in indices]
-    rows = _Rows(cfg.seed, plan, blocks)
+        parts = map(_chunk_blocks, *args)
+    rows = _Rows(cfg.seed, plan, list(itertools.chain.from_iterable(parts)))
     per_theorem, probe = _summary(rows)
     violations = sum(entry["fail"] for entry in per_theorem.values())
     nonfinite = sum(entry["nonfinite"] for entry in per_theorem.values())

@@ -49,25 +49,34 @@ One stacked pass
 ----------------
 :meth:`TheoremEvaluator.evaluate_plan` evaluates a plan of rows (theorem,
 alpha, strict_printed) at once, and :meth:`~TheoremEvaluator.evaluate` is
-its one-row case.  A layout built once per plan checks the plan's alphas
-and lists its weighted theorems, its moments, the node sets of their
-fixed-weight parts and, per row, which moments it reads; the evaluator
-checks p and the weight once per theorem.  u, v, cosh(p(x-m)),
-sinh(p(x-m)) and x-m are each evaluated once on all the node sets the plan
-needs, stacked; the products and kernel factors, one per (lam, ends, node
-set), are formed on that stack, and every part is one row of it, in moment
-order.  :func:`~hypfrac.quadrature.fixed_rule_values` sums and tests all
-parts at once, each with the rule of its own endpoint weight, in one
-stacked ``matmul`` that rounds every part as if it were summed alone.  A
-moment is the ``np.add.reduceat`` of its parts (two for RL, one otherwise)
-over its norm, accepted when all its parts are; a moment the fixed rule
-rejects is recomputed alone by :func:`kernel_moment`.  The sides, slacks
-and verdicts are then one loop over the rows in Python floats, in the
+its one-row case.  :func:`evaluate_chunk` evaluates one plan for a chunk
+of evaluators (a campaign's instances, a limit sweep's p values), and
+``evaluate_plan`` is its chunk of one: there is one moment path.  A
+layout built once per plan checks the plan's alphas and lists its
+weighted theorems, its moments (in runs of one integrand), the node sets
+of their fixed-weight parts, each with its unit nodes and end, and, per
+row, which moments it reads; it depends on p only through whether p is 0,
+and each run of the chunk that shares a layout gets one pass.
+
+Each evaluator checks p and the weight, then walks its trees: u on the
+nodes of all the node sets the plan needs and at a, m and b in one call,
+v on the nodes.  cosh(p(x-m)), sinh(p(x-m)) and x-m, the products, the
+kernel factors, one per (lam, ends, node set), and the fixed-rule sums are
+then formed once for the whole chunk: every part of every instance is one
+row of one stack, in moment order, and
+:func:`~hypfrac.quadrature.fixed_rule_accept` sums and tests them all in
+one ``matmul`` that broadcasts the plan's per-part weights over the chunk
+and rounds every part as if it were summed alone.  A moment is the
+``np.add.reduceat`` of its parts (two for RL, one otherwise) over its
+norm, accepted when all its parts are; a moment the fixed rule rejects is
+recomputed alone by :func:`kernel_moment`.  The sides, slacks and verdicts
+of each instance are then one loop over the rows in Python floats, in the
 operation order of the formulas above, so every row equals, bit for bit,
-the same row evaluated alone (numpy's fixed cost per operation would exceed
-the loop for a campaign's 53 rows, and be most of a one-row ``verify``).
-The pass returns one tuple (lhs, mid, rhs, slack_left, slack_right, holds)
-per row, in plan order.  A verdict with a nan slack does not hold.
+the same row evaluated alone, in any chunk (numpy's fixed cost per
+operation would exceed the loop for a campaign's 53 rows, and be most of a
+one-row ``verify``).  The pass returns one tuple (lhs, mid, rhs,
+slack_left, slack_right, holds) per row, in plan order.  A verdict with a
+nan slack does not hold.
 
 Two printed-formula corrections are applied throughout (both forced by the
 equality case u = cosh(p*(x-m)) being tight): ``cosh^-1``/``sinh^-1``
@@ -93,12 +102,11 @@ from .fractional import (
     Family,
     FracParams,
     exp_flat_limit_alternative,
-    kernel_factor,
     kernel_mass,
     kernel_moment,
     kernel_parts,
 )
-from .quadrature import fixed_rule_nodes, fixed_rule_scale, fixed_rule_values
+from .quadrature import Endpoint, fixed_rule_accept, fixed_rule_scale, fixed_rule_unit
 
 DEFAULT_SLACK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -167,6 +175,11 @@ _REQUIRES = {
 # moment integrands that are products of two others, factor by factor
 _PRODUCTS = {"uv": ("u", "v"), "cosh_v": ("cosh", "v"),
              "sinh_v": ("sinh", "v"), "xm_v": ("xm", "v")}
+# the integrands that are trees, walked instance by instance: u always
+_WALKED = ("u", "v")
+_HYPERBOLIC = {"cosh": np.cosh, "sinh": np.sinh}
+# the columns of the per-instance scalars of a chunk, after the scales
+_A, _B, _M, _P = -4, -3, -2, -1
 
 # upper-bound theorems where an asymmetric weight may be admitted on request
 _ASYMMETRIC_OK = (TheoremId.D8, TheoremId.D9)
@@ -203,17 +216,21 @@ class WeightSpec:
     symmetric: bool = True
 
     def verify(self, interval: Interval, grid_n: int = _CHECK_GRID_N) -> None:
+        """Both claims on the grid; v is walked once, on the grid and (for
+        a symmetric weight) its mirror image together."""
         xs = interval.grid(grid_n)
-        vals = as_callable(self.v)(xs)
-        if not np.all(vals > 0.0):
-            worst = float(np.min(vals))
+        if self.symmetric:
+            xs = np.concatenate((xs, interval.a + interval.b - xs))
+        vals = np.asarray(as_callable(self.v)(xs), dtype=float)
+        vals, mirrored = vals[:grid_n], vals[grid_n:]
+        if not (vals > 0.0).all():
+            worst = float(vals.min())
             raise InvalidWeightError(
                 f"weight must be positive on [{interval.a}, {interval.b}]; "
                 f"minimum on the check grid is {worst:.6g}"
             )
         if self.symmetric:
-            mirrored = as_callable(self.v)(interval.a + interval.b - xs)
-            gap = float(np.max(np.abs(mirrored - vals)))
+            gap = float(np.abs(mirrored - vals).max())
             if gap > _SYMMETRY_TOL:
                 raise InvalidWeightError(
                     f"weight flagged symmetric but |v(a+b-x) - v(x)| reaches {gap:.3g}"
@@ -273,13 +290,19 @@ class _Moments(NamedTuple):
     make them up, built by :func:`_moment_layout` once per plan (the
     cached :func:`_plan_layout`)."""
 
-    keys: tuple            # the moments, as (integrand, kernel)
+    keys: tuple            # the moments, as (integrand, kernel), by integrand
     sets: tuple            # node sets, as (alpha of the endpoint weight, endpoint)
-    bases: tuple           # integrands evaluated on every node set
-    products: tuple        # integrands formed as products of two bases
-    names: tuple           # the integrands of the columns
-    factors: tuple         # (lam, ends, node set index) of each kernel factor
-    column_name: np.ndarray    # per column: index into names
+    unit: np.ndarray       # per node set: its nodes from its end at half-width 1
+    end: np.ndarray        # per node set: that end, 0 for a and 1 for b, as a column
+    walked: tuple          # u, and v if needed: walked on every node set
+    chunked: tuple         # cosh, sinh and xm, as needed: formed on the chunk
+    # per integrand: its name, its block of columns (a slice) and their node
+    # sets (a slice when they are all the sets in order)
+    blocks: tuple
+    # the kernel factors, each a sum over its ends of exp(rate * (x - end)):
+    # per end, its node set, rate (as a column) and end (_A or _B), and per
+    # factor its first end; () without factors
+    factors: tuple
     column_set: np.ndarray     # per column: index into sets
     column_alpha: tuple    # per column: the alpha of its endpoint weight
     factored: np.ndarray   # the columns times a kernel factor
@@ -310,8 +333,12 @@ def _constant(values, dtype=None) -> np.ndarray:
 
 
 def _moment_layout(keys: tuple) -> _Moments:
-    """The layout of a batch of moment keys (which, kernel): one column per
-    fixed-weight part of each moment, in moment order."""
+    """The layout of a batch of moment keys (which, kernel): the keys in
+    runs of one integrand, in the order the integrands first appear, and
+    one column per fixed-weight part of each moment, in that order, so
+    that the columns of one integrand are one block."""
+    rank = {which: i for i, which in enumerate(dict.fromkeys(k[0] for k in keys))}
+    keys = tuple(sorted(keys, key=lambda key: rank[key[0]]))
     sets, factors, columns, first, norms = {}, {}, [], [], []
     for which, kernel in keys:
         parts, norm = kernel_parts(kernel)
@@ -321,14 +348,28 @@ def _moment_layout(keys: tuple) -> _Moments:
             factor = factors.setdefault((lam, ends, at), len(factors)) if ends else None
             columns.append((nodes[0], which, at, factor))
         norms.append(norm)
-    names = tuple(dict.fromkeys(col[1] for col in columns))
+    bases = tuple(dict.fromkeys(b for n in rank for b in _PRODUCTS.get(n, (n,))))
+    blocks, start = [], 0
+    for name, run in itertools.groupby(columns, lambda col: col[1]):
+        at = [col[2] for col in run]
+        blocks.append((name, slice(start, start + len(at)), slice(None)
+                       if at == list(range(len(sets))) else _constant(at, int)))
+        start += len(at)
     factored = [i for i, col in enumerate(columns) if col[3] is not None]
+    # kernel_factor's exp(-lam * (x - a)) has rate -lam; its exp(-lam * (b - x))
+    # is exp(lam * (x - b)) bit for bit, as x - b is -(b - x) exactly
+    terms = [(at, [lam if end is Endpoint.RIGHT else -lam],
+              _B if end is Endpoint.RIGHT else _A)
+             for lam, ends, at in factors for end in ends]
+    starts = list(itertools.accumulate((len(f[1]) for f in factors), initial=0))
     return _Moments(
         keys, tuple(sets),
-        tuple(dict.fromkeys(b for n in names for b in _PRODUCTS.get(n, (n,)))),
-        tuple(n for n in names if n in _PRODUCTS), names,
-        tuple(factors),
-        _constant([names.index(col[1]) for col in columns], int),
+        _constant([fixed_rule_unit(*nodes) for nodes in sets]),
+        _constant([[int(end is Endpoint.RIGHT)] for _, end in sets]),
+        ("u", "v") if "v" in bases else ("u",),
+        tuple(b for b in bases if b not in _WALKED),
+        tuple(blocks),
+        tuple(map(_constant, [*zip(*terms), starts[:-1]])) if factors else (),
         _constant([col[2] for col in columns], int),
         tuple(col[0] for col in columns),
         _constant(factored, int),
@@ -370,11 +411,16 @@ def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
         rc = 0 if not row.hyperbolic else (
             2 if strict_printed and row.printed_constant else 1)
         rows.append((mid, mass, c, rc, tilt))
-    # the table is [moments..., masses..., the three rc, 1.0]
+    # the table is [moments..., masses..., the three rc, 1.0], the moments
+    # in the layout's order
+    moments = _moment_layout(tuple(keys))
+    at = {key: i for i, key in enumerate(moments.keys)}
+    at = [at[key] for key in keys]
     n = len(keys)
-    rows = tuple((mid, -1 if mass < 0 else n + mass, c, n + len(masses) + rc,
-                  tilt) for mid, mass, c, rc, tilt in rows)
-    return _Plan(_moment_layout(tuple(keys)), tuple(masses), rows,
+    rows = tuple((at[mid], -1 if mass < 0 else n + mass, -1 if c < 0 else at[c],
+                  n + len(masses) + rc, None if tilt is None else at[tilt])
+                 for mid, mass, c, rc, tilt in rows)
+    return _Plan(moments, tuple(masses), rows,
                  any(tilt is not None for *_, tilt in rows), tuple(weighted))
 
 
@@ -383,7 +429,8 @@ class TheoremEvaluator:
     quadruple: a plan of rows in one stacked pass, so that theorems sharing
     moments (a whole campaign instance) pay for each moment once.  Sharing
     happens within one plan only: the evaluator keeps no values between
-    calls, so a caller that wants moments shared puts the rows in one plan."""
+    calls, so a caller that wants moments shared puts the rows in one plan.
+    :func:`evaluate_chunk` makes that pass for many evaluators at once."""
 
     def __init__(self, u, interval: Interval, p: float | None = None,
                  weight: WeightSpec | None = None, tol: float = DEFAULT_SLACK_TOL,
@@ -397,37 +444,19 @@ class TheoremEvaluator:
         self.allow_asymmetric = allow_asymmetric
         self._weight_checked = False
 
-    def _moment_values(self, layout: _Moments) -> np.ndarray:
-        """The kernel moments of a layout (which is u, v, uv, cosh, or
-        cosh_v, sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times
-        v), in one stacked pass (module docstring).  A moment whose fixed
-        rule is rejected is recomputed alone by :func:`kernel_moment`, so no
-        value depends on which other moments were requested."""
-        interval = self.interval
-        x = np.array([fixed_rule_nodes(interval.a, interval.b, *nodes)
-                      for nodes in layout.sets])
-        scale = np.array([fixed_rule_scale(interval, alpha)
-                          for alpha, _ in layout.sets])
-        stack = {name: np.asarray(self._integrand(name)(x.ravel()),
-                                  dtype=float).reshape(x.shape)
-                 for name in layout.bases}
-        for name in layout.products:
-            first, second = _PRODUCTS[name]
-            stack[name] = stack[first] * stack[second]
-        ys = np.array([stack[name] for name in layout.names])[
-            layout.column_name, layout.column_set]
-        if layout.factors:
-            factors = [kernel_factor(x[at], interval.a, interval.b, lam, ends)
-                       for lam, ends, at in layout.factors]
-            ys[layout.factored] *= np.array(factors)[layout.factor_of]
-        q, _, ok = fixed_rule_values(ys, scale[layout.column_set],
-                                     layout.column_alpha, OPERATOR_QUAD)
-        values = np.add.reduceat(q, layout.first) / layout.norms
-        good = np.logical_and.reduceat(ok, layout.first)
-        for k in () if good.all() else np.flatnonzero(~good):
-            which, kernel = layout.keys[k]
-            values[k] = kernel_moment(self._integrand(which), interval, kernel)
-        return values
+    def _walk(self, layout: _Moments):
+        """The nodes of a layout's node sets on this interval, (sets, n);
+        the trees it needs (u, then v) on them, each shaped as the nodes;
+        and u at a, m and b.  Each tree is walked once: u on the nodes and
+        those three points together."""
+        a, m, b = self.interval.a, self.interval.mid, self.interval.b
+        x = np.array((a, b))[layout.end] + 0.5 * (b - a) * layout.unit
+        flat = x.ravel()
+        u = np.asarray(self.uf(np.concatenate((flat, (a, m, b)))), dtype=float)
+        trees = [u[:-3].reshape(x.shape)]
+        if len(layout.walked) > 1:
+            trees.append(np.asarray(self.vf(flat), dtype=float).reshape(x.shape))
+        return x, trees, u[-3:].tolist()
 
     def _integrand(self, name):
         """The integrand of a moment (see ``_moment_values``) as a callable."""
@@ -479,41 +508,39 @@ class TheoremEvaluator:
         ``plan``: one tuple (lhs, mid, rhs, slack_left, slack_right, holds)
         per row, where a row without a MID has None for ``mid`` and
         ``slack_left``, and ``holds`` is false when a slack is nan.  The
-        plan's moments come from one stacked pass (``_moment_values``); the
-        sides and slacks of each row are then the sandwich or the tilt bound
-        (module docstring) in that operation order, over a table of the
-        moments and the per-instance scalars (sech, csch, the kernel masses,
-        from ``math``).  Overflow shows in the verdicts as inf or nan, so
-        the whole evaluation, the weight check included, runs with numpy's
-        floating-point warnings off: every caller gets one policy."""
-        with np.errstate(all="ignore"):
-            layout = self._validate(tuple(map(tuple, plan)))
-            p, L, tol = self.p, self.interval.length, self.tol
-            moments = self._moment_values(layout.moments)
-            ua, um, ub = (float(self.uf(x)) for x in
-                          (self.interval.a, self.interval.mid, self.interval.b))
-            avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
-            q = 0.0 if p is None else p  # rows without p take sech(0)
-            table = moments.tolist() + [kernel_mass(self.interval, kernel)
-                                        for kernel in layout.masses]
-            table += [sech(0.0), sech(0.5 * q * L), sech(q * L), 1.0]
-            if layout.tilt:  # at p = 0 the limit of csch(p*L/2) * sinh
-                coef = 2.0 / L if p == 0.0 else csch(0.5 * p * L)
-            verdicts = []
-            for m, mass, c, rc, tilt in layout.rows:
-                M, C = table[m], table[c]
-                lhs, rhs = um * C, avg * table[rc] * C
-                if tilt is None:
-                    mid = M / table[mass]
-                    slack_left, slack_right = mid - lhs, rhs - mid
-                    holds = slack_left >= -tol * max(1.0, abs(rhs))  # nan: false
-                else:  # the tilt bound: lhs is M(u v), and there is no MID
-                    lhs, mid, slack_left = M, None, None
-                    rhs += half_diff * (coef * table[tilt])
-                    slack_right, holds = rhs - lhs, True
-                holds = holds and slack_right >= -tol * max(1.0, abs(rhs))
-                verdicts.append((lhs, mid, rhs, slack_left, slack_right, holds))
-            return verdicts
+        chunk of one of :func:`evaluate_chunk`."""
+        return evaluate_chunk((self,), plan)[0]
+
+    def _verdicts(self, layout: _Plan, moments: list, ends: tuple) -> list:
+        """The rows of a plan from its moments and u at (a, m, b): the
+        sandwich or the tilt bound (module docstring) in that operation
+        order, over a table of the moments and the per-instance scalars
+        (sech, csch, the kernel masses, from ``math``)."""
+        p, L, tol = self.p, self.interval.length, self.tol
+        ua, um, ub = ends
+        avg, half_diff = 0.5 * (ua + ub), 0.5 * (ua - ub)
+        q = 0.0 if p is None else p  # rows without p take sech(0)
+        table = moments + [kernel_mass(self.interval, kernel)
+                           for kernel in layout.masses]
+        table += [sech(0.0), sech(0.5 * q * L), sech(q * L), 1.0]
+        if layout.tilt:  # at p = 0 the limit of csch(p*L/2) * sinh
+            coef = 2.0 / L if p == 0.0 else csch(0.5 * p * L)
+        verdicts = []
+        for m, mass, c, rc, tilt in layout.rows:
+            M, C = table[m], table[c]
+            lhs, rhs = um * C, avg * table[rc] * C
+            if tilt is None:
+                mid = M / table[mass]
+                slack_left, slack_right = mid - lhs, rhs - mid
+            else:  # the tilt bound: lhs is M(u v), and there is no MID
+                lhs, mid, slack_left = M, None, None
+                rhs += half_diff * (coef * table[tilt])
+                slack_right = rhs - lhs
+            bound = -tol * max(1.0, abs(rhs))  # a nan slack fails it
+            holds = slack_right >= bound and (slack_left is None
+                                              or slack_left >= bound)
+            verdicts.append((lhs, mid, rhs, slack_left, slack_right, holds))
+        return verdicts
 
     def evaluate(self, tid: TheoremId, alpha: float | None = None,
                  strict_printed: bool = False) -> InequalityVerdict:
@@ -527,6 +554,83 @@ class TheoremEvaluator:
             params["constant_mode"] = "printed" if strict_printed else "proof"
         return InequalityVerdict(tid, lhs, mid, rhs, slack_left, slack_right,
                                  holds, self.tol, params)
+
+
+def _moment_values(evaluators, layout: _Moments, walks=None) -> np.ndarray:
+    """The kernel moments of a layout (which is u, v, uv, cosh, or cosh_v,
+    sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times v) for each
+    evaluator of a chunk, as (evaluators, moments), in one stacked pass
+    (module docstring).  ``walks`` are the evaluators' ``_walk`` of the
+    layout, walked here when not given.  A moment whose fixed rule is
+    rejected is recomputed alone by :func:`kernel_moment`, so no value
+    depends on which other moments or instances were requested."""
+    if walks is None:
+        walks = [ev._walk(layout) for ev in evaluators]
+    x = np.array([nodes for nodes, _, _ in walks])
+    stack = {name: np.array([trees[k] for _, trees, _ in walks])
+             for k, name in enumerate(layout.walked)}
+    # per evaluator: h**alpha of each node set, then a, b, m and p
+    scalars = np.array([
+        [fixed_rule_scale(ev.interval, alpha) for alpha, _ in layout.sets]
+        + [ev.interval.a, ev.interval.b, ev.interval.mid,
+           0.0 if ev.p is None else ev.p] for ev in evaluators])
+    if layout.chunked:
+        xm = x - scalars[:, _M, None, None]
+        px = scalars[:, _P, None, None] * xm
+        stack.update({name: xm if name == "xm" else _HYPERBOLIC[name](px)
+                      for name in layout.chunked})
+    # (chunk, columns, n): each integrand's block, a product formed in place
+    ys = np.empty((len(evaluators), len(layout.column_alpha), x.shape[-1]))
+    for name, columns, sets in layout.blocks:
+        if name in _PRODUCTS:
+            first, second = _PRODUCTS[name]
+            np.multiply(stack[first][:, sets], stack[second][:, sets],
+                        out=ys[:, columns])
+        else:
+            ys[:, columns] = stack[name][:, sets]
+    if layout.factors:  # kernel_factor of every factor, at once
+        at, rate, end, first = layout.factors
+        terms = np.exp(rate * (x[:, at] - scalars[:, end, None]))
+        ys[:, layout.factored] *= np.add.reduceat(terms, first, axis=1)[
+            :, layout.factor_of]
+    q, _, ok = fixed_rule_accept(ys, scalars[:, layout.column_set],
+                                 layout.column_alpha, OPERATOR_QUAD)
+    values = np.add.reduceat(q, layout.first, axis=1) / layout.norms
+    if not ok.all():  # a moment is accepted when all its parts are
+        good = np.logical_and.reduceat(ok, layout.first, axis=1)
+        for i, k in zip(*np.nonzero(~good)):
+            which, kernel = layout.keys[k]
+            ev = evaluators[i]
+            values[i, k] = kernel_moment(ev._integrand(which), ev.interval,
+                                         kernel)
+    return values
+
+
+def evaluate_chunk(evaluators, plan) -> list:
+    """The verdicts of ``plan`` for each of ``evaluators`` (a chunk), in
+    order: per evaluator, what its :meth:`~TheoremEvaluator.evaluate_plan`
+    returns, bit for bit.  Each evaluator is validated, then its trees
+    walked, before the next is taken from ``evaluators`` (which may be a
+    generator); each run of evaluators that share a layout (which differs
+    where p is 0) then gets one stacked moment pass, and each evaluator its
+    rows.  Overflow shows in the verdicts as inf or nan, so the whole
+    evaluation, the weight check included, runs with numpy's floating-point
+    warnings off: every caller gets one policy."""
+    plan = tuple(map(tuple, plan))
+    with np.errstate(all="ignore"):
+        runs = []  # (layout, evaluators, walks)
+        for ev in evaluators:
+            layout = ev._validate(plan)
+            if not runs or runs[-1][0] is not layout:
+                runs.append((layout, [], []))
+            runs[-1][1].append(ev)
+            runs[-1][2].append(ev._walk(layout.moments))
+        verdicts = []
+        for layout, evs, walks in runs:
+            moments = _moment_values(evs, layout.moments, walks).tolist()
+            verdicts += [ev._verdicts(layout, values, walk[2])
+                         for ev, values, walk in zip(evs, moments, walks)]
+        return verdicts
 
 
 def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = None,
@@ -602,10 +706,11 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     each alpha in ``alphas``), and D8->D3, D9->D3 (alpha -> 1 for each p in
     ``ps``, each against its own D3 baseline).  Baseline sides are rescaled
     to the theorem's normalization; the scale is the theorem's limiting
-    kernel constant.  Each p is one plan: each alpha's baseline row (an
-    alpha sweep's one D3, without alpha), then the theorem's; a p sweep's
-    baselines take no p, so they have the same bits at every p.  The rows
-    run alpha by alpha (p sweep) or p by p (alpha sweep).
+    kernel constant.  Each p evaluates one plan, all in one chunk: each
+    alpha's baseline row (an alpha sweep's one D3, without alpha), then the
+    theorem's; a p sweep's baselines take no p, so they have the same bits
+    at every p.  The rows run alpha by alpha (p sweep) or p by p (alpha
+    sweep).
     """
     tid, bid = TheoremId(theorem_id), TheoremId(to_id)
     if (tid, bid) not in _LIMIT_PAIRINGS:
@@ -641,12 +746,12 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
                 f"alternative closed form 2*exp(-rho)/(1-alpha) = "
                 f"{alt:.9g} does not match the integral and is not used")
     bases = alphas if axis == "p" else (None,)
+    plan = [(bid, alpha, False) for alpha in bases] + \
+        [(tid, alpha, False) for alpha in alphas]
+    chunk = evaluate_chunk([TheoremEvaluator(u, interval, p=p, weight=weight)
+                            for p in ps], plan)
     rows = []
-    for p in ps:
-        plan = [(bid, alpha, False) for alpha in bases] + \
-            [(tid, alpha, False) for alpha in alphas]
-        verdicts = TheoremEvaluator(u, interval, p=p,
-                                    weight=weight).evaluate_plan(plan)
+    for p, verdicts in zip(ps, chunk):
         sides = [(lhs, rhs) if mid is None else (lhs, mid, rhs)
                  for lhs, mid, rhs, *_ in verdicts]
         for k, alpha in enumerate(alphas):

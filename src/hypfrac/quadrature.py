@@ -16,12 +16,13 @@ per beta.  The 2n-point value is accepted when both sums are finite and
 adaptive loop uses; the difference, floored at the adaptive loop's round-off
 level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
 ``subdivisions_used == 0`` marks an accepted fixed rule.  The sums are
-taken in one place, :func:`_fixed_sums`, and the ``h**alpha`` scale, the
-error floor and the test are applied in one place,
-:func:`fixed_rule_values`, to the values at :func:`fixed_rule_nodes`: one
-integral for :func:`integrate_singular`, one per cell for
-:func:`integrate_cells`, and one per fixed-weight integral, each with its
-own order, for the moment pass of :mod:`hypfrac.inequalities`.
+taken in one place, :func:`_fixed_sums`, and the ``h**alpha`` scale and
+the test are applied in one place, :func:`fixed_rule_accept`, to the
+values at :func:`fixed_rule_nodes`: one integral for
+:func:`integrate_singular` (whose :func:`fixed_rule_values` adds the error
+floor), one per cell for :func:`integrate_cells`, and one per fixed-weight
+integral of each instance of a chunk, each with its own order, for the
+moment pass of :mod:`hypfrac.inequalities`.
 
 Adaptive fallback: otherwise the integral is recomputed from scratch by
 bisection, split as in QUADPACK's QAWS: the panel at the singular end of a
@@ -194,13 +195,25 @@ def _fixed_pair(beta: float):
     return nodes, w1, w2
 
 
+@functools.lru_cache(maxsize=64)
+def fixed_rule_unit(alpha: float, endpoint: Endpoint):
+    """The nodes of :func:`fixed_rule_nodes` on a cell of half-width 1,
+    measured from the endpoint: ``1 + t``, negated for the right end."""
+    nodes = _fixed_pair(alpha - 1.0)[0]
+    if endpoint is Endpoint.RIGHT:
+        nodes = -nodes
+        nodes.setflags(write=False)
+    return nodes
+
+
 def fixed_rule_nodes(a, b, alpha: float, endpoint: Endpoint):
     """The concatenated nodes of the n- and 2n-point Gauss-Jacobi rules for
     the endpoint weight of ``alpha`` on the cell [a, b], or on every cell
-    when a and b are columns (shape (m, 1)) of cell edges."""
-    nodes, _, _ = _fixed_pair(alpha - 1.0)
-    offsets = 0.5 * (b - a) * nodes
-    return a + offsets if endpoint is Endpoint.LEFT else b - offsets
+    when a and b are columns (shape (m, 1)) of cell edges: the endpoint
+    plus ``0.5 * (b - a)`` times :func:`fixed_rule_unit` (``b + (-d)`` is
+    ``b - d`` exactly)."""
+    end = a if endpoint is Endpoint.LEFT else b
+    return end + 0.5 * (b - a) * fixed_rule_unit(alpha, endpoint)
 
 
 @functools.lru_cache(maxsize=256)
@@ -218,24 +231,34 @@ def _fixed_weights(alpha):
 
 def _fixed_sums(ys, alpha):
     """The n- and 2n-point sums, without the ``h**alpha`` factor, of the
-    values ``ys`` at :func:`fixed_rule_nodes` (along the last axis), and the
-    2n-point sum of |ys|.  ``alpha`` is one order or a tuple of per-row
-    orders.
+    values ``ys`` at :func:`fixed_rule_nodes` (along the last axis).
+    ``alpha`` is one order or a tuple of per-row orders, one per row of the
+    last two axes of ``ys`` and the same for every leading index (every
+    instance of a chunk).
 
     With a tuple, every row is a (1, n) by (n, 1) product of one stacked
-    ``matmul``, which numpy takes with the dot routine of a 1-D ``dot``, so
-    a row's sums equal those of the row alone and do not depend on the rows
-    stacked with it; a 2-D ``dot`` per order (BLAS gemv) rounds some sums
-    differently.  With one order, many rows (the cells of
-    :func:`integrate_cells`) are one matrix-vector product."""
+    ``matmul``, the per-row weights broadcast over the leading axes, which
+    numpy takes with the dot routine of a 1-D ``dot``, so a row's sums
+    equal those of the row alone and do not depend on the rows stacked with
+    it; a 2-D ``dot`` per order (BLAS gemv) rounds some sums differently.
+    With one order, many rows (the cells of :func:`integrate_cells`) are
+    one matrix-vector product."""
     w1, w2 = _fixed_weights(alpha)
     if isinstance(alpha, tuple):
-        y1, y2 = ys[:, None, :_FIXED_N], ys[:, None, _FIXED_N:]
-        return ((y1 @ w1)[:, 0, 0], (y2 @ w2)[:, 0, 0],
-                (np.abs(y2) @ w2)[:, 0, 0])
-    y2 = ys[..., _FIXED_N:]
+        y1, y2 = ys[..., None, :_FIXED_N], ys[..., None, _FIXED_N:]
+        return (y1 @ w1)[..., 0, 0], (y2 @ w2)[..., 0, 0]
     # ndarray.dot: the same BLAS sums as @, with less call overhead
-    return ys[..., :_FIXED_N].dot(w1), y2.dot(w2), np.abs(y2).dot(w2)
+    return ys[..., :_FIXED_N].dot(w1), ys[..., _FIXED_N:].dot(w2)
+
+
+def _fixed_l1(ys, alpha):
+    """The 2n-point sum of |ys|, taken as :func:`_fixed_sums` takes the
+    2n-point sum of ys: the scale of an error estimate's round-off floor."""
+    w2 = _fixed_weights(alpha)[1]
+    y2 = np.abs(ys[..., _FIXED_N:])
+    if isinstance(alpha, tuple):
+        return (y2[..., None, :] @ w2)[..., 0, 0]
+    return y2.dot(w2)
 
 
 def fixed_rule_scale(interval: Interval, alpha: float) -> float:
@@ -247,26 +270,32 @@ def fixed_rule_scale(interval: Interval, alpha: float) -> float:
         return math.inf
 
 
-def fixed_rule_values(ys, scale, alpha, cfg: QuadConfig):
-    """The 2n-point Gauss-Jacobi values, their error estimates and whether
-    each is accepted, from the integrand values ``ys`` at
+def fixed_rule_accept(ys, scale, alpha, cfg: QuadConfig):
+    """The 2n-point Gauss-Jacobi values, |Q_2n - Q_n| and whether each value
+    is accepted, from the integrand values ``ys`` at
     ``fixed_rule_nodes(a, b, alpha, endpoint)``: one integral, or one per
-    row of ``ys`` with ``alpha`` a tuple of per-row orders.  ``scale`` is
-    ``h**alpha``, one per row or shared.
-
-    A value is accepted when it is finite and
-    ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``.  The error estimate
-    is |Q_2n - Q_n|, but never below the round-off floor
-    ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
-    when both rules resolve g, their difference is round-off and can sit
-    below the true error."""
-    s1, s2, l1 = _fixed_sums(ys, alpha)
+    row of ``ys`` with ``alpha`` a tuple of per-row orders (rows of the
+    last two axes, the orders shared by any leading axes).  ``scale`` is
+    ``h**alpha``, one per integral or shared.  A value is accepted when it
+    is finite and ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``."""
+    s1, s2 = _fixed_sums(ys, alpha)
     q1, q2 = scale * s1, scale * s2
     gap = abs(q2 - q1)
     # a nan or inf q1 fails the comparison, an inf q2 the finiteness test
     accepted = np.isfinite(q2) & (gap <= np.maximum(cfg.abs_tol,
                                                     cfg.rel_tol * abs(q2)))
-    return q2, np.maximum(gap, 100.0 * _EPS * scale * l1), accepted
+    return q2, gap, accepted
+
+
+def fixed_rule_values(ys, scale, alpha, cfg: QuadConfig):
+    """:func:`fixed_rule_accept` with error estimates in place of the gaps.
+    The error estimate is |Q_2n - Q_n|, but never below the round-off floor
+    ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
+    when both rules resolve g, their difference is round-off and can sit
+    below the true error."""
+    q2, gap, accepted = fixed_rule_accept(ys, scale, alpha, cfg)
+    floor = 100.0 * _EPS * scale * _fixed_l1(ys, alpha)
+    return q2, np.maximum(gap, floor), accepted
 
 
 def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
@@ -280,7 +309,7 @@ def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     a, b = edges[:-1], edges[1:]
     xs = fixed_rule_nodes(a[:, None], b[:, None], 1.0, Endpoint.LEFT)
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    values, _, accepted = fixed_rule_values(ys, 0.5 * (b - a), 1.0, cfg)
+    values, _, accepted = fixed_rule_accept(ys, 0.5 * (b - a), 1.0, cfg)
     for k in np.flatnonzero(~accepted):
         values[k] = _integrate_adaptive(f, Interval(a[k], b[k]), cfg).value
     return values
@@ -377,9 +406,10 @@ def integrate_singular(
 
     def end_panel(h):
         xs = at(fixed_rule_nodes(0.0, h, alpha, Endpoint.LEFT))
-        s1, s2, l1 = _fixed_sums(np.asarray(g(xs), dtype=float), alpha)
+        ys = np.asarray(g(xs), dtype=float)
+        s1, s2 = _fixed_sums(ys, alpha)
         scale = np.power(0.5 * h, alpha)
-        return scale * s2, scale * abs(s2 - s1), scale * l1
+        return scale * s2, scale * abs(s2 - s1), scale * _fixed_l1(ys, alpha)
 
     f = lambda s: np.asarray(g(at(s)), dtype=float) * np.power(s, alpha - 1.0)
     return _integrate_adaptive(f, Interval(0.0, b - a), cfg, end_panel)

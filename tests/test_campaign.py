@@ -398,7 +398,7 @@ def test_bad_alpha_grid_raises_before_any_instance(monkeypatch, workers, alphas,
     def evaluated(*args):
         raise AssertionError("an instance was evaluated")
 
-    monkeypatch.setattr(campaign, "_instance_block", evaluated)
+    monkeypatch.setattr(campaign, "_chunk_blocks", evaluated)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", evaluated)
     with pytest.raises(ValueError, match=message):
         run_campaign(CampaignConfig(n_instances=4, alphas=alphas, workers=workers))
@@ -524,7 +524,7 @@ def test_instance_block_is_one_evaluate_plan_of_the_plan(small_run):
             u, interval, p, w = _draw(SMALL, index)
             want = TheoremEvaluator(u, interval, p=p, weight=w,
                                     tol=SMALL.tol).evaluate_plan(plan)
-            block = campaign._instance_block(SMALL, plan, index)
+            block, = campaign._chunk_blocks(SMALL, plan, range(index, index + 1))
             assert repr(block.verdicts) == repr(tuple(want)), index
     names = list(dict.fromkeys(r["theorem_id"] for r in rows))
     assert list(report.per_theorem) == [n for n in names
@@ -542,6 +542,52 @@ def _relative_worst(rows):
             tid = r["theorem_id"]
             worst[tid] = min(worst.get(tid, rel), rel)
     return worst
+
+
+def _artifacts(cfg):
+    """The rows CSV and JSON of a serial run, and its report less the wall
+    time."""
+    report, rows = run_campaign(cfg)
+    report = report.to_dict()
+    report.pop("wall_time_s")
+    return rows_to_csv(rows), rows_to_json(rows), report
+
+
+@pytest.mark.parametrize("cfg", [CampaignConfig(seed=42, n_instances=30, workers=1),
+                                 EDGE], ids=["seed42", "edge"])
+def test_chunked_campaign_equals_one_instance_at_a_time(monkeypatch, cfg):
+    # every chunk size, including chunks cut mid-plan and one chunk of all
+    # the instances, writes the bytes of instances evaluated one at a time
+    # (the edge ranges have non-finite rows)
+    monkeypatch.setattr(campaign, "CHUNK_INSTANCES", 1)
+    alone = _artifacts(cfg)
+    assert alone[2]["nonfinite"] == (15 if cfg is EDGE else 0)
+    for size in (2, 5, 12, cfg.n_instances):
+        monkeypatch.setattr(campaign, "CHUNK_INSTANCES", size)
+        assert _artifacts(cfg) == alone, size
+
+
+def test_p_list_with_zero_raises_the_same_error_chunked(monkeypatch):
+    # the generator admits no p = 0, so such a campaign fails on its first
+    # instance whatever the chunk size
+    cfg = CampaignConfig(seed=42, n_instances=6, p_list=(0.0, 1.0), workers=1)
+    for size in (1, 4):
+        monkeypatch.setattr(campaign, "CHUNK_INSTANCES", size)
+        with pytest.raises(ValueError, match="p must be nonzero"):
+            run_campaign(cfg)
+
+
+def test_chunks_share_one_fixed_weight_stack(monkeypatch):
+    # the per-part weights broadcast over a chunk: one cache entry per plan,
+    # whatever the number or the size of the chunks
+    from hypfrac.quadrature import _fixed_weights
+
+    run_campaign(CampaignConfig(seed=5, n_instances=2, workers=1))
+    entries = _fixed_weights.cache_info().currsize
+    for size, n in ((1, 3), (2, 7), (5, 11), (12, 12), (64, 40)):
+        monkeypatch.setattr(campaign, "CHUNK_INSTANCES", size)
+        run_campaign(CampaignConfig(seed=5 + n, n_instances=n, workers=1))
+        assert _fixed_weights.cache_info().currsize == entries, size
 
 
 def test_report_relative_worst_slack_is_what_holds_tests():
@@ -580,7 +626,8 @@ def test_row_with_only_a_non_finite_mid_is_counted_apart(monkeypatch):
             verdicts.append((1.0, mid, 3.0, mid - 1.0, 3.0 - mid, 3.0 - mid >= 0))
         return _block(index, 0.0, 1.0, 1.0, "x", verdicts)
 
-    monkeypatch.setattr(campaign, "_instance_block", block)
+    monkeypatch.setattr(campaign, "_chunk_blocks", lambda cfg, plan, indices: [
+        block(cfg, plan, index) for index in indices])
     report, _ = run_campaign(CampaignConfig(n_instances=2, workers=1))
     assert (report.violations, report.nonfinite) == (0, 1)
     assert report.per_theorem["D2"]["worst_slack"] == 1.0

@@ -39,7 +39,9 @@ from hypfrac.inequalities import (
     _LIMIT_PAIRINGS,
     _REQUIRES,
     _moment_layout,
+    _moment_values,
     eval_theorem,
+    evaluate_chunk,
     kernel_cosh_moment,
     kernel_sinh_moment,
     limit_sweep,
@@ -127,10 +129,12 @@ def test_banked_moments_equal_kernel_moment():
         }
         keys = [(which, None if family is None else FracParams(alpha, family))
                 for family, alpha in _CAMPAIGN_KERNELS for which in integrands]
-        # every moment of the instance in one stacked pass
-        got = TheoremEvaluator(u, I, p=p, weight=w)._moment_values(
-            _moment_layout(tuple(keys)))
-        for (which, kernel), value in zip(keys, got):
+        # every moment of the instance in one stacked pass, in the layout's
+        # order of the keys
+        layout = _moment_layout(tuple(keys))
+        assert sorted(map(repr, layout.keys)) == sorted(map(repr, keys))
+        got = _moment_values([TheoremEvaluator(u, I, p=p, weight=w)], layout)[0]
+        for (which, kernel), value in zip(layout.keys, got):
             ref = kernel_moment(integrands[which], I, kernel)
             assert value == ref, (index, which, kernel, value, ref)
 
@@ -145,15 +149,79 @@ def test_rejected_bank_moment_falls_back_alone():
     rl = FracParams(0.3, Family.RL)
     keys = [("u", rl), ("v", rl)] + [
         (which, kernel) for which in ("cosh", "uv") for kernel in (rl, None)]
-    got = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())._moment_values(
-        _moment_layout(tuple(keys))).tolist()
+    got = _moment_values([TheoremEvaluator(u, I, p=1.0, weight=unit_weight())],
+                         _moment_layout(tuple(keys)))[0].tolist()
     assert got[0] == kernel_moment(uf, I, rl)
     assert got[1] == kernel_moment(lambda x: np.ones_like(x), I, rl)
     # every moment of the batch equals the same moment computed alone
     for key, value in zip(keys, got):
-        alone = TheoremEvaluator(u, I, p=1.0, weight=unit_weight())._moment_values(
-            _moment_layout((key,)))
+        alone = _moment_values([TheoremEvaluator(u, I, p=1.0, weight=unit_weight())],
+                               _moment_layout((key,)))[0]
         assert alone.tolist() == [value], key
+
+
+def _chunk_members():
+    """One chunk of evaluators: drawn instances, exp(60x) on [0, 3.5]
+    (whose moments the fixed rule rejects) twice, and a drawn instance at
+    p = 0 (whose tilt rows read x - m, a layout of its own) in the middle,
+    so that the chunk has three runs of one layout."""
+    cfg = GenConfig(seed=42)
+    evaluators = []
+    for index in range(4):
+        rng = rng_for(cfg.seed, index)
+        I = draw_interval(cfg, rng)
+        p = rng.uniform(0.05, 5.0) / I.length
+        u = gen_p_convex(cfg, p, I, rng=rng)
+        w = gen_symmetric_weight(cfg, I, rng=rng)
+        evaluators.append(TheoremEvaluator(u, I, p=0.0 if index == 2 else p,
+                                           weight=w))
+    steep = TheoremEvaluator(build_exp(60.0), Interval(0.0, 3.5), p=1.0,
+                             weight=unit_weight())
+    return evaluators[:2] + [steep] + evaluators[2:] + [steep]
+
+
+_CHUNK_PLAN = [("HH_1_1", None, False), ("FHHF", 0.3, False), ("D3", None, False),
+               ("D4", 0.3, True), ("D7", 0.5, False), ("D8", 1.5, False),
+               ("D9", 0.8, False)]
+
+
+def test_chunk_rows_equal_each_instance_alone():
+    # a chunk with a rejected fixed rule and a change of layout (p = 0 in
+    # the middle) gives, bit for bit, each instance's own evaluate_plan
+    members = _chunk_members()
+    chunk = evaluate_chunk(iter(members), _CHUNK_PLAN)
+    assert len(chunk) == len(members)
+    for ev, verdicts in zip(members, chunk):
+        alone = TheoremEvaluator(ev.uf, ev.interval, p=ev.p,
+                                 weight=ev.weight).evaluate_plan(_CHUNK_PLAN)
+        assert repr(verdicts) == repr(alone), (ev.p, ev.interval)
+
+
+def test_chunk_moments_equal_each_instance_alone():
+    # the rejected moments are recomputed per instance; the others come
+    # from the stacked pass and match the instance's own pass
+    members = [ev for ev in _chunk_members() if ev.p != 0.0]
+    layout = _moment_layout(tuple((which, FracParams(0.3, Family.RL))
+                                  for which in ("u", "uv", "cosh_v", "sinh_v")))
+    got = _moment_values(members, layout)
+    steep = members[2]
+    assert got[2, 0] == kernel_moment(steep.uf, steep.interval, layout.keys[0][1])
+    for ev, row in zip(members, got.tolist()):
+        assert _moment_values([ev], layout)[0].tolist() == row
+
+
+def test_limit_sweep_through_p_zero_equals_each_p_alone():
+    # the p values of a sweep are one chunk, split where p = 0 changes the
+    # layout; each p's sides are those of its own evaluate_plan
+    u, w = cosh_centered(2.0, 0.3), WeightSpec(parse_function("1+pow(x-0.5,2)"))
+    for tid, bid, alphas, ps in (("D8", "D3", (0.9, 0.99), (1.0, 0.0, 0.5)),
+                                 ("D6", "FHHF", (0.5, 0.8), (0.1, 0.0, 1e-3))):
+        sweep = limit_sweep(tid, bid, u, I01, weight=w, alphas=alphas, ps=ps)
+        assert sorted(r.p for r in sweep.rows) == sorted(ps * len(alphas))
+        for row in sweep.rows:
+            (lhs, mid, rhs, *_), = TheoremEvaluator(
+                u, I01, p=row.p, weight=w).evaluate_plan([(tid, row.alpha, False)])
+            assert row.sides == ((lhs, rhs) if mid is None else (lhs, mid, rhs))
 
 
 def test_cold_hh_evaluates_u_on_one_node_array(monkeypatch):
@@ -171,8 +239,8 @@ def test_cold_hh_evaluates_u_on_one_node_array(monkeypatch):
     monkeypatch.setattr(np, "sinh", boom)
     verdict = TheoremEvaluator(u, Interval(-0.3, 1.2)).evaluate("HH_1_1")
     assert verdict.holds
-    # the three endpoint values, then u on the 20 + 40 Gauss-Legendre nodes
-    assert sorted(sizes) == [1, 1, 1, 60]
+    # u on the 20 + 40 Gauss-Legendre nodes and at a, m and b, in one walk
+    assert sizes == [63]
 
 
 def test_cosh_moment_rl_alpha_one():
