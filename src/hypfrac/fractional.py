@@ -96,8 +96,10 @@ def kernel_parts(kernel: FracParams | None, side: Side | None = None):
     return tuple(((beta, end), lam, ()) for end in ends), norm
 
 
-def kernel_factor(x, a: float, b: float, lam: float, ends: tuple):
-    """exp(-lam * distance) from each of ``ends``, summed: a part's factor."""
+def kernel_factor(x, a, b, lam: float, ends: tuple):
+    """exp(-lam * distance) from each of ``ends``, summed: a part's factor.
+    a and b are floats, or columns that broadcast against x (one interval
+    per row, as in the chunks of the moment pass)."""
     return sum(np.exp(-lam * (x - a if end is Endpoint.LEFT else b - x))
                for end in ends)
 

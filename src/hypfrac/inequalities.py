@@ -61,9 +61,10 @@ and each run of the chunk that shares a layout gets one pass.
 Each evaluator checks p and the weight, then walks its trees: u on the
 nodes of all the node sets the plan needs and at a, m and b in one call,
 v on the nodes.  cosh(p(x-m)), sinh(p(x-m)) and x-m, the products, the
-kernel factors, one per (lam, ends, node set), and the fixed-rule sums are
-then formed once for the whole chunk: every part of every instance is one
-row of one stack, in moment order, and
+kernel factors (one :func:`~hypfrac.fractional.kernel_factor` per (lam,
+ends, node set), each interval's ends as a column) and the fixed-rule sums
+are then formed once for the whole chunk: every part of every instance is
+one row of one stack, in moment order, and
 :func:`~hypfrac.quadrature.fixed_rule_accept` sums and tests them all in
 one ``matmul`` that broadcasts the plan's per-part weights over the chunk
 and rounds every part as if it were summed alone.  A moment is the
@@ -102,6 +103,7 @@ from .fractional import (
     Family,
     FracParams,
     exp_flat_limit_alternative,
+    kernel_factor,
     kernel_mass,
     kernel_moment,
     kernel_parts,
@@ -299,10 +301,7 @@ class _Moments(NamedTuple):
     # per integrand: its name, its block of columns (a slice) and their node
     # sets (a slice when they are all the sets in order)
     blocks: tuple
-    # the kernel factors, each a sum over its ends of exp(rate * (x - end)):
-    # per end, its node set, rate (as a column) and end (_A or _B), and per
-    # factor its first end; () without factors
-    factors: tuple
+    factors: tuple         # the kernel factors, as (lam, ends, node set)
     column_set: np.ndarray     # per column: index into sets
     column_alpha: tuple    # per column: the alpha of its endpoint weight
     factored: np.ndarray   # the columns times a kernel factor
@@ -356,12 +355,6 @@ def _moment_layout(keys: tuple) -> _Moments:
                        if at == list(range(len(sets))) else _constant(at, int)))
         start += len(at)
     factored = [i for i, col in enumerate(columns) if col[3] is not None]
-    # kernel_factor's exp(-lam * (x - a)) has rate -lam; its exp(-lam * (b - x))
-    # is exp(lam * (x - b)) bit for bit, as x - b is -(b - x) exactly
-    terms = [(at, [lam if end is Endpoint.RIGHT else -lam],
-              _B if end is Endpoint.RIGHT else _A)
-             for lam, ends, at in factors for end in ends]
-    starts = list(itertools.accumulate((len(f[1]) for f in factors), initial=0))
     return _Moments(
         keys, tuple(sets),
         _constant([fixed_rule_unit(*nodes) for nodes in sets]),
@@ -369,7 +362,7 @@ def _moment_layout(keys: tuple) -> _Moments:
         ("u", "v") if "v" in bases else ("u",),
         tuple(b for b in bases if b not in _WALKED),
         tuple(blocks),
-        tuple(map(_constant, [*zip(*terms), starts[:-1]])) if factors else (),
+        tuple(factors),
         _constant([col[2] for col in columns], int),
         tuple(col[0] for col in columns),
         _constant(factored, int),
@@ -556,16 +549,14 @@ class TheoremEvaluator:
                                  holds, self.tol, params)
 
 
-def _moment_values(evaluators, layout: _Moments, walks=None) -> np.ndarray:
+def _moment_values(evaluators, layout: _Moments, walks) -> np.ndarray:
     """The kernel moments of a layout (which is u, v, uv, cosh, or cosh_v,
     sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times v) for each
     evaluator of a chunk, as (evaluators, moments), in one stacked pass
     (module docstring).  ``walks`` are the evaluators' ``_walk`` of the
-    layout, walked here when not given.  A moment whose fixed rule is
-    rejected is recomputed alone by :func:`kernel_moment`, so no value
-    depends on which other moments or instances were requested."""
-    if walks is None:
-        walks = [ev._walk(layout) for ev in evaluators]
+    layout.  A moment whose fixed rule is rejected is recomputed alone by
+    :func:`kernel_moment`, so no value depends on which other moments or
+    instances were requested."""
     x = np.array([nodes for nodes, _, _ in walks])
     stack = {name: np.array([trees[k] for _, trees, _ in walks])
              for k, name in enumerate(layout.walked)}
@@ -588,11 +579,11 @@ def _moment_values(evaluators, layout: _Moments, walks=None) -> np.ndarray:
                         out=ys[:, columns])
         else:
             ys[:, columns] = stack[name][:, sets]
-    if layout.factors:  # kernel_factor of every factor, at once
-        at, rate, end, first = layout.factors
-        terms = np.exp(rate * (x[:, at] - scalars[:, end, None]))
-        ys[:, layout.factored] *= np.add.reduceat(terms, first, axis=1)[
-            :, layout.factor_of]
+    if layout.factors:  # each kernel_factor once, over the chunk
+        a, b = scalars[:, _A, None], scalars[:, _B, None]
+        factors = np.stack([kernel_factor(x[:, at], a, b, lam, ends)
+                            for lam, ends, at in layout.factors], axis=1)
+        ys[:, layout.factored] *= factors[:, layout.factor_of]
     q, _, ok = fixed_rule_accept(ys, scalars[:, layout.column_set],
                                  layout.column_alpha, OPERATOR_QUAD)
     values = np.add.reduceat(q, layout.first, axis=1) / layout.norms

@@ -251,14 +251,11 @@ def _fixed_sums(ys, alpha):
     return ys[..., :_FIXED_N].dot(w1), ys[..., _FIXED_N:].dot(w2)
 
 
-def _fixed_l1(ys, alpha):
-    """The 2n-point sum of |ys|, taken as :func:`_fixed_sums` takes the
-    2n-point sum of ys: the scale of an error estimate's round-off floor."""
-    w2 = _fixed_weights(alpha)[1]
-    y2 = np.abs(ys[..., _FIXED_N:])
-    if isinstance(alpha, tuple):
-        return (y2[..., None, :] @ w2)[..., 0, 0]
-    return y2.dot(w2)
+def _fixed_l1(ys, alpha: float):
+    """The 2n-point sum of |ys| for one order, taken as :func:`_fixed_sums`
+    takes the 2n-point sum of ys: the scale of an error estimate's
+    round-off floor."""
+    return np.abs(ys[..., _FIXED_N:]).dot(_fixed_weights(alpha)[1])
 
 
 def fixed_rule_scale(interval: Interval, alpha: float) -> float:
@@ -287,12 +284,12 @@ def fixed_rule_accept(ys, scale, alpha, cfg: QuadConfig):
     return q2, gap, accepted
 
 
-def fixed_rule_values(ys, scale, alpha, cfg: QuadConfig):
-    """:func:`fixed_rule_accept` with error estimates in place of the gaps.
-    The error estimate is |Q_2n - Q_n|, but never below the round-off floor
-    ``100 * eps * sum |w_2n * g|`` that the adaptive loop accepts a panel at:
-    when both rules resolve g, their difference is round-off and can sit
-    below the true error."""
+def fixed_rule_values(ys, scale, alpha: float, cfg: QuadConfig):
+    """:func:`fixed_rule_accept` of one order, with error estimates in
+    place of the gaps.  The error estimate is |Q_2n - Q_n|, but never below
+    the round-off floor ``100 * eps * sum |w_2n * g|`` that the adaptive
+    loop accepts a panel at: when both rules resolve g, their difference is
+    round-off and can sit below the true error."""
     q2, gap, accepted = fixed_rule_accept(ys, scale, alpha, cfg)
     floor = 100.0 * _EPS * scale * _fixed_l1(ys, alpha)
     return q2, np.maximum(gap, floor), accepted

@@ -108,6 +108,12 @@ _CAMPAIGN_KERNELS = [(None, None)] + \
     [(Family.EXP, a) for a in (0.3, 0.5, 0.8)]
 
 
+def _moments(evaluators, layout):
+    """The moment pass of a layout over a chunk, each evaluator walked as
+    ``evaluate_chunk`` walks it."""
+    return _moment_values(evaluators, layout, [ev._walk(layout) for ev in evaluators])
+
+
 def test_banked_moments_equal_kernel_moment():
     # the reference integrands are written out here, independent of the bank
     cfg = GenConfig(seed=42)
@@ -133,7 +139,7 @@ def test_banked_moments_equal_kernel_moment():
         # order of the keys
         layout = _moment_layout(tuple(keys))
         assert sorted(map(repr, layout.keys)) == sorted(map(repr, keys))
-        got = _moment_values([TheoremEvaluator(u, I, p=p, weight=w)], layout)[0]
+        got = _moments([TheoremEvaluator(u, I, p=p, weight=w)], layout)[0]
         for (which, kernel), value in zip(layout.keys, got):
             ref = kernel_moment(integrands[which], I, kernel)
             assert value == ref, (index, which, kernel, value, ref)
@@ -149,14 +155,14 @@ def test_rejected_bank_moment_falls_back_alone():
     rl = FracParams(0.3, Family.RL)
     keys = [("u", rl), ("v", rl)] + [
         (which, kernel) for which in ("cosh", "uv") for kernel in (rl, None)]
-    got = _moment_values([TheoremEvaluator(u, I, p=1.0, weight=unit_weight())],
-                         _moment_layout(tuple(keys)))[0].tolist()
+    got = _moments([TheoremEvaluator(u, I, p=1.0, weight=unit_weight())],
+                   _moment_layout(tuple(keys)))[0].tolist()
     assert got[0] == kernel_moment(uf, I, rl)
     assert got[1] == kernel_moment(lambda x: np.ones_like(x), I, rl)
     # every moment of the batch equals the same moment computed alone
     for key, value in zip(keys, got):
-        alone = _moment_values([TheoremEvaluator(u, I, p=1.0, weight=unit_weight())],
-                               _moment_layout((key,)))[0]
+        alone = _moments([TheoremEvaluator(u, I, p=1.0, weight=unit_weight())],
+                         _moment_layout((key,)))[0]
         assert alone.tolist() == [value], key
 
 
@@ -203,11 +209,11 @@ def test_chunk_moments_equal_each_instance_alone():
     members = [ev for ev in _chunk_members() if ev.p != 0.0]
     layout = _moment_layout(tuple((which, FracParams(0.3, Family.RL))
                                   for which in ("u", "uv", "cosh_v", "sinh_v")))
-    got = _moment_values(members, layout)
+    got = _moments(members, layout)
     steep = members[2]
     assert got[2, 0] == kernel_moment(steep.uf, steep.interval, layout.keys[0][1])
     for ev, row in zip(members, got.tolist()):
-        assert _moment_values([ev], layout)[0].tolist() == row
+        assert _moments([ev], layout)[0].tolist() == row
 
 
 def test_limit_sweep_through_p_zero_equals_each_p_alone():

@@ -15,6 +15,7 @@ from hypfrac.quadrature import (
     QuadResult,
     _fixed_pair,
     _gauss_jacobi,
+    fixed_rule_accept,
     fixed_rule_nodes,
     fixed_rule_values,
     gauss_kronrod_nodes,
@@ -291,18 +292,22 @@ def test_stacked_fixed_rule_rows_equal_each_row_alone():
     ys = np.array([rng.uniform(0.1, 1e3) * np.exp(lam * fixed_rule_nodes(
         0.0, 1.0, alpha, Endpoint.LEFT)) for lam, alpha in zip(lams, alphas)])
     scale = rng.uniform(0.01, 10.0, size=120)
-    values, errors, accepted = fixed_rule_values(ys, scale, alphas, OPERATOR_QUAD)
-    assert values.shape == errors.shape == accepted.shape == (120,)
+    values, gaps, accepted = fixed_rule_accept(ys, scale, alphas, OPERATOR_QUAD)
+    assert values.shape == gaps.shape == accepted.shape == (120,)
     assert 10 < np.count_nonzero(accepted) < 110
     for k, alpha in enumerate(alphas):
-        alone = fixed_rule_values(ys[k], scale[k], alpha, OPERATOR_QUAD)
-        assert (values[k], errors[k], accepted[k]) == alone, (k, alpha)
+        alone = fixed_rule_accept(ys[k], scale[k], alpha, OPERATOR_QUAD)
+        assert (values[k], gaps[k], accepted[k]) == alone, (k, alpha)
         _, w1, w2 = _fixed_pair(alpha - 1.0)
         q1 = scale[k] * ys[k, :w1.size].dot(w1)
         q2 = scale[k] * ys[k, w1.size:].dot(w2)
         floor = 100.0 * np.finfo(float).eps * scale[k] * np.abs(ys[k, w1.size:]).dot(w2)
         assert values[k] == q2, (k, alpha)
-        assert errors[k] == max(abs(q2 - q1), floor), (k, alpha)
+        assert gaps[k] == abs(q2 - q1), (k, alpha)
+        # the error estimate of the row alone is that gap, floored
+        value, error, ok = fixed_rule_values(ys[k], scale[k], alpha, OPERATOR_QUAD)
+        assert (value, ok) == (values[k], accepted[k]), (k, alpha)
+        assert error == max(gaps[k], floor), (k, alpha)
         assert accepted[k] == (abs(q2 - q1) <= max(OPERATOR_QUAD.abs_tol,
                                                    OPERATOR_QUAD.rel_tol * abs(q2)))
 
