@@ -40,8 +40,17 @@ from .quadrature import integrate_cells
 DEFAULT_GRID_N = 101
 DEFAULT_TOL = 1e-9
 
-# elements per block of grid rows in check_chord and check_gradient
-_ROW_BLOCK = 1 << 14
+# check_chord and check_gradient take grid rows in blocks of about
+# _ROW_BLOCK elements (32 KB a float temporary), but never fewer than
+# _MIN_ROWS rows: at grid 1001, blocks of 4 rows made check_chord about 28%
+# slower from the numpy calls each block pays (BENCH_29.json)
+_ROW_BLOCK = 1 << 12
+_MIN_ROWS = 16
+
+
+def _block_rows(n: int) -> int:
+    """Grid rows per block for tables n columns wide."""
+    return max(_MIN_ROWS, _ROW_BLOCK // n)
 
 
 class Verdict(enum.Enum):
@@ -149,10 +158,12 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     the j of the largest and of the smallest excess for every k at once:
     O(n**2) time.  H is then evaluated at those triples from the tables as
     above, never through the slope, which would lose about
-    exp(p*(x_k-x_i))*eps.  Chord starts are taken in blocks of rows, so the
-    temporaries stay small beside the n x n tables.  Maxima are reduced in
-    row-major (i, k) order, so ties resolve to the first triple in (i, k, j)
-    order.
+    exp(p*(x_k-x_i))*eps; X[k, j]*f_j is formed at the gathered entries
+    only.  So E and X are the only n x n tables.  Chord starts are taken in
+    blocks of rows (``_block_rows``), each from its own diagonal on, so the
+    temporaries stay small beside the tables and the unused lower triangle
+    is mostly skipped.  Maxima are reduced in row-major (i, k) order, so
+    ties resolve to the first triple in (i, k, j) order whatever the block.
     """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
@@ -168,13 +179,12 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p == 0.0:
             E, X = D, np.ones_like(D)
-        else:  # in place, so that only E, X and XF are n x n
+        else:  # in place, so that only E and X are n x n
             X = np.multiply(-p, D)
             np.exp(X, out=X)
             D *= -2.0 * p
             E = np.expm1(D, out=D)
-        XF = X * fv  # X[k, j] * f_j
-        step = max(1, _ROW_BLOCK // n)
+        step = _block_rows(n)
         for r0 in range(0, n - 2, step):
             r1 = min(r0 + step, n - 2)
             i = cols[r0:r1, None]
@@ -196,7 +206,10 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
                 j = np.minimum.accumulate(first[:, ::-1], axis=1)[:, -2::-1]
                 kj = k * n + j
                 H = fX_ik * E.take(kj)
-                H += E_ik * XF.take(kj)
+                fX_kj = X.take(kj)
+                fX_kj *= fv.take(j)  # X[k, j] * f_j
+                fX_kj *= E_ik
+                H += fX_kj
                 H /= E.take(i * n + j)
                 excess = np.subtract(fv[k], H, out=H)  # > 0 violates convexity
                 excess[outside] = sink
@@ -242,7 +255,7 @@ def check_gradient(f, interval: Interval, p: float,
     dv = d1(xs)
     n = xs.size
     top, low, big = np.empty(n), np.empty(n), np.empty(n)  # of g, -g, mag
-    step = max(1, _ROW_BLOCK // n)
+    step = _block_rows(n)
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
         delta = xs[None, :] - xs[rows, None]  # y - x with x down rows

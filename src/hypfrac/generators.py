@@ -84,10 +84,10 @@ def gen_p_convex(cfg: GenConfig, p: float, interval: Interval, *,
 
     With probability ``boundary_prob`` the draw is a pure boundary member
     A*cosh(p*(x-c)) (zero curvature excess); otherwise it is a mixture of
-    1..max_terms members each with strictly positive excess.
+    1..max_terms members each with strictly positive excess.  At p == 0 the
+    boundary member is the constant A and every rate is at least
+    ``rate_margin``, so the draw is classically convex.
     """
-    if p == 0.0:
-        raise ValueError("p must be nonzero")
     p = abs(p)
     if rng is None:
         rng = rng_for(cfg.seed, index)

@@ -567,14 +567,16 @@ def test_chunked_campaign_equals_one_instance_at_a_time(monkeypatch, cfg):
         assert _artifacts(cfg) == alone, size
 
 
-def test_p_list_with_zero_raises_the_same_error_chunked(monkeypatch):
-    # the generator admits no p = 0, so such a campaign fails on its first
-    # instance whatever the chunk size
+def test_p_list_with_zero_is_the_same_chunked(monkeypatch):
+    # p = 0 draws are classically convex and the p = 0 instances take the
+    # classical forms, in chunks that mix them with p = 1 instances
     cfg = CampaignConfig(seed=42, n_instances=6, p_list=(0.0, 1.0), workers=1)
-    for size in (1, 4):
+    monkeypatch.setattr(campaign, "CHUNK_INSTANCES", 1)
+    alone = _artifacts(cfg)
+    assert alone[2]["violations"] == 0 and alone[2]["nonfinite"] == 0
+    for size in (4, cfg.n_instances):
         monkeypatch.setattr(campaign, "CHUNK_INSTANCES", size)
-        with pytest.raises(ValueError, match="p must be nonzero"):
-            run_campaign(cfg)
+        assert _artifacts(cfg) == alone, size
 
 
 def test_chunks_share_one_fixed_weight_stack(monkeypatch):

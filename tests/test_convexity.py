@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypfrac import convexity
 from hypfrac.convexity import (
     Method,
     Verdict,
@@ -158,11 +159,20 @@ CHORD_CASES += [(_GridValues(I.grid(m), _RNG.normal(size=m)), I, p)
                 for I in (I01, Interval(-1.5, 0.5))
                 for p in (0.0, 0.4, 2.0, 10.0) for m in (5, 21)]
 
+_TIES = [
+    # chords (0, 2) and (2, 4) miss by 1.25 at x = 1 and x = 3: ties across
+    # chord starts
+    (1.0, 0.0, 1.5, 0.0, 1.0),
+    # chords (0, 4) and (1, 4) miss by 1 at x = 2 and x = 3: ties within
+    # one chord start
+    (0.0, 0.0, 1.0, 1.0, 0.0, 2.0),
+]
 
-def test_chord_tensor_matches_brute_force():
+
+def _assert_chord_matches_brute_force(grids):
     tol = 1e-9
     for f, I, p in CHORD_CASES:
-        for n in (3, 4, 21):
+        for n in grids:
             over, x_over, under, x_under = _brute_chord(f, I, p, n)
             r = check_chord(f, I, p, grid_n=n, tol=tol)
             if over <= tol and under <= tol:
@@ -182,14 +192,47 @@ def test_chord_tensor_matches_brute_force():
                 assert r.witness_x == witness, case
 
 
+def test_chord_tensor_matches_brute_force():
+    _assert_chord_matches_brute_force((3, 4, 21))
+
+
+def _rows_per_block(monkeypatch, rows):
+    """Blocks of exactly ``rows`` grid rows, whatever the grid."""
+    monkeypatch.setattr(convexity, "_ROW_BLOCK", 0)
+    monkeypatch.setattr(convexity, "_MIN_ROWS", rows)
+
+
+def test_chord_matches_brute_force_one_row_at_a_time(monkeypatch):
+    # the default blocks hold every chord start of a 21-point grid at once
+    _rows_per_block(monkeypatch, 1)
+    _assert_chord_matches_brute_force((21,))
+
+
+def test_reports_do_not_depend_on_the_row_block(monkeypatch):
+    def reports():
+        out = []
+        for f, I, p in CHORD_CASES:
+            for n in (5, 21, 101):
+                out.append(repr(check_chord(f, I, p, grid_n=n)))
+                if not isinstance(f, _GridValues):  # has derivatives
+                    out.append(repr(check_gradient(f, I, p, grid_n=n)))
+        for values in _TIES:  # ties across chord starts, and within one
+            I = Interval(0.0, len(values) - 1.0)
+            for sign in (1.0, -1.0):
+                f = _GridValues(I.grid(len(values)), sign * np.array(values))
+                out.append(repr(check_chord(f, I, 0.0, grid_n=len(values))))
+        return out
+
+    want = reports()
+    for rows in (1, 3):
+        _rows_per_block(monkeypatch, rows)
+        assert reports() == want, rows
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("values, worst, witness", [
-    # chords (0, 2) and (2, 4) miss by 1.25 at x = 1 and x = 3: ties across
-    # chord starts
-    ((1.0, 0.0, 1.5, 0.0, 1.0), 1.25 / 2.5, 1.0),
-    # chords (0, 4) and (1, 4) miss by 1 at x = 2 and x = 3: ties within
-    # one chord start
-    ((0.0, 0.0, 1.0, 1.0, 0.0, 2.0), 1.0 / 3.0, 2.0),
+    (_TIES[0], 1.25 / 2.5, 1.0),
+    (_TIES[1], 1.0 / 3.0, 2.0),
 ])
 def test_chord_ties_resolve_to_first_triple(sign, values, worst, witness):
     # exact values on the integer grid with p = 0; the other side's worst
@@ -227,9 +270,24 @@ def test_chord_memory_at_the_largest_cli_grid():
     finally:
         tracemalloc.stop()
     assert r.verdict is Verdict.NEITHER
-    # three 1001 x 1001 float tables take 24 MB; the block temporaries
-    # stay near 2 MB
-    assert peak < 40 * 2**20
+    # two 1001 x 1001 float tables take 15.3 MiB; the block temporaries
+    # stay near 1.4 MiB
+    assert peak < 18 * 2**20
+
+
+def test_check_all_memory_at_the_mix_grid():
+    import tracemalloc
+
+    f = cosh_centered(2.0, 0.3)
+    check_all(f, I01, 1.0, grid_n=201)  # first calls may build caches
+    tracemalloc.start()
+    try:
+        check_all(f, I01, 1.0, grid_n=201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the chord test's two 201 x 201 tables take 0.62 MiB
+    assert peak < 1.25 * 2**20
 
 
 def _whole_table_gradient(f, I, p, n):

@@ -68,9 +68,17 @@ def test_boundary_draws_are_boundary():
     assert check_second_order(u, I, 1.3).verdict is Verdict.BOUNDARY
 
 
-def test_gen_p_convex_rejects_p_zero():
-    with pytest.raises(ValueError):
-        gen_p_convex(GenConfig(), 0.0, Interval(0.0, 1.0))
+def test_gen_p_convex_at_p_zero_is_classically_convex():
+    # the boundary member is a constant, and every mixture rate is at least
+    # rate_margin
+    I = Interval(-0.5, 1.0)
+    for cfg in (GenConfig(seed=9), GenConfig(seed=3, boundary_prob=1.0)):
+        for i in range(12):
+            reports = check_all(gen_p_convex(cfg, 0.0, I, index=i), I, 0.0)
+            verdicts = {r.verdict for r in reports.values()}
+            assert verdicts <= {Verdict.CONVEX, Verdict.BOUNDARY}, (cfg, i)
+            if cfg.boundary_prob == 1.0:
+                assert verdicts == {Verdict.BOUNDARY}, i
 
 
 def test_symmetric_weights_verify():
