@@ -171,21 +171,14 @@ class _Block(NamedTuple):
 def _chunk_blocks(cfg: CampaignConfig, plan: tuple, indices: range) -> list:
     """The blocks of a chunk of seeded instances (each pure in (cfg,
     index)) over the rows of ``plan`` (``_plan(cfg)``), in index order,
-    from one ``evaluate_chunk``: each instance is drawn just before it is
-    evaluated."""
-    drawn = []
-
-    def evaluators():
-        for index in indices:
-            u, interval, p, w = _draw(cfg, index)
-            ev = TheoremEvaluator(u, interval, p=p, weight=w, tol=cfg.tol)
-            drawn.append((index, u, w, ev))
-            yield ev
-
-    chunk = evaluate_chunk(evaluators(), plan)
-    return [_Block(index, ev.interval.a, ev.interval.b, ev.p, to_grammar(u),
+    from one ``evaluate_chunk``."""
+    drawn = [(index, *_draw(cfg, index)) for index in indices]
+    chunk = evaluate_chunk([TheoremEvaluator(u, interval, p=p, weight=w,
+                                             tol=cfg.tol)
+                            for _, u, interval, p, w in drawn], plan)
+    return [_Block(index, interval.a, interval.b, p, to_grammar(u),
                    to_grammar(w.v), tuple(verdicts), _side_texts(verdicts))
-            for (index, u, w, ev), verdicts in zip(drawn, chunk)]
+            for (index, u, interval, p, w), verdicts in zip(drawn, chunk)]
 
 
 def instance_rows(cfg: CampaignConfig, index: int) -> list:
@@ -211,7 +204,7 @@ def _plan(cfg: CampaignConfig) -> tuple:
     if cfg.printed_probe:
         plan += tuple((tid, alpha, True) for tid in _PRINTED_THEOREMS
                       for alpha in alphas[_REQUIRES[tid].family])
-    _plan_layout(plan, False)
+    _plan_layout(plan)
     return plan
 
 

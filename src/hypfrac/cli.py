@@ -305,8 +305,9 @@ def _cmd_classify(args) -> int:
         r = reports[method]
         print(f"{method.value:13s} {r.verdict.value.upper():9s} "
               f"worst violation {_fmt(r.worst_violation)} at x={_fmt(r.witness_x)}")
-    verdicts = [r.verdict for r in reports.values()]
-    top = max(set(verdicts), key=verdicts.count)
+    # a tie goes to the first method's verdict, in Method order
+    verdicts = [reports[method].verdict for method in Method]
+    top = max(verdicts, key=verdicts.count)
     n_top = verdicts.count(top)
     print(f"verdict: {top.value.upper()}, {n_top}/4 methods agree")
     return 0

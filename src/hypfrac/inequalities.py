@@ -37,7 +37,10 @@ mass M(1).  The three rows without a MID (D3, D8, D9) are the tilt bound
     M(u v) <= (u(a)+u(b))/2 sech(pL/2) C
               + (u(a)-u(b))/2 csch(pL/2) M(sinh(p(x-m)) v),
 
-where D8 and D9 admit an asymmetric v on request.
+where D8 and D9 admit an asymmetric v on request.  At p = 0 the tilt term
+takes its limit: csch(pL/2) sinh(p(x-m)) tends to (2/L)(x-m), so the base
+of the tilt moment is x - m and its coefficient 2/L.  That is data of the
+instance, not of the plan: every plan has one layout, whatever p.
 
 The kernels, their norms and masses live in :mod:`hypfrac.fractional`,
 whose :func:`~hypfrac.fractional.kernel_parts` writes each moment as one
@@ -55,16 +58,17 @@ of evaluators (a campaign's instances, a limit sweep's p values), and
 layout built once per plan checks the plan's alphas and lists its
 weighted theorems, its moments (in runs of one integrand), the node sets
 of their fixed-weight parts, each with its unit nodes and end, and, per
-row, which moments it reads; it depends on p only through whether p is 0,
-and each run of the chunk that shares a layout gets one pass.
+row, which moments it reads; it does not depend on p, so a chunk is one
+pass.
 
 Each evaluator checks p and the weight, then walks its trees: u on the
 nodes of all the node sets the plan needs and at a, m and b in one call,
-v on the nodes.  cosh(p(x-m)), sinh(p(x-m)) and x-m, the products, the
-kernel factors (one :func:`~hypfrac.fractional.kernel_factor` per (lam,
-ends, node set), each interval's ends as a column) and the fixed-rule sums
-are then formed once for the whole chunk: every part of every instance is
-one row of one stack, in moment order, and
+v on the nodes.  cosh(p(x-m)), the tilt base (sinh(p(x-m)), or x-m where
+p = 0, per instance), the products, the kernel factors (one
+:func:`~hypfrac.fractional.kernel_factor` per (lam, ends, node set), each
+interval's ends as a column) and the fixed-rule sums are then formed once
+for the whole chunk: every part of every instance is one row of one stack,
+in moment order, and
 :func:`~hypfrac.quadrature.fixed_rule_accept` sums and tests them all in
 one ``matmul`` that broadcasts the plan's per-part weights over the chunk
 and rounds every part as if it were summed alone.  A moment is the
@@ -176,10 +180,13 @@ _REQUIRES = {
 
 # moment integrands that are products of two others, factor by factor
 _PRODUCTS = {"uv": ("u", "v"), "cosh_v": ("cosh", "v"),
-             "sinh_v": ("sinh", "v"), "xm_v": ("xm", "v")}
+             "sinh_v": ("sinh", "v")}
 # the integrands that are trees, walked instance by instance: u always
 _WALKED = ("u", "v")
-_HYPERBOLIC = {"cosh": np.cosh, "sinh": np.sinh}
+# the other bases, from p and x - m; where p = 0 the tilt base is x - m, the
+# limit of csch(pL/2) sinh(p(x-m)) up to the factor 2/L that _verdicts applies
+_HYPERBOLIC = {"cosh": lambda p, xm: np.cosh(p * xm),
+               "sinh": lambda p, xm: np.where(p == 0.0, xm, np.sinh(p * xm))}
 # the columns of the per-instance scalars of a chunk, after the scales
 _A, _B, _M, _P = -4, -3, -2, -1
 
@@ -297,7 +304,7 @@ class _Moments(NamedTuple):
     unit: np.ndarray       # per node set: its nodes from its end at half-width 1
     end: np.ndarray        # per node set: that end, 0 for a and 1 for b, as a column
     walked: tuple          # u, and v if needed: walked on every node set
-    chunked: tuple         # cosh, sinh and xm, as needed: formed on the chunk
+    chunked: tuple         # cosh and sinh, as needed: formed on the chunk
     # per integrand: its name, its block of columns (a slice) and their node
     # sets (a slice when they are all the sets in order)
     blocks: tuple
@@ -372,11 +379,11 @@ def _moment_layout(keys: tuple) -> _Moments:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
+def _plan_layout(plan: tuple) -> _Plan:
     """The layout of a plan of (theorem, alpha, strict_printed) rows, whose
     alphas it checks (a plan that fails is not cached, so it fails on every
-    call).  It depends on u, v and the interval not at all and on p only
-    through ``p_zero``, so a campaign builds it once."""
+    call).  It depends on u, v, the interval and p not at all, so a
+    campaign builds it once."""
     keys = {}
     index = lambda key: keys.setdefault(key, len(keys))
     masses, rows, weighted = {}, [], {}
@@ -399,8 +406,8 @@ def _plan_layout(plan: tuple, p_zero: bool) -> _Plan:
             c = index(("v", kernel))
         else:  # C = M(1) is the kernel mass: divide it out of every side
             mass = masses.setdefault(kernel, len(masses))
-        if not row.has_mid:  # the tilt bound; at p = 0, csch * sinh -> 2/L * (x - m)
-            tilt = index(("xm_v" if p_zero else "sinh_v", kernel))
+        if not row.has_mid:  # the tilt bound
+            tilt = index(("sinh_v", kernel))
         rc = 0 if not row.hyperbolic else (
             2 if strict_printed and row.printed_constant else 1)
         rows.append((mid, mass, c, rc, tilt))
@@ -456,14 +463,10 @@ class TheoremEvaluator:
         if name in _PRODUCTS:
             f, h = (self._integrand(n) for n in _PRODUCTS[name])
             return lambda x: f(x) * h(x)
-        m, p = self.interval.mid, self.p
-        return {
-            "u": self.uf,
-            "v": self.vf,
-            "cosh": lambda x: np.cosh(p * (x - m)),
-            "sinh": lambda x: np.sinh(p * (x - m)),
-            "xm": lambda x: x - m,
-        }[name]
+        if name in _HYPERBOLIC:
+            m, p, base = self.interval.mid, self.p, _HYPERBOLIC[name]
+            return lambda x: base(p, x - m)
+        return self.uf if name == "u" else self.vf
 
     # -- validation ----------------------------------------------------------
 
@@ -478,7 +481,7 @@ class TheoremEvaluator:
                 if _REQUIRES[TheoremId(tid)].hyperbolic:
                     raise ValueError(f"{TheoremId(tid).value} requires the "
                                      "hyperbolic parameter p")
-        layout = _plan_layout(plan, self.p == 0.0)
+        layout = _plan_layout(plan)
         for tid in layout.weighted:
             if self.weight is None:
                 raise ValueError(f"{tid.value} requires a weight function")
@@ -550,13 +553,13 @@ class TheoremEvaluator:
 
 
 def _moment_values(evaluators, layout: _Moments, walks) -> np.ndarray:
-    """The kernel moments of a layout (which is u, v, uv, cosh, or cosh_v,
-    sinh_v and xm_v: cosh(p*(x-m)), sinh(p*(x-m)) and x-m times v) for each
-    evaluator of a chunk, as (evaluators, moments), in one stacked pass
-    (module docstring).  ``walks`` are the evaluators' ``_walk`` of the
-    layout.  A moment whose fixed rule is rejected is recomputed alone by
-    :func:`kernel_moment`, so no value depends on which other moments or
-    instances were requested."""
+    """The kernel moments of a layout (which is u, v, uv, cosh, or cosh_v
+    and sinh_v: cosh(p*(x-m)) and sinh(p*(x-m)), or x-m where p = 0, times
+    v) for each evaluator of a chunk, as (evaluators, moments), in one
+    stacked pass (module docstring).  ``walks`` are the evaluators'
+    ``_walk`` of the layout.  A moment whose fixed rule is rejected is
+    recomputed alone by :func:`kernel_moment`, so no value depends on which
+    other moments or instances were requested."""
     x = np.array([nodes for nodes, _, _ in walks])
     stack = {name: np.array([trees[k] for _, trees, _ in walks])
              for k, name in enumerate(layout.walked)}
@@ -566,9 +569,8 @@ def _moment_values(evaluators, layout: _Moments, walks) -> np.ndarray:
         + [ev.interval.a, ev.interval.b, ev.interval.mid,
            0.0 if ev.p is None else ev.p] for ev in evaluators])
     if layout.chunked:
-        xm = x - scalars[:, _M, None, None]
-        px = scalars[:, _P, None, None] * xm
-        stack.update({name: xm if name == "xm" else _HYPERBOLIC[name](px)
+        xm, p = x - scalars[:, _M, None, None], scalars[:, _P, None, None]
+        stack.update({name: _HYPERBOLIC[name](p, xm)
                       for name in layout.chunked})
     # (chunk, columns, n): each integrand's block, a product formed in place
     ys = np.empty((len(evaluators), len(layout.column_alpha), x.shape[-1]))
@@ -601,27 +603,21 @@ def evaluate_chunk(evaluators, plan) -> list:
     """The verdicts of ``plan`` for each of ``evaluators`` (a chunk), in
     order: per evaluator, what its :meth:`~TheoremEvaluator.evaluate_plan`
     returns, bit for bit.  Each evaluator is validated, then its trees
-    walked, before the next is taken from ``evaluators`` (which may be a
-    generator); each run of evaluators that share a layout (which differs
-    where p is 0) then gets one stacked moment pass, and each evaluator its
-    rows.  Overflow shows in the verdicts as inf or nan, so the whole
-    evaluation, the weight check included, runs with numpy's floating-point
-    warnings off: every caller gets one policy."""
-    plan = tuple(map(tuple, plan))
+    walked, in turn; the chunk then gets one stacked moment pass, and each
+    evaluator its rows.  Overflow shows in the verdicts as inf or nan, so
+    the whole evaluation, the weight check included, runs with numpy's
+    floating-point warnings off: every caller gets one policy."""
+    plan, evaluators = tuple(map(tuple, plan)), list(evaluators)
+    walks = []
     with np.errstate(all="ignore"):
-        runs = []  # (layout, evaluators, walks)
         for ev in evaluators:
             layout = ev._validate(plan)
-            if not runs or runs[-1][0] is not layout:
-                runs.append((layout, [], []))
-            runs[-1][1].append(ev)
-            runs[-1][2].append(ev._walk(layout.moments))
-        verdicts = []
-        for layout, evs, walks in runs:
-            moments = _moment_values(evs, layout.moments, walks).tolist()
-            verdicts += [ev._verdicts(layout, values, walk[2])
-                         for ev, values, walk in zip(evs, moments, walks)]
-        return verdicts
+            walks.append(ev._walk(layout.moments))
+        if not walks:
+            return []
+        moments = _moment_values(evaluators, layout.moments, walks).tolist()
+        return [ev._verdicts(layout, values, walk[2])
+                for ev, values, walk in zip(evaluators, moments, walks)]
 
 
 def eval_theorem(theorem_id, u, interval: Interval, *, v: WeightSpec | None = None,
@@ -697,11 +693,11 @@ def limit_sweep(theorem_id, to_id, u, interval: Interval, *,
     each alpha in ``alphas``), and D8->D3, D9->D3 (alpha -> 1 for each p in
     ``ps``, each against its own D3 baseline).  Baseline sides are rescaled
     to the theorem's normalization; the scale is the theorem's limiting
-    kernel constant.  Each p evaluates one plan, all in one chunk: each
-    alpha's baseline row (an alpha sweep's one D3, without alpha), then the
-    theorem's; a p sweep's baselines take no p, so they have the same bits
-    at every p.  The rows run alpha by alpha (p sweep) or p by p (alpha
-    sweep).
+    kernel constant.  Each p evaluates one plan, all in one chunk (one
+    moment pass, p = 0 included): each alpha's baseline row (an alpha
+    sweep's one D3, without alpha), then the theorem's; a p sweep's
+    baselines take no p, so they have the same bits at every p.  The rows
+    run alpha by alpha (p sweep) or p by p (alpha sweep).
     """
     tid, bid = TheoremId(theorem_id), TheoremId(to_id)
     if (tid, bid) not in _LIMIT_PAIRINGS:

@@ -11,7 +11,7 @@ weight ``(x-a)**(alpha-1)`` (or its mirror ``(b-x)**(alpha-1)``) of
 :func:`integrate_singular` exactly; ``beta = 0`` is Gauss-Legendre for
 :func:`integrate`.  Nodes and weights come from the Golub-Welsch
 eigenvalue problem on the Jacobi matrix, and each pair of rules is cached
-per beta.  The 2n-point value is accepted when both sums are finite and
+once per alpha.  The 2n-point value is accepted when both sums are finite and
 ``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
 adaptive loop uses; the difference, floored at the adaptive loop's round-off
 level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
@@ -185,25 +185,24 @@ def _orthonormal(t, diag, off, mu0):
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_pair(beta: float):
-    """The shifted nodes ``1 + t`` of the n- and 2n-point Gauss-Jacobi rules,
-    concatenated, and the two weight vectors."""
-    t1, w1 = _gauss_jacobi(_FIXED_N, beta)
-    t2, w2 = _gauss_jacobi(2 * _FIXED_N, beta)
-    nodes = 1.0 + np.concatenate([t1, t2])
-    nodes.setflags(write=False)
-    return nodes, w1, w2
+def _fixed_rule(alpha: float):
+    """The n- and 2n-point Gauss-Jacobi rules of the endpoint weight of
+    ``alpha`` (beta = alpha - 1): per endpoint, their nodes on a cell of
+    half-width 1, measured from that endpoint (``1 + t``, concatenated,
+    negated for the right end), and the two weight vectors."""
+    t1, w1 = _gauss_jacobi(_FIXED_N, alpha - 1.0)
+    t2, w2 = _gauss_jacobi(2 * _FIXED_N, alpha - 1.0)
+    left = 1.0 + np.concatenate([t1, t2])
+    right = -left
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return {Endpoint.LEFT: left, Endpoint.RIGHT: right}, w1, w2
 
 
-@functools.lru_cache(maxsize=64)
 def fixed_rule_unit(alpha: float, endpoint: Endpoint):
     """The nodes of :func:`fixed_rule_nodes` on a cell of half-width 1,
     measured from the endpoint: ``1 + t``, negated for the right end."""
-    nodes = _fixed_pair(alpha - 1.0)[0]
-    if endpoint is Endpoint.RIGHT:
-        nodes = -nodes
-        nodes.setflags(write=False)
-    return nodes
+    return _fixed_rule(alpha)[0][endpoint]
 
 
 def fixed_rule_nodes(a, b, alpha: float, endpoint: Endpoint):
@@ -217,13 +216,11 @@ def fixed_rule_nodes(a, b, alpha: float, endpoint: Endpoint):
 
 
 @functools.lru_cache(maxsize=256)
-def _fixed_weights(alpha):
-    """The n- and 2n-point weights of one order, or of a tuple of per-row
-    orders as (rows, n, 1) stacks."""
-    if not isinstance(alpha, tuple):
-        return _fixed_pair(alpha - 1.0)[1:]
+def _fixed_weights(alphas: tuple):
+    """The n- and 2n-point weights of a tuple of per-row orders, as
+    (rows, n, 1) stacks."""
     stacks = tuple(np.stack(w)[:, :, None]
-                   for w in zip(*map(_fixed_weights, alpha)))
+                   for w in zip(*(_fixed_rule(a)[1:] for a in alphas)))
     for w in stacks:
         w.setflags(write=False)
     return stacks
@@ -243,10 +240,11 @@ def _fixed_sums(ys, alpha):
     it; a 2-D ``dot`` per order (BLAS gemv) rounds some sums differently.
     With one order, many rows (the cells of :func:`integrate_cells`) are
     one matrix-vector product."""
-    w1, w2 = _fixed_weights(alpha)
     if isinstance(alpha, tuple):
+        w1, w2 = _fixed_weights(alpha)
         y1, y2 = ys[..., None, :_FIXED_N], ys[..., None, _FIXED_N:]
         return (y1 @ w1)[..., 0, 0], (y2 @ w2)[..., 0, 0]
+    _, w1, w2 = _fixed_rule(alpha)
     # ndarray.dot: the same BLAS sums as @, with less call overhead
     return ys[..., :_FIXED_N].dot(w1), ys[..., _FIXED_N:].dot(w2)
 
@@ -255,7 +253,7 @@ def _fixed_l1(ys, alpha: float):
     """The 2n-point sum of |ys| for one order, taken as :func:`_fixed_sums`
     takes the 2n-point sum of ys: the scale of an error estimate's
     round-off floor."""
-    return np.abs(ys[..., _FIXED_N:]).dot(_fixed_weights(alpha)[1])
+    return np.abs(ys[..., _FIXED_N:]).dot(_fixed_rule(alpha)[2])
 
 
 def fixed_rule_scale(interval: Interval, alpha: float) -> float:
@@ -413,5 +411,8 @@ def integrate_singular(
 
 
 def gauss_kronrod_nodes():
-    """The 15 Kronrod abscissae and both weight vectors on [-1, 1]."""
+    """The 15 Kronrod abscissae and both weight vectors on [-1, 1].  The
+    package does not call it: the per-layer benchmark (``perfbench``)
+    imports it to time one Gauss-Kronrod round, and the tests check the
+    rule with it."""
     return _XGK.copy(), _WGK.copy(), _WG.copy()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypfrac.campaign import CampaignConfig, rows_to_csv, run_campaign
-from hypfrac.convexity import check_all, locate_power_boundary, methods_agree
+from hypfrac.convexity import check_all, methods_agree
 from hypfrac.expressions import (
     Interval,
     build_power,
@@ -37,6 +37,7 @@ from hypfrac.inequalities import (
     limit_sweep,
     unit_weight,
 )
+from test_convexity import locate_power_boundary
 
 ONE = constant(1.0)
 

@@ -105,6 +105,24 @@ def test_classify_boundary(capsys):
     assert "verdict: BOUNDARY" in out
 
 
+def test_classify_tie_goes_to_the_first_method_under_any_hash_seed():
+    # chord and gradient say BOUNDARY, second_order and phi CONVEX: the
+    # 2-2 tie is broken in Method order, never by the set order of the
+    # verdicts, which changes with the process's hash seed
+    argv = ["classify", "--fn", "exp(x)+3e-09*(x*x*x)", "--p", "1",
+            "--a", "0", "--b", "1"]
+    runs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hypfrac.__file__)))
+        done = subprocess.run([sys.executable, "-m", "hypfrac.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][1].endswith("verdict: BOUNDARY, 2/4 methods agree\n")
+
+
 def test_verify_equality_case(capsys):
     code, out, _ = run_cli(capsys, "verify", "--thm", "D1", "--fn",
                            "cosh(1*(x-0.5))", "--p", "1", "--a", "0", "--b", "1")
@@ -199,6 +217,19 @@ def test_campaign_roundtrip(tmp_path, capsys):
     header = rows.read_text().splitlines()[0]
     assert header.startswith("theorem_id,a,b,p,alpha")
     assert "0 violations" in out
+
+
+def test_campaign_without_probe_writes_no_probe_rows(tmp_path, capsys):
+    rows, report = tmp_path / "rows.csv", tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "campaign", "--seed", "3", "--n", "2",
+                         "--alphas", "0.5", "--no-probe", "--rows", str(rows),
+                         "--report", str(report), "--workers", "1")
+    assert code == 0
+    names = {line.split(",")[0] for line in rows.read_text().splitlines()[1:]}
+    assert names and not any(name.endswith("_printed") for name in names)
+    parsed = json.loads(report.read_text())
+    assert parsed["printed_constant_probe"] == {}
+    assert parsed["config"]["printed_probe"] is False
 
 
 def test_campaign_config_file(tmp_path, capsys):
@@ -310,6 +341,19 @@ def test_limits_unknown_pairing_exits_2(capsys):
                            "--fn", "cosh(2*x)", "--a", "0", "--b", "1")
     assert code == 2
     assert "no documented limit" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--thm", "D4", "--to", "FHH", "--p", ""), "alphas and ps must be nonempty"),
+    (("--thm", "D4", "--to", "FHH", "--alpha", ""),
+     "alphas and ps must be nonempty"),
+    (("--thm", "D6", "--to", "FHHF"), "D6 requires a weight function"),
+])
+def test_limits_empty_sweep_or_missing_weight_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "limits", *argv, "--fn", "cosh(x)",
+                             "--a", "0", "--b", "1")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("sweep", [

@@ -16,7 +16,6 @@ from hypfrac.convexity import (
     chord_majorant,
     classify_exponential,
     classify_power,
-    locate_power_boundary,
     methods_agree,
 )
 from hypfrac.expressions import (
@@ -392,6 +391,35 @@ def test_classify_power_degenerate_r():
         c = classify_power(r, 1.5)
         assert c.boundary is None
         assert c.concave_region == (0.0, math.inf)
+
+
+def locate_power_boundary(r: float, p: float, lo: float = 1e-8,
+                          hi: float | None = None, tol: float = 1e-12) -> float:
+    """Bisection on the curvature excess of x**r; independent of
+    classify_power's closed form, used to cross-check it (here and in the
+    acceptance suite)."""
+    if p == 0.0:
+        raise ValueError("p must be nonzero")
+
+    def g(x):
+        return r * (r - 1.0) * x ** (r - 2.0) - p * p * x ** r
+
+    if hi is None:
+        hi = max(1.0, 2.0 * lo)
+        while g(hi) > 0.0:
+            hi *= 2.0
+            if hi > 1e12:
+                raise ValueError("no sign change found")
+    glo = g(lo)
+    if glo <= 0.0:
+        raise ValueError("no sign change bracketed")
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_classify_power_matches_bisection():

@@ -29,6 +29,7 @@ from hypfrac.generators import (
     gen_symmetric_weight,
     rng_for,
 )
+from hypfrac import inequalities
 from hypfrac.grammar import parse_function
 from hypfrac.quadrature import Endpoint, integrate_singular
 from hypfrac.inequalities import (
@@ -124,25 +125,28 @@ def test_banked_moments_equal_kernel_moment():
         u = gen_p_convex(cfg, p, I, rng=rng)
         w = gen_symmetric_weight(cfg, I, rng=rng)
         m, uf, vf = I.mid, u.eval, w.v.eval
-        integrands = {
+        # at p and at p = 0, where the tilt base sinh(p(x-m)) is x - m
+        integrands = [{
             "u": uf,
             "v": vf,
             "uv": lambda x: uf(x) * vf(x),
-            "cosh": lambda x: np.cosh(p * (x - m)),
-            "cosh_v": lambda x: np.cosh(p * (x - m)) * vf(x),
-            "sinh_v": lambda x: np.sinh(p * (x - m)) * vf(x),
-            "xm_v": lambda x: (x - m) * vf(x),
-        }
+            "cosh": lambda x, q=q: np.cosh(q * (x - m)),
+            "cosh_v": lambda x, q=q: np.cosh(q * (x - m)) * vf(x),
+            "sinh_v": (lambda x, q=q: np.sinh(q * (x - m)) * vf(x)) if q
+            else (lambda x: (x - m) * vf(x)),
+        } for q in (p, 0.0)]
         keys = [(which, None if family is None else FracParams(alpha, family))
-                for family, alpha in _CAMPAIGN_KERNELS for which in integrands]
-        # every moment of the instance in one stacked pass, in the layout's
-        # order of the keys
+                for family, alpha in _CAMPAIGN_KERNELS for which in integrands[0]]
+        # every moment of both instances in one stacked pass, in the
+        # layout's order of the keys
         layout = _moment_layout(tuple(keys))
         assert sorted(map(repr, layout.keys)) == sorted(map(repr, keys))
-        got = _moments([TheoremEvaluator(u, I, p=p, weight=w)], layout)[0]
-        for (which, kernel), value in zip(layout.keys, got):
-            ref = kernel_moment(integrands[which], I, kernel)
-            assert value == ref, (index, which, kernel, value, ref)
+        got = _moments([TheoremEvaluator(u, I, p=q, weight=w) for q in (p, 0.0)],
+                       layout)
+        for q, refs, row in zip((p, 0.0), integrands, got):
+            for (which, kernel), value in zip(layout.keys, row):
+                ref = kernel_moment(refs[which], I, kernel)
+                assert value == ref, (index, q, which, kernel, value, ref)
 
 
 def test_rejected_bank_moment_falls_back_alone():
@@ -169,8 +173,8 @@ def test_rejected_bank_moment_falls_back_alone():
 def _chunk_members():
     """One chunk of evaluators: drawn instances, exp(60x) on [0, 3.5]
     (whose moments the fixed rule rejects) twice, and a drawn instance at
-    p = 0 (whose tilt rows read x - m, a layout of its own) in the middle,
-    so that the chunk has three runs of one layout."""
+    p = 0 (whose tilt rows read x - m in place of sinh(p(x-m))) in the
+    middle, between instances with p != 0."""
     cfg = GenConfig(seed=42)
     evaluators = []
     for index in range(4):
@@ -192,8 +196,8 @@ _CHUNK_PLAN = [("HH_1_1", None, False), ("FHHF", 0.3, False), ("D3", None, False
 
 
 def test_chunk_rows_equal_each_instance_alone():
-    # a chunk with a rejected fixed rule and a change of layout (p = 0 in
-    # the middle) gives, bit for bit, each instance's own evaluate_plan
+    # a chunk with a rejected fixed rule and a p = 0 instance in the middle
+    # gives, bit for bit, each instance's own evaluate_plan
     members = _chunk_members()
     chunk = evaluate_chunk(iter(members), _CHUNK_PLAN)
     assert len(chunk) == len(members)
@@ -203,10 +207,26 @@ def test_chunk_rows_equal_each_instance_alone():
         assert repr(verdicts) == repr(alone), (ev.p, ev.interval)
 
 
+def test_mixed_chunk_is_one_moment_pass(monkeypatch):
+    # instances at p = 0 and p != 0 share the plan's one layout, so the
+    # whole chunk is one call of the moment pass
+    calls = []
+
+    def counted(evaluators, layout, walks):
+        calls.append(len(evaluators))
+        return _moment_values(evaluators, layout, walks)
+
+    monkeypatch.setattr(inequalities, "_moment_values", counted)
+    members = _chunk_members()
+    assert {ev.p == 0.0 for ev in members} == {False, True}
+    evaluate_chunk(members, _CHUNK_PLAN)
+    assert calls == [len(members)]
+
+
 def test_chunk_moments_equal_each_instance_alone():
     # the rejected moments are recomputed per instance; the others come
-    # from the stacked pass and match the instance's own pass
-    members = [ev for ev in _chunk_members() if ev.p != 0.0]
+    # from the stacked pass and match the instance's own pass, p = 0 too
+    members = _chunk_members()
     layout = _moment_layout(tuple((which, FracParams(0.3, Family.RL))
                                   for which in ("u", "uv", "cosh_v", "sinh_v")))
     got = _moments(members, layout)
@@ -217,8 +237,8 @@ def test_chunk_moments_equal_each_instance_alone():
 
 
 def test_limit_sweep_through_p_zero_equals_each_p_alone():
-    # the p values of a sweep are one chunk, split where p = 0 changes the
-    # layout; each p's sides are those of its own evaluate_plan
+    # the p values of a sweep are one chunk, p = 0 among them; each p's
+    # sides are those of its own evaluate_plan
     u, w = cosh_centered(2.0, 0.3), WeightSpec(parse_function("1+pow(x-0.5,2)"))
     for tid, bid, alphas, ps in (("D8", "D3", (0.9, 0.99), (1.0, 0.0, 0.5)),
                                  ("D6", "FHHF", (0.5, 0.8), (0.1, 0.0, 1e-3))):

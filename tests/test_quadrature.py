@@ -13,7 +13,7 @@ from hypfrac.quadrature import (
     Endpoint,
     QuadConfig,
     QuadResult,
-    _fixed_pair,
+    _fixed_rule,
     _gauss_jacobi,
     fixed_rule_accept,
     fixed_rule_nodes,
@@ -274,6 +274,22 @@ def test_non_finite_panel_sum_stops_the_adaptive_loop():
     assert res.subdivisions_used <= 2
 
 
+def test_panel_on_the_float_grid_ends_the_loop_unconverged():
+    # a jump at 1/3 (not a float): bisection narrows the panel that holds
+    # it down to the float grid, where it still fails its test; the loop
+    # accepts it there and reports converged=False, within budget.  A bare
+    # callable, since the grammar cannot write a step.
+    step = lambda x: (x > 1.0 / 3.0).astype(float)
+    res = integrate(step, Interval(0.0, 1.0))
+    assert not res.converged and res.subdivisions_used == 46
+    assert abs(res.value - 2.0 / 3.0) <= 2e-16
+    # the same floor in the loop behind the RL alpha = 0.5 left weight
+    res = integrate_singular(step, Interval(0.0, 1.0), 0.5, Endpoint.LEFT)
+    assert not res.converged
+    assert res.subdivisions_used < DEFAULT_QUAD.max_subdivisions
+    assert abs(res.value - 2.0 * (1.0 - 3.0 ** -0.5)) <= 1e-15
+
+
 def test_quad_result_rejects_nan_error_estimate():
     with pytest.raises(ValueError):
         QuadResult(1.0, math.nan, 0)
@@ -298,7 +314,7 @@ def test_stacked_fixed_rule_rows_equal_each_row_alone():
     for k, alpha in enumerate(alphas):
         alone = fixed_rule_accept(ys[k], scale[k], alpha, OPERATOR_QUAD)
         assert (values[k], gaps[k], accepted[k]) == alone, (k, alpha)
-        _, w1, w2 = _fixed_pair(alpha - 1.0)
+        _, w1, w2 = _fixed_rule(alpha)
         q1 = scale[k] * ys[k, :w1.size].dot(w1)
         q2 = scale[k] * ys[k, w1.size:].dot(w2)
         floor = 100.0 * np.finfo(float).eps * scale[k] * np.abs(ys[k, w1.size:]).dot(w2)
