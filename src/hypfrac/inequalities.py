@@ -613,8 +613,6 @@ def evaluate_chunk(evaluators, plan) -> list:
         for ev in evaluators:
             layout = ev._validate(plan)
             walks.append(ev._walk(layout.moments))
-        if not walks:
-            return []
         moments = _moment_values(evaluators, layout.moments, walks).tolist()
         return [ev._verdicts(layout, values, walk[2])
                 for ev, values, walk in zip(evaluators, moments, walks)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypfrac import inequalities
 from hypfrac.expressions import (
     Interval,
     add,
@@ -29,7 +30,6 @@ from hypfrac.generators import (
     gen_symmetric_weight,
     rng_for,
 )
-from hypfrac import inequalities
 from hypfrac.grammar import parse_function
 from hypfrac.quadrature import Endpoint, integrate_singular
 from hypfrac.inequalities import (
