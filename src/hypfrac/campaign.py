@@ -52,7 +52,12 @@ from typing import NamedTuple
 from . import __version__
 from .expressions import Interval
 from .fractional import Family
-from .generators import GenConfig, gen_p_convex, gen_symmetric_weight, rng_for
+from .generators import (
+    GenConfig,
+    _PhiloxStream,
+    gen_p_convex,
+    gen_symmetric_weight,
+)
 from .grammar import to_grammar
 from .inequalities import (
     _REQUIRES,
@@ -138,8 +143,9 @@ class CampaignReport:
 
 
 def _draw(cfg: CampaignConfig, index: int):
-    """The seeded instance (u, interval, p, weight) of a campaign index."""
-    rng = rng_for(cfg.seed, index)
+    """The seeded instance (u, interval, p, weight) of a campaign index,
+    drawn from the pure-Python stream: no ``numpy.random`` import."""
+    rng = _PhiloxStream(cfg.seed, index)
     length = rng.uniform(*cfg.length_range)
     center = rng.uniform(*cfg.center_range)
     interval = Interval(center - 0.5 * length, center + 0.5 * length)

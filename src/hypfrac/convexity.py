@@ -41,16 +41,19 @@ DEFAULT_GRID_N = 101
 DEFAULT_TOL = 1e-9
 
 # check_chord and check_gradient take grid rows in blocks of about
-# _ROW_BLOCK elements (32 KB a float temporary), but never fewer than
-# _MIN_ROWS rows: at grid 1001, blocks of 4 rows made check_chord about 28%
-# slower from the numpy calls each block pays (BENCH_29.json)
+# _ROW_BLOCK and _GRADIENT_BLOCK elements (32 and 64 KB a float temporary),
+# but never fewer than _MIN_ROWS rows: at grid 1001, blocks of 4 rows made
+# check_chord about 28% slower from the numpy calls each block pays
+# (BENCH_29.json).  check_gradient has no triangle to skip; at grids 101,
+# 201 and 401 its twice larger blocks ran 5-16% faster (BENCH_32.json)
 _ROW_BLOCK = 1 << 12
+_GRADIENT_BLOCK = 1 << 13
 _MIN_ROWS = 16
 
 
-def _block_rows(n: int) -> int:
-    """Grid rows per block for tables n columns wide."""
-    return max(_MIN_ROWS, _ROW_BLOCK // n)
+def _block_rows(n: int, block: int) -> int:
+    """Grid rows per block of about ``block`` elements, n columns wide."""
+    return max(_MIN_ROWS, block // n)
 
 
 class Verdict(enum.Enum):
@@ -184,7 +187,7 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
             np.exp(X, out=X)
             D *= -2.0 * p
             E = np.expm1(D, out=D)
-        step = _block_rows(n)
+        step = _block_rows(n, _ROW_BLOCK)
         for r0 in range(0, n - 2, step):
             r1 = min(r0 + step, n - 2)
             i = cols[r0:r1, None]
@@ -255,7 +258,7 @@ def check_gradient(f, interval: Interval, p: float,
     dv = d1(xs)
     n = xs.size
     top, low, big = np.empty(n), np.empty(n), np.empty(n)  # of g, -g, mag
-    step = _block_rows(n)
+    step = _block_rows(n, _GRADIENT_BLOCK)
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
         delta = xs[None, :] - xs[rows, None]  # y - x with x down rows

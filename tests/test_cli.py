@@ -188,6 +188,61 @@ def test_importing_the_cli_loads_no_process_pool():
     assert (loaded.returncode, loaded.stdout) == (0, "[]\n")
 
 
+_CAMPAIGN_PROBE = """
+import contextlib, io, os, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("preloaded")
+    sys.exit()
+from hypfrac.campaign import (CampaignConfig, run_campaign, write_report,
+                              write_rows)
+from hypfrac.cli import main
+out = sys.argv[1]
+report, rows = run_campaign(CampaignConfig(seed=42, n_instances=12, workers=1))
+for fmt in ("csv", "json"):
+    write_rows(rows, os.path.join(out, "rows." + fmt), fmt)
+write_report(report, os.path.join(out, "report.json"))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["campaign", "--seed", "7", "--n", "12", "--workers", "1",
+                 "--rows", os.path.join(out, "cli.csv"),
+                 "--report", os.path.join(out, "cli.json")])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def test_a_campaign_loads_no_numpy_random(tmp_path):
+    # the campaign draws from the pure-Python Philox stream; numpy.random
+    # (with hashlib and OpenSSL's libcrypto) is only loaded by rng_for
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hypfrac.__file__)))
+    done = subprocess.run([sys.executable, "-c", _CAMPAIGN_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    if done.stdout == "preloaded\n":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
+
+
+def test_campaign_on_long_intervals_exits_0(tmp_path, capsys):
+    # weight rates used to be drawn from an empty range once L > 100/3,
+    # and numpy's "high - low < 0" ended the campaign
+    code, out, err = run_cli(capsys, "campaign", "--length-range", "40,50",
+                             "--n", "20", "--workers", "1",
+                             "--rows", str(tmp_path / "r.csv"),
+                             "--report", str(tmp_path / "rep.json"))
+    assert (code, err) == (0, "")
+    assert "0 violations, 0 non-finite" in out
+
+
+def test_campaign_center_range_overflow_exits_2_with_numpys_message(
+        tmp_path, capsys):
+    code, out, err = run_cli(capsys, "campaign", "--center-range",
+                             "-1e308,1e308", "--n", "2", "--workers", "1",
+                             "--rows", str(tmp_path / "r.csv"),
+                             "--report", str(tmp_path / "rep.json"))
+    assert (code, out, err) == (
+        2, "", "error: high - low range exceeds valid bounds\n")
+
+
 def test_verify_missing_weight_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--thm", "FHHF", "--fn",
                            "pow(x,2)", "--alpha", "0.5", "--a", "0", "--b", "1")

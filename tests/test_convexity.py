@@ -198,6 +198,7 @@ def test_chord_tensor_matches_brute_force():
 def _rows_per_block(monkeypatch, rows):
     """Blocks of exactly ``rows`` grid rows, whatever the grid."""
     monkeypatch.setattr(convexity, "_ROW_BLOCK", 0)
+    monkeypatch.setattr(convexity, "_GRADIENT_BLOCK", 0)
     monkeypatch.setattr(convexity, "_MIN_ROWS", rows)
 
 
@@ -310,7 +311,7 @@ def _whole_table_gradient(f, I, p, n):
 ])
 def test_gradient_blocks_match_the_whole_table(f, I, p):
     with np.errstate(all="ignore"):
-        for n in (5, 401):  # one block of rows, and eleven
+        for n in (5, 401):  # one block of rows, and 21
             conv, conc, x_conv, x_conc = _whole_table_gradient(f, I, p, n)
             want = _settle(conv, conc, 1e-9, x_conv, x_conc, Method.GRADIENT)
             # repr: nan reports compare equal too

@@ -8,6 +8,7 @@ from hypfrac.expressions import Interval, constant
 from hypfrac.generators import (
     GenConfig,
     SampledFunction,
+    _PhiloxStream,
     draw_interval,
     gen_p_convex,
     gen_p_convex_ode,
@@ -36,6 +37,94 @@ def test_rng_for_is_schedule_free():
         rng_for(9, i).uniform(size=10)
     again = rng_for(9, 7).uniform(size=4)
     assert np.array_equal(direct, again)
+
+
+# seeds and indices: negative, 64-bit, and wider than 64 bits (both
+# streams key on the low 64 bits)
+_KEYS = [(0, 0), (42, 7), (-1, 3), (-(2**63), 2**64 - 1), (2**64 + 5, -9),
+         (2**100 + 3, 2**70), (123456789, 2**63)]
+
+
+@pytest.mark.parametrize("seed, index", _KEYS)
+def test_stream_draws_what_numpys_philox_draws(seed, index):
+    # interleaved, so integers' spare 32-bit half and the 4-word block
+    # boundaries fall everywhere between the 64-bit uniform draws
+    ours, numpys = _PhiloxStream(seed, index), rng_for(seed, index)
+    pick = rng_for(seed + 1, index)
+    for _ in range(300):
+        kind = int(pick.integers(3))
+        if kind == 0:
+            want, got = numpys.uniform(), ours.uniform()
+        elif kind == 1:
+            lo = float(pick.uniform(-50.0, 50.0))
+            hi = lo + float(pick.uniform(0.0, 100.0))
+            want, got = numpys.uniform(lo, hi), ours.uniform(lo, hi)
+        else:
+            lo = int(pick.integers(-5, 5))
+            hi = lo + int(pick.choice([1, 2, 3, 7, 2**31 + 5, 2**32 - 2]))
+            want, got = int(numpys.integers(lo, hi)), ours.integers(lo, hi)
+        assert got == want and type(got) is type(want), (kind, got, want)
+    assert ours.uniform() == numpys.uniform()
+
+
+def test_stream_zero_width_integers_draw_nothing():
+    ours, numpys = _PhiloxStream(5, 1), rng_for(5, 1)
+    for _ in range(5):
+        assert ours.integers(1, 2) == numpys.integers(1, 2) == 1
+    assert ours.uniform() == numpys.uniform()
+
+
+class _Counting(_PhiloxStream):
+    """A stream that counts its 32-bit draws."""
+
+    def __init__(self, seed, index):
+        super().__init__(seed, index)
+        self.draws32 = 0
+
+    def _next32(self):
+        self.draws32 += 1
+        return super()._next32()
+
+
+def test_stream_integers_rejection_loop_matches_numpy():
+    # 3 * 2**30 values: Lemire rejects a quarter of the 32-bit draws
+    ours, numpys = _Counting(11, 4), rng_for(11, 4)
+    for _ in range(200):
+        assert ours.integers(-7, 3 * 2**30 - 7) == numpys.integers(-7, 3 * 2**30 - 7)
+    assert ours.draws32 > 200  # the loop ran
+    assert ours.uniform() == numpys.uniform()
+
+
+@pytest.mark.parametrize("low, high, error, message", [
+    (-1e308, 1e308, OverflowError, "high - low range exceeds valid bounds"),
+    (0.0, math.inf, OverflowError, "high - low range exceeds valid bounds"),
+    (math.nan, 1.0, OverflowError, "high - low range exceeds valid bounds"),
+    (1.0, 0.0, ValueError, "high - low < 0"),
+    (0.0, -0.0, ValueError, "high - low < 0"),
+])
+def test_stream_uniform_raises_what_numpy_raises(low, high, error, message):
+    for rng in (rng_for(3, 3), _PhiloxStream(3, 3)):
+        with pytest.raises(error, match=f"^{message}$"):
+            rng.uniform(low, high)
+
+
+def test_stream_integers_refuses_empty_and_wide_ranges():
+    with pytest.raises(ValueError, match="^low >= high$"):
+        _PhiloxStream(0, 0).integers(3, 3)
+    with pytest.raises(ValueError, match="fewer than 2"):
+        _PhiloxStream(0, 0).integers(0, 2**32)
+
+
+def test_default_stream_is_rng_for():
+    # the rng=None default and an explicit rng_for give the same draws
+    cfg, I = GenConfig(seed=31), Interval(-0.4, 1.7)
+    for i in range(10):
+        assert to_grammar(gen_p_convex(cfg, 0.9, I, index=i)) == \
+            to_grammar(gen_p_convex(cfg, 0.9, I, rng=rng_for(cfg.seed, i)))
+        sym = gen_positive_weight(cfg, I, index=i, symmetric=False)
+        ref = gen_positive_weight(cfg, I, rng=rng_for(cfg.seed, i),
+                                  symmetric=False)
+        assert to_grammar(sym.v) == to_grammar(ref.v)
 
 
 def test_generated_functions_are_p_convex():
@@ -91,6 +180,17 @@ def test_symmetric_weights_verify():
         xs = I.grid(101)
         mirrored = w.v.eval(I.a + I.b - xs)
         assert np.max(np.abs(mirrored - w.v.eval(xs))) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [20.0, 21.0, 25.0, 100 / 3, 34.0, 40.0])
+def test_weights_on_long_intervals_verify(length):
+    # past L = 100/3 (symmetric) and L = 20 (skew atom) the rate ranges
+    # used to be empty, and numpy raised "high - low < 0"
+    cfg = GenConfig(seed=17)
+    I = Interval(-0.5 * length + 1.0, 0.5 * length + 1.0)
+    for i in range(40):
+        gen_symmetric_weight(cfg, I, index=i).verify(I)
+        gen_positive_weight(cfg, I, index=i, symmetric=False).verify(I)
 
 
 def test_asymmetric_weight_is_positive_but_not_symmetric():
