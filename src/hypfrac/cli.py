@@ -55,9 +55,8 @@ _USAGE_ERROR = 2
 _VIOLATED = 3
 _IO_ERROR = 4
 
-# classify's grid bound: every test costs at most O(n**2) time and memory,
-# about 0.05 s and 17 MiB traced at the upper bound, 15.3 MiB of it the
-# chord test's two n x n tables
+# classify's grid bound: every test costs O(n**2) time and O(n) memory
+# beside a block of rows, about 0.05 s and 2 MiB traced at the upper bound
 _GRID_N_RANGE = (3, 1001)
 
 

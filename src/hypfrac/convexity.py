@@ -31,7 +31,6 @@ from .expressions import (
     as_callable,
     build_hyperbolic,
     deriv,
-    deriv2,
     line,
 )
 from .fractional import OPERATOR_QUAD
@@ -87,11 +86,11 @@ class ConvexityReport:
 
 
 def _c2_callables(f):
-    """(value, first derivative, second derivative) as vectorized callables."""
+    """(value, first derivative, second derivative) as vectorized callables;
+    a tree's second derivative is built only when it is called."""
     if isinstance(f, FuncExpr):
         d1 = deriv(f)
-        d2 = deriv(d1)
-        return f.eval, d1.eval, d2.eval
+        return f.eval, d1.eval, lambda x: deriv(d1).eval(x)
     return f.value, f.derivative, f.second_derivative
 
 
@@ -133,6 +132,12 @@ def chord_majorant(f, interval: Interval, p: float) -> FuncExpr:
     return build_hyperbolic(float(A), float(B), p)
 
 
+def _ex_of_gaps(d, p: float):
+    """E = expm1(-2p*d) (d itself at p == 0) and X = exp(-p*d) of the gaps d."""
+    E = d if p == 0.0 else np.expm1(-2.0 * p * d)
+    return E, np.exp(-p * d)
+
+
 def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
                 tol: float = DEFAULT_TOL) -> ConvexityReport:
     """Grid chord test over every subinterval pair drawn from the grid.
@@ -142,10 +147,11 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
 
         H = (sinh(p*(x_j-x_k))*f_i + sinh(p*(x_k-x_i))*f_j) / sinh(p*(x_j-x_i)).
 
-    With D[r, c] = x_c - x_r, E = expm1(-2p*D) and X = exp(-p*D) every sinh
-    ratio factors into pairwise tables, e.g. sinh(p*(x_j-x_k))/sinh(p*(x_j-x_i))
-    = X[i, k]*E[k, j]/E[i, j], which stays finite for any p > 0; p == 0 has
-    the same form with E = D and X = 1.
+    With the gaps D[r, c] = x_c - x_r, E = expm1(-2p*D) and X = exp(-p*D)
+    every sinh ratio factors into pairwise entries, e.g.
+    sinh(p*(x_j-x_k))/sinh(p*(x_j-x_i)) = X[i, k]*E[k, j]/E[i, j], which
+    stays finite for any p > 0; p == 0 has the same form with E = D and
+    X = exp(-0.0*D) = 1 (``_ex_of_gaps``).
 
     The worst chord at each (i, k) is found without visiting every j.
     {cosh(px), sinh(px)} is a Chebyshev system: in the coordinates
@@ -159,14 +165,18 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     cases, and it carries no cancellation against f_i.  A suffix arg-max
     and a suffix arg-min of the key along each row (smallest j on ties) give
     the j of the largest and of the smallest excess for every k at once:
-    O(n**2) time.  H is then evaluated at those triples from the tables as
-    above, never through the slope, which would lose about
-    exp(p*(x_k-x_i))*eps; X[k, j]*f_j is formed at the gathered entries
-    only.  So E and X are the only n x n tables.  Chord starts are taken in
-    blocks of rows (``_block_rows``), each from its own diagonal on, so the
-    temporaries stay small beside the tables and the unused lower triangle
-    is mostly skipped.  Maxima are reduced in row-major (i, k) order, so
-    ties resolve to the first triple in (i, k, j) order whatever the block.
+    O(n**2) time.  H is then evaluated at those triples as above, never
+    through the slope, which would lose about exp(p*(x_k-x_i))*eps.
+
+    No n x n array is held.  Chord starts are taken in blocks of rows
+    (``_block_rows``), and each block forms E and X for its own rows only,
+    from the block's diagonal on; the key, E[i, k], X[i, k] and the
+    gathered E[i, j] are read from them.  E[k, j] and X[k, j] are formed
+    from the gaps x_j - x_k at the selected j only.  Every entry is made
+    by the same operations from the same gap as in a whole table, so the
+    report has the same bits, and memory is O(n) beside one block.
+    Maxima are reduced in row-major (i, k) order, so ties resolve to the
+    first triple in (i, k, j) order whatever the block.
     """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
@@ -174,29 +184,21 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
     xs = interval.grid(grid_n)
     fv = as_callable(f)(xs)
     n = grid_n
-    D = xs[None, :] - xs[:, None]
     cols = np.arange(n)
     tops, top_k, lows, low_k = [], [], [], []
-    # the unused lower triangles of E and X may overflow and the key
-    # divides by E's zero diagonal; neither reaches a used entry
+    # the unused lower triangle of a block may overflow and the key divides
+    # by E's zero diagonal; neither reaches a used entry
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if p == 0.0:
-            E, X = D, np.ones_like(D)
-        else:  # in place, so that only E and X are n x n
-            X = np.multiply(-p, D)
-            np.exp(X, out=X)
-            D *= -2.0 * p
-            E = np.expm1(D, out=D)
         step = _block_rows(n, _ROW_BLOCK)
         for r0 in range(0, n - 2, step):
             r1 = min(r0 + step, n - 2)
             i = cols[r0:r1, None]
             k = cols[r0 + 1:n - 1]  # j runs over cols[r0 + 1:], one ahead
-            Xb = X[r0:r1, r0 + 1:]
+            Eb, Xb = _ex_of_gaps(xs[r0 + 1:] - xs[i], p)
             # the excess at every x_k inside (x_i, x_j) rises with key[i, j]
-            key = Xb * (fv[i] * Xb - fv[r0 + 1:]) / np.abs(E[r0:r1, r0 + 1:])
-            fX_ik = fv[i] * X[r0:r1, r0 + 1:n - 1]
-            E_ik = E[r0:r1, r0 + 1:n - 1]
+            key = Xb * (fv[i] * Xb - fv[r0 + 1:]) / np.abs(Eb)
+            fX_ik = fv[i] * Xb[:, :-1]
+            E_ik = Eb[:, :-1]
             outside = k <= i
             for extreme, pick, sink, vals, wits in (
                     (np.maximum, np.argmax, -np.inf, tops, top_k),
@@ -207,13 +209,12 @@ def check_chord(f, interval: Interval, p: float, grid_n: int = DEFAULT_GRID_N,
                 first = np.where(key == run, cols[r0 + 1:], n - 1)
                 # for each k, the suffix j > k
                 j = np.minimum.accumulate(first[:, ::-1], axis=1)[:, -2::-1]
-                kj = k * n + j
-                H = fX_ik * E.take(kj)
-                fX_kj = X.take(kj)
+                E_kj, fX_kj = _ex_of_gaps(xs.take(j) - xs[k], p)
+                H = fX_ik * E_kj
                 fX_kj *= fv.take(j)  # X[k, j] * f_j
                 fX_kj *= E_ik
                 H += fX_kj
-                H /= E.take(i * n + j)
+                H /= Eb.take((i - r0) * Eb.shape[1] + j - (r0 + 1))  # E[i, j]
                 excess = np.subtract(fv[k], H, out=H)  # > 0 violates convexity
                 excess[outside] = sink
                 at = int(pick(excess))

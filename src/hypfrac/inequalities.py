@@ -226,7 +226,9 @@ class WeightSpec:
 
     def verify(self, interval: Interval, grid_n: int = _CHECK_GRID_N) -> None:
         """Both claims on the grid; v is walked once, on the grid and (for
-        a symmetric weight) its mirror image together."""
+        a symmetric weight) its mirror image together.  The symmetry gap
+        may reach _SYMMETRY_TOL * max(1, max v), since round-off in v
+        grows with its size."""
         xs = interval.grid(grid_n)
         if self.symmetric:
             xs = np.concatenate((xs, interval.a + interval.b - xs))
@@ -240,7 +242,7 @@ class WeightSpec:
             )
         if self.symmetric:
             gap = float(np.abs(mirrored - vals).max())
-            if gap > _SYMMETRY_TOL:
+            if gap > _SYMMETRY_TOL * max(1.0, float(vals.max())):
                 raise InvalidWeightError(
                     f"weight flagged symmetric but |v(a+b-x) - v(x)| reaches {gap:.3g}"
                 )
@@ -676,8 +678,10 @@ class LimitSweepResult:
             pts = [(r.p if self.axis == "p" else 1.0 - r.alpha, r.max_delta)
                    for r in run]
             pts = [(x, d) for x, d in pts if d > 0.0 and x > 0.0]
-            if len(pts) >= 2:
-                rates.append(float(np.polyfit(*np.log(pts).T, 1)[0]))
+            if len(pts) >= 2:  # least-squares slope of log d on log x
+                x, y = np.log(pts).T
+                x = x - x.mean()
+                rates.append(float(np.sum(x * (y - y.mean())) / np.sum(x * x)))
         return min(rates, default=None)
 
 

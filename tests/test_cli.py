@@ -123,6 +123,16 @@ def test_classify_tie_goes_to_the_first_method_under_any_hash_seed():
     assert runs[0][1].endswith("verdict: BOUNDARY, 2/4 methods agree\n")
 
 
+def test_verify_symmetric_weight_on_a_long_interval(capsys):
+    # the weight reaches 8.1e5 here, and round-off in v(a+b-x) - v(x)
+    # reaches 1.16e-10
+    code, out, err = run_cli(capsys, "verify", "--thm", "FEJER_1_2", "--fn",
+                             "cosh(x/10)", "--a", "-29", "--b", "31",
+                             "--weight", "1+pow(x-1,4)")
+    assert (code, err) == (0, "")
+    assert "holds: True" in out
+
+
 def test_verify_equality_case(capsys):
     code, out, _ = run_cli(capsys, "verify", "--thm", "D1", "--fn",
                            "cosh(1*(x-0.5))", "--p", "1", "--a", "0", "--b", "1")

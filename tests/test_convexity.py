@@ -21,6 +21,7 @@ from hypfrac.convexity import (
 from hypfrac.expressions import (
     Interval,
     add,
+    as_callable,
     build_exp,
     build_hyperbolic,
     build_power,
@@ -29,6 +30,7 @@ from hypfrac.expressions import (
     deriv,
     scaled,
 )
+from hypfrac.generators import GenConfig, gen_p_convex
 
 I01 = Interval(0.0, 1.0)
 ALL_CHECKS = (check_chord, check_second_order, check_gradient, check_phi_monotone)
@@ -229,6 +231,79 @@ def test_reports_do_not_depend_on_the_row_block(monkeypatch):
         assert reports() == want, rows
 
 
+def _table_chord(f, interval, p, grid_n, tol=convexity.DEFAULT_TOL):
+    """The chord test over two whole n x n tables, E and X, gathered from
+    by flat index: the bit reference for check_chord, which forms each
+    entry where it reads it."""
+    p = abs(float(p))
+    xs = interval.grid(grid_n)
+    fv = as_callable(f)(xs)
+    n = grid_n
+    D = xs[None, :] - xs[:, None]
+    cols = np.arange(n)
+    tops, top_k, lows, low_k = [], [], [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p == 0.0:
+            E, X = D, np.ones_like(D)
+        else:
+            X = np.multiply(-p, D)
+            np.exp(X, out=X)
+            D *= -2.0 * p
+            E = np.expm1(D, out=D)
+        step = convexity._block_rows(n, convexity._ROW_BLOCK)
+        for r0 in range(0, n - 2, step):
+            r1 = min(r0 + step, n - 2)
+            i = cols[r0:r1, None]
+            k = cols[r0 + 1:n - 1]
+            Xb = X[r0:r1, r0 + 1:]
+            key = Xb * (fv[i] * Xb - fv[r0 + 1:]) / np.abs(E[r0:r1, r0 + 1:])
+            fX_ik = fv[i] * X[r0:r1, r0 + 1:n - 1]
+            E_ik = E[r0:r1, r0 + 1:n - 1]
+            outside = k <= i
+            for extreme, pick, sink, vals, wits in (
+                    (np.maximum, np.argmax, -np.inf, tops, top_k),
+                    (np.minimum, np.argmin, np.inf, lows, low_k)):
+                run = extreme.accumulate(key[:, ::-1], axis=1)[:, ::-1]
+                first = np.where(key == run, cols[r0 + 1:], n - 1)
+                j = np.minimum.accumulate(first[:, ::-1], axis=1)[:, -2::-1]
+                kj = k * n + j
+                H = fX_ik * E.take(kj)
+                fX_kj = X.take(kj)
+                fX_kj *= fv.take(j)
+                fX_kj *= E_ik
+                H += fX_kj
+                H /= E.take(i * n + j)
+                excess = np.subtract(fv[k], H, out=H)
+                excess[outside] = sink
+                at = int(pick(excess))
+                vals.append(excess.flat[at])
+                wits.append(k[at % len(k)])
+    scale = 1.0 + float(np.max(np.abs(fv)))
+    i1 = int(np.argmax(tops))
+    i2 = int(np.argmin(lows))
+    return _settle(float(tops[i1]) / scale, -float(lows[i2]) / scale, tol,
+                   xs[top_k[i1]], xs[low_k[i2]], Method.CHORD)
+
+
+_GENERATED = [(gen_p_convex(GenConfig(seed=5), p, I, index=index), I, p)
+              for I, index in ((I01, 0), (Interval(-1.5, 2.5), 1))
+              for p in (0.0, 1.3)]
+
+
+def test_chord_blocks_keep_the_table_bits(monkeypatch):
+    # grid 401 takes the trees only, which keeps the test under 2 s
+    cases = [(f, I, p, n) for f, I, p in CHORD_CASES + _GENERATED
+             for n in (5, 21, 101, 201, 401)
+             if n < 401 or not isinstance(f, _GridValues)]
+    assert {p == 0.0 for _, _, p, _ in cases} == {True, False}
+    want = [repr(_table_chord(f, I, p, n)) for f, I, p, n in cases]
+    assert [repr(check_chord(f, I, p, grid_n=n)) for f, I, p, n in cases] == want
+    for rows in (1, 3):
+        _rows_per_block(monkeypatch, rows)
+        got = [repr(check_chord(f, I, p, grid_n=n)) for f, I, p, n in cases]
+        assert got == want, rows
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("values, worst, witness", [
     (_TIES[0], 1.25 / 2.5, 1.0),
@@ -263,16 +338,19 @@ def test_chord_memory_is_quadratic_in_grid():
 def test_chord_memory_at_the_largest_cli_grid():
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        r = check_chord(build_power(3.0), Interval(-1.0, 1.0), 0.0, grid_n=1001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert r.verdict is Verdict.NEITHER
-    # two 1001 x 1001 float tables take 15.3 MiB; the block temporaries
-    # stay near 1.4 MiB
-    assert peak < 18 * 2**20
+    for f, I, p, verdict in (
+            (build_power(3.0), Interval(-1.0, 1.0), 0.0, Verdict.NEITHER),
+            (cosh_centered(2.0, 0.0), I01, 1.0, Verdict.CONVEX)):
+        tracemalloc.start()
+        try:
+            r = check_chord(f, I, p, grid_n=1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.verdict is verdict
+        # one 1001 x 1001 float table would take 7.6 MiB; the block
+        # temporaries stay near 1.75 MiB
+        assert peak < 3 * 2**20, p
 
 
 def test_check_all_memory_at_the_mix_grid():
@@ -286,8 +364,28 @@ def test_check_all_memory_at_the_mix_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the chord test's two 201 x 201 tables take 0.62 MiB
-    assert peak < 1.25 * 2**20
+    # one 201 x 201 float table takes 0.31 MiB; the gradient test's blocks
+    # set the peak, near 0.57 MiB
+    assert peak < 0.8 * 2**20
+
+
+@pytest.mark.parametrize("check, derivs", [
+    (check_chord, 0), (check_second_order, 2),
+    (check_gradient, 1), (check_phi_monotone, 1),
+])
+def test_each_check_builds_only_the_derivatives_it_reads(monkeypatch, check,
+                                                         derivs):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return deriv(f)
+
+    monkeypatch.setattr(convexity, "deriv", counted)
+    want = check(build_exp(2.0), I01, 1.0)
+    assert len(calls) == derivs
+    monkeypatch.undo()
+    assert repr(check(build_exp(2.0), I01, 1.0)) == repr(want)
 
 
 def _whole_table_gradient(f, I, p, n):

@@ -34,6 +34,8 @@ from hypfrac.grammar import parse_function
 from hypfrac.quadrature import Endpoint, integrate_singular
 from hypfrac.inequalities import (
     InvalidWeightError,
+    LimitRow,
+    LimitSweepResult,
     TheoremEvaluator,
     TheoremId,
     WeightSpec,
@@ -552,8 +554,53 @@ def test_weight_symmetry_flag_is_verified():
         eval_theorem("D2", X2, I01, v=lying, p=1.0)
 
 
+LONG = Interval(-29.0, 31.0)
+
+
+def test_symmetric_weights_verify_on_a_long_interval():
+    # (x - m)**4 atoms reach about 1e6 at L = 60, and round-off in
+    # v(a+b-x) - v(x) passes 1e-10 on 8 of these exactly symmetric draws
+    for i in range(80):
+        gen_symmetric_weight(GenConfig(seed=17), LONG, index=i).verify(LONG)
+    WeightSpec(parse_function("1+pow(x-1,4)")).verify(LONG)
+
+
+@pytest.mark.parametrize("text", [
+    "1+pow(x-1,4)+0.001*x", "1+pow(x-1,4)+1e-6*pow(x-1,5)"])
+def test_slightly_asymmetric_weight_rejected_on_a_long_interval(text):
+    with pytest.raises(InvalidWeightError, match="flagged symmetric"):
+        WeightSpec(parse_function(text)).verify(LONG)
+
+
 # ---------------------------------------------------------------------------
 # limit sweeps
+
+def _sweep_of_points(xs, deltas):
+    """A one-group p sweep whose rows are the points (p, max_delta)."""
+    rows = [LimitRow(float(x), 0.5, (), (), (), float(d))
+            for x, d in zip(xs, deltas)]
+    return LimitSweepResult(TheoremId.D4, TheoremId.FHH, "p", rows, [])
+
+
+def test_decay_rate_needs_no_polyfit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    sweep = limit_sweep("D4", "FHH", cosh_centered(2.0, 0.5), I01,
+                        alphas=(0.5,), ps=(1e-2, 1e-4, 1e-6))
+    assert sweep.decay_rate == pytest.approx(2.0, abs=0.2)
+
+
+def test_decay_rate_is_the_least_squares_slope():
+    rng = np.random.default_rng(33)
+    for m in (2, 3, 4, 5) * 50:
+        xs = 10.0 ** rng.uniform(-8.0, 0.0, m)
+        deltas = xs ** rng.uniform(0.5, 3.0) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+        want = np.polyfit(np.log(xs), np.log(deltas), 1)[0]
+        assert _sweep_of_points(xs, deltas).decay_rate == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
 
 def test_limit_sweep_d4_to_fhh():
     u = cosh_centered(2.0, 0.5)
