@@ -263,14 +263,11 @@ def check_gradient(f, interval: Interval, p: float,
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
         delta = xs[None, :] - xs[rows, None]  # y - x with x down rows
-        if p == 0.0:
-            support = fv[rows, None] + dv[rows, None] * delta
-            mag = np.abs(fv[rows, None]) + np.abs(dv[rows, None] * delta)
-        else:
-            ch = np.cosh(p * delta)
-            sh = np.sinh(p * delta) / p
-            support = fv[rows, None] * ch + dv[rows, None] * sh
-            mag = np.abs(fv[rows, None]) * ch + np.abs(dv[rows, None] * sh)
+        # p == 0 takes the limits cosh -> 1 and sinh(p*d)/p -> d
+        ch, sh = ((1.0, delta) if p == 0.0 else
+                  (np.cosh(p * delta), np.sinh(p * delta) / p))
+        support = fv[rows, None] * ch + dv[rows, None] * sh
+        mag = np.abs(fv[rows, None]) * ch + np.abs(dv[rows, None] * sh)
         g = support - fv[None, :]  # > 0 violates convexity
         top[rows] = g.max(axis=1)
         low[rows] = np.negative(g, out=g).max(axis=1)

@@ -12,29 +12,33 @@ weight ``(x-a)**(alpha-1)`` (or its mirror ``(b-x)**(alpha-1)``) of
 :func:`integrate`.  Nodes and weights come from the Golub-Welsch
 eigenvalue problem on the Jacobi matrix, and each pair of rules is cached
 once per alpha.  The 2n-point value is accepted when both sums are finite and
-``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the same global test the
-adaptive loop uses; the difference, floored at the adaptive loop's round-off
-level ``100 * eps * sum |w_2n * g|``, is reported as the error estimate and
-``subdivisions_used == 0`` marks an accepted fixed rule.  The sums are
-taken in one place, :func:`_fixed_sums`, and the ``h**alpha`` scale and
-the test are applied in one place, :func:`fixed_rule_accept`, to the
-values at :func:`fixed_rule_nodes`: one integral for
-:func:`integrate_singular` (whose :func:`fixed_rule_values` adds the error
-floor), one per cell for :func:`integrate_cells`, and one per fixed-weight
-integral of each instance of a chunk, each with its own order, for the
-moment pass of :mod:`hypfrac.inequalities`.
+``|Q_2n - Q_n| <= max(abs_tol, rel_tol * |Q_2n|)``, the adaptive loop's
+global test (the loop also accepts a panel at its round-off floor, which
+the front does not); the difference, floored at the adaptive loop's
+round-off level ``100 * eps * sum |w_2n * g|``, is reported as the error
+estimate and ``subdivisions_used == 0`` marks an accepted fixed rule.  The
+sums are taken in one place, :func:`_fixed_sums`, and the ``h**alpha``
+scale and the test are applied in one place, :func:`fixed_rule_accept`, to
+the values at :func:`fixed_rule_nodes`: one integral for
+:func:`integrate_singular` (which adds the error floor), one per cell for
+:func:`integrate_cells`, and one per fixed-weight integral of each instance
+of a chunk, each with its own order, for the moment pass of
+:mod:`hypfrac.inequalities`.
 
-Adaptive fallback: otherwise the integral is recomputed from scratch by
-bisection, split as in QUADPACK's QAWS: the panel at the singular end of a
-weight with ``alpha != 1`` gets the Gauss-Jacobi pair, scaled by
-``(h/2)**alpha`` (value Q_2n, error |Q_2n - Q_n|), and every other panel
-the embedded 7-point Gauss / 15-point Kronrod pair on the weighted
-integrand, where the weight is smooth.  Every round evaluates all
-still-active panels in one vectorized batch, accepts those whose error fits
-their share of the budget (or is at the round-off floor of the panel), and
-bisects the rest.  A round whose panel sum is inf or nan ends the loop at
-once with ``converged=False`` and an infinite error estimate: bisection
-cannot cure an overflow.
+Adaptive fallback: otherwise the integral is computed by bisection, split
+as in QUADPACK's QAWS: the panel at the singular end of a weight with
+``alpha != 1`` gets the Gauss-Jacobi pair, scaled by ``(h/2)**alpha``
+(value Q_2n, error |Q_2n - Q_n|), and every other panel the embedded
+7-point Gauss / 15-point Kronrod pair on the weighted integrand, where the
+weight is smooth.  With ``alpha != 1`` the first round's one panel is that
+end panel over [a, b], at the front's own nodes, so it reads the front's
+values; with ``alpha == 1`` it is one Gauss-Kronrod panel.  Every round
+evaluates all still-active panels in one vectorized batch, accepts those
+whose error fits their share of the budget (or is at the round-off floor
+of the panel), and bisects the rest; each panel's halves are written side
+by side, so the panels stay in ascending order.  A round whose panel sum
+is inf or nan ends the loop at once with ``converged=False`` and an
+infinite error estimate: bisection cannot cure an overflow.
 
 Integrands are called with a flat numpy array and must return an array of
 the same shape; expression trees from :mod:`hypfrac.expressions` satisfy
@@ -282,17 +286,6 @@ def fixed_rule_accept(ys, scale, alpha, cfg: QuadConfig):
     return q2, gap, accepted
 
 
-def fixed_rule_values(ys, scale, alpha: float, cfg: QuadConfig):
-    """:func:`fixed_rule_accept` of one order, with error estimates in
-    place of the gaps.  The error estimate is |Q_2n - Q_n|, but never below
-    the round-off floor ``100 * eps * sum |w_2n * g|`` that the adaptive
-    loop accepts a panel at: when both rules resolve g, their difference is
-    round-off and can sit below the true error."""
-    q2, gap, accepted = fixed_rule_accept(ys, scale, alpha, cfg)
-    floor = 100.0 * _EPS * scale * _fixed_l1(ys, alpha)
-    return q2, np.maximum(gap, floor), accepted
-
-
 def integrate_cells(f, edges, cfg: QuadConfig = DEFAULT_QUAD):
     """Integrals of f over the cells [edges[k], edges[k+1]], as an array.
 
@@ -338,7 +331,7 @@ def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig,
         first = 1 if end_panel is not None and lo[0] == a else 0
         k, err, l1 = _panels(f, lo[first:], hi[first:])
         if first:
-            k, err, l1 = (np.insert(v, 0, e)
+            k, err, l1 = (np.concatenate(([e], v))
                           for v, e in zip((k, err, l1), end_panel(hi[0] - a)))
         total = done_val + float(k.sum())
         if not math.isfinite(total):  # an overflow that bisection cannot cure
@@ -362,11 +355,9 @@ def _integrate_adaptive(f, interval: Interval, cfg: QuadConfig,
             converged = False
             break
         splits += lo.size
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        order = np.argsort(lo, kind="stable")
-        lo, hi = lo[order], hi[order]
+        # each panel's halves side by side: the panels stay in ascending order
+        edges = np.concatenate([lo, 0.5 * (lo + hi), hi]).reshape(3, -1)
+        lo, hi = edges[:2].T.ravel(), edges[1:].T.ravel()
     return QuadResult(done_val, done_err, splits, converged)
 
 
@@ -389,22 +380,25 @@ def integrate_singular(
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     a, b = interval.a, interval.b
-    xs = fixed_rule_nodes(a, b, alpha, endpoint)
-    ys = np.asarray(g(xs), dtype=float)
-    value, error, accepted = fixed_rule_values(
-        ys, fixed_rule_scale(interval, alpha), alpha, cfg)
+    ys = np.asarray(g(fixed_rule_nodes(a, b, alpha, endpoint)), dtype=float)
+    scale = fixed_rule_scale(interval, alpha)
+    value, gap, accepted = fixed_rule_accept(ys, scale, alpha, cfg)
     if accepted:
-        return QuadResult(float(value), float(error), 0, True)
+        # |Q_2n - Q_n| is round-off when both rules resolve g, and can sit
+        # below the true error: floor it where the adaptive loop accepts
+        floor = 100.0 * _EPS * scale * _fixed_l1(ys, alpha)
+        return QuadResult(float(value), float(np.maximum(gap, floor)), 0, True)
     if alpha == 1.0:
         return _integrate_adaptive(g, interval, cfg)
     at = (lambda s: a + s) if endpoint is Endpoint.LEFT else (lambda s: b - s)
 
     def end_panel(h):
-        xs = at(fixed_rule_nodes(0.0, h, alpha, Endpoint.LEFT))
-        ys = np.asarray(g(xs), dtype=float)
-        s1, s2 = _fixed_sums(ys, alpha)
+        # h == b - a only in the first round: [a, b], at the front's nodes
+        vs = ys if h == b - a else np.asarray(
+            g(at(fixed_rule_nodes(0.0, h, alpha, Endpoint.LEFT))), dtype=float)
+        s1, s2 = _fixed_sums(vs, alpha)
         scale = np.power(0.5 * h, alpha)
-        return scale * s2, scale * abs(s2 - s1), scale * _fixed_l1(ys, alpha)
+        return scale * s2, scale * abs(s2 - s1), scale * _fixed_l1(vs, alpha)
 
     f = lambda s: np.asarray(g(at(s)), dtype=float) * np.power(s, alpha - 1.0)
     return _integrate_adaptive(f, Interval(0.0, b - a), cfg, end_panel)

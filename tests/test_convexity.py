@@ -31,6 +31,7 @@ from hypfrac.expressions import (
     scaled,
 )
 from hypfrac.generators import GenConfig, gen_p_convex
+from hypfrac.grammar import parse_function
 
 I01 = Interval(0.0, 1.0)
 ALL_CHECKS = (check_chord, check_second_order, check_gradient, check_phi_monotone)
@@ -414,6 +415,38 @@ def test_gradient_blocks_match_the_whole_table(f, I, p):
             want = _settle(conv, conc, 1e-9, x_conv, x_conc, Method.GRADIENT)
             # repr: nan reports compare equal too
             assert repr(check_gradient(f, I, p, grid_n=n, tol=1e-9)) == repr(want)
+
+
+def _two_branch_gradient(f, I, n):
+    """check_gradient at p == 0 with the classical tangent line written out
+    on its own, row by row: the reference for the p -> 0 limits
+    (cosh -> 1, sinh(p*d)/p -> d) of the one hyperbolic formula."""
+    xs = I.grid(n)
+    fv, dv = f.eval(xs), deriv(f).eval(xs)
+    top, low, big = np.empty(n), np.empty(n), np.empty(n)
+    for r in range(n):
+        delta = xs - xs[r]
+        g = fv[r] + dv[r] * delta - fv
+        top[r], low[r] = g.max(), (-g).max()
+        big[r] = (np.abs(fv[r]) + np.abs(dv[r] * delta)).max()
+    scale = 1.0 + float(np.max(big))
+    iv, ic = int(np.argmax(top)), int(np.argmax(low))
+    return _settle(float(top[iv]) / scale, float(low[ic]) / scale, 1e-9,
+                   xs[iv], xs[ic], Method.GRADIENT)
+
+
+def test_gradient_p0_keeps_the_two_branch_bits():
+    fns = ["x*x*x", "1e300*x*x", "x*x", "cosh(x)", "exp(-3*x)", "sinh(2*x)",
+           "pow(x+3,-2)", "1+0*x"]
+    intervals = (I01, Interval(-1.0, 1.0), Interval(2.0, 9.0))
+    cases = [(parse_function(fn), I, n) for fn in fns for I in intervals
+             for n in (5, 21, 101, 1001)]
+    cases += [(gen_p_convex(GenConfig(seed=5), 0.0, intervals[k % 3], index=k),
+               intervals[k % 3], 201) for k in range(40)]
+    with np.errstate(all="ignore"):
+        for f, I, n in cases:
+            want = _two_branch_gradient(f, I, n)
+            assert repr(check_gradient(f, I, 0.0, grid_n=n)) == repr(want), (f, I, n)
 
 
 def test_gradient_memory_below_the_chord_test():
