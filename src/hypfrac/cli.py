@@ -10,6 +10,11 @@ list of floats (``-1.5,1.5``) is read as a value.  Numeric options must be
 finite (``nan`` or ``inf`` exits 2 naming the option) and ``--tol`` must
 also be >= 0.  The env var HYPFRAC_THREADS caps the campaign worker count.
 
+Each subcommand imports the modules it runs: only ``classify`` loads
+``convexity``, and only ``campaign`` loads ``campaign`` (with
+``generators``, ``csv`` and ``json``), so a one-shot ``verify``,
+``integrate`` or ``limits`` process loads none of them.
+
 The argparse tree is the only declaration of the options.  It is built
 once per process, on the first ``main`` call, and reused by later ones, so
 ``main`` may be called repeatedly in-process (tests, notebooks,
@@ -31,14 +36,6 @@ import sys
 
 import numpy as np
 
-from .campaign import (
-    CampaignConfig,
-    load_config,
-    run_campaign,
-    write_report,
-    write_rows,
-)
-from .convexity import DEFAULT_GRID_N, DEFAULT_TOL, Method, check_all
 from .expressions import DomainError, Interval
 from .fractional import Family, FracParams, Side, fractional_integral
 from .grammar import GrammarError, parse_function
@@ -161,8 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", type=_finite_float, required=True)
     pc.add_argument("--a", type=_finite_float, required=True)
     pc.add_argument("--b", type=_finite_float, required=True)
-    pc.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    # None stands for convexity's defaults, read once classify imports it
+    pc.add_argument("--grid-n", type=int, default=None)
+    pc.add_argument("--tol", type=_tolerance, default=None)
 
     pv = sub.add_parser("verify", help="evaluate one inequality")
     pv.set_defaults(run=_cmd_verify)
@@ -292,12 +290,16 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .convexity import DEFAULT_GRID_N, DEFAULT_TOL, Method, check_all
+
+    grid_n = DEFAULT_GRID_N if args.grid_n is None else args.grid_n
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     lo, hi = _GRID_N_RANGE
-    if not lo <= args.grid_n <= hi:
-        raise ValueError(f"--grid-n must be in [{lo}, {hi}], got {args.grid_n}")
+    if not lo <= grid_n <= hi:
+        raise ValueError(f"--grid-n must be in [{lo}, {hi}], got {grid_n}")
     f = parse_function(args.fn)
     interval = Interval(args.a, args.b)
-    reports = check_all(f, interval, args.p, grid_n=args.grid_n, tol=args.tol)
+    reports = check_all(f, interval, args.p, grid_n=grid_n, tol=tol)
     _require_finite("worst violation", **{
         m.value: r.worst_violation for m, r in reports.items()})
     for method in Method:
@@ -337,6 +339,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from .campaign import (CampaignConfig, load_config, run_campaign,
+                           write_report, write_rows)
+
     # the campaign options are named after the config fields they override
     overrides = {k: getattr(args, k, None)
                  for k in CampaignConfig.__dataclass_fields__}

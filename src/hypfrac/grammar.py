@@ -8,13 +8,13 @@ The CLI accepts function strings such as::
     exp(2*x)+0.5*sinh(x)
     2*cosh(3*(x-0.25))-1.5
 
-Grammar: the single variable is ``x``; numeric literals are ints or floats;
-operators are ``+ - * /`` (division only by a constant) and ``**`` with a
-constant exponent; functions are ``exp``, ``cosh``, ``sinh`` and
-``pow(expr, constant)``; parentheses group.  A constant is any expression
-without ``x`` (``2**2``, ``exp(1)``), evaluated once as it is parsed; it
-must be finite.  Parsing goes through Python's ``ast`` module, so no code
-is ever executed.
+Grammar: the single variable is ``x``; numeric literals are ints or floats
+that fit a double; operators are ``+ - * /`` (division only by a constant)
+and ``**`` with a constant exponent; functions are ``exp``, ``cosh``,
+``sinh`` and ``pow(expr, constant)``; parentheses group.  A constant is
+any expression without ``x`` (``2**2``, ``exp(1)``), evaluated once as it
+is parsed; it must be finite.  Parsing goes through Python's ``ast``
+module, so no code is ever executed.
 
 A string holds at most ``MAX_NODES`` syntax nodes (as ``ast.walk`` counts
 them), counted as they are converted: the second derivative grows cubically
@@ -28,6 +28,7 @@ equivalent function.
 from __future__ import annotations
 
 import ast
+import math
 
 import numpy as np
 
@@ -86,7 +87,14 @@ def _convert(node, text: str, budget: list) -> FuncExpr:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise GrammarError(f"unsupported literal {node.value!r}")
-        return constant(float(node.value))
+        try:
+            value = float(node.value)
+        except OverflowError:  # an int beyond the largest double
+            value = math.inf
+        if not math.isfinite(value):  # a float literal beyond it reads as inf
+            literal = ast.get_source_segment(text.strip(), node)
+            raise GrammarError(f"numeric literal {literal} does not fit a double")
+        return constant(value)
     if isinstance(node, ast.Name):
         if node.id == "x":
             return Identity()

@@ -198,6 +198,60 @@ def test_importing_the_cli_loads_no_process_pool():
     assert (loaded.returncode, loaded.stdout) == (0, "[]\n")
 
 
+_ONE_SHOT_PROBE = """
+import contextlib, io, sys
+from hypfrac.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *(m for m in sys.modules if m.startswith("hypfrac.")
+               or m in ("csv", "json")))
+"""
+_CAMPAIGN_OR_CLASSIFY_ONLY = {"hypfrac.campaign", "hypfrac.convexity",
+                              "hypfrac.generators", "csv", "json"}
+
+
+# subcommand -> (its options, the modules it runs, those it must not load)
+_ONE_SHOT = {
+    "verify": (["--thm", "D6", "--fn", "cosh(x)", "--a", "0", "--b", "1",
+                "--p", "1", "--alpha", "0.5", "--weight", "1+pow(x-0.5,2)"],
+               {"hypfrac.inequalities"}, _CAMPAIGN_OR_CLASSIFY_ONLY),
+    "integrate": (["--family", "rl", "--alpha", "0.5", "--fn", "cosh(x)",
+                   "--a", "0", "--b", "1", "--side", "left", "--at", "1"],
+                  {"hypfrac.fractional"}, _CAMPAIGN_OR_CLASSIFY_ONLY),
+    "limits": (["--thm", "D4", "--to", "FHH", "--fn", "cosh(x)", "--a", "0",
+                "--b", "1"], {"hypfrac.inequalities"}, _CAMPAIGN_OR_CLASSIFY_ONLY),
+    "classify": (["--fn", "cosh(2*x)", "--p", "1", "--a", "0", "--b", "1"],
+                 {"hypfrac.convexity"}, {"hypfrac.campaign", "hypfrac.generators"}),
+    "campaign": (["--seed", "3", "--n", "1", "--workers", "1",
+                  "--rows", "rows.csv", "--report", "report.json"],
+                 {"hypfrac.campaign", "hypfrac.generators"}, {"hypfrac.convexity"}),
+}
+
+
+@pytest.mark.parametrize("command", _ONE_SHOT)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
+    options, runs, unused = _ONE_SHOT[command]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hypfrac.__file__)))
+    done = subprocess.run([sys.executable, "-c", _ONE_SHOT_PROBE, command, *options],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, *loaded = done.stdout.split()
+    assert code == "0"
+    assert runs <= set(loaded) and not unused & set(loaded), loaded
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hypfrac.__file__)))
+    probe = ("import sys, hypfrac; print(sorted(m for m in sys.modules if "
+             "m.startswith(('hypfrac', 'numpy'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert (loaded.returncode, loaded.stdout) == (0, "['hypfrac']\n")
+
+
 _CAMPAIGN_PROBE = """
 import contextlib, io, os, sys
 import numpy

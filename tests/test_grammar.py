@@ -52,6 +52,15 @@ def test_constant_sub_expressions_fold_where_a_constant_is_wanted(text, folded):
     ("pow(x,pow(-1,0.5))", "requires a positive base"),
     ("x**cosh(1000)", "cosh(1000) = inf is not finite"),
     ("x/(x+1-x)", "division is only supported by a constant"),
+    # literals beyond the largest double: an int overflows float(), a
+    # float literal reads as inf
+    pytest.param("1" + "0" * 400 + "*x",
+                 f"numeric literal 1{'0' * 400} does not fit a double",
+                 id="int-factor-beyond-a-double"),
+    pytest.param("x**" + "9" * 400,
+                 f"numeric literal {'9' * 400} does not fit a double",
+                 id="int-exponent-beyond-a-double"),
+    ("x*1e400", "numeric literal 1e400 does not fit a double"),
 ])
 def test_folded_constants_must_be_finite_and_nonzero_divisors(bad, message):
     with pytest.raises(GrammarError, match=re.escape(message)):
